@@ -5,9 +5,9 @@
 
 GO ?= go
 
-.PHONY: ci vet fmtcheck lint allocgate alloc-budget lint-fix-check registry-check build test race fuzz bench benchsmoke bench-json bench-diff cache-identity clean-cache
+.PHONY: ci vet fmtcheck lint allocgate alloc-budget lint-fix-check registry-check build test race fuzz bench benchsmoke bench-check bench-json bench-diff cache-identity clean-cache
 
-ci: fmtcheck vet lint allocgate lint-fix-check registry-check build test race benchsmoke cache-identity
+ci: fmtcheck vet lint allocgate lint-fix-check registry-check build test race benchsmoke bench-check cache-identity
 
 vet:
 	$(GO) vet ./...
@@ -77,6 +77,14 @@ benchsmoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/... > /dev/null
 	$(GO) test -run='^$$' -bench='Fingerprint|ReadHit|InsertStream|WorkloadGeneration' -benchtime=1x . > /dev/null
 
+# The campaign benchmark (bench/) is a Go module of its own, so the vet
+# and test targets above never reach it. It calls internal APIs directly
+# (workload generation, release snapshots, run keys); this compiles it
+# against them and runs its tests: BENCHMARK.json against the code, and
+# every workload at smoke scale against its golden report digest.
+bench-check:
+	cd bench && GOWORK=off $(GO) vet ./... && GOWORK=off $(GO) test ./...
+
 # Short fuzzing smoke over the encoding and fingerprint invariants; the
 # corpus seeds come from the unit-test vectors, so even a few seconds
 # exercises the interesting shapes.
@@ -93,7 +101,12 @@ fuzz:
 # transport (docs/distribution.md), both with a shared cache dir
 # (key-only completions) and with private per-worker dirs (artifact
 # streaming), and even when a worker is killed -9 mid-campaign (its
-# leases requeue and the survivor finishes). The per-experiment
+# leases requeue and the survivor finishes). The snapshot readers (Figs.
+# 1, 2, 5) ask for Baseline runs that keep their resident lines, which
+# fig13's Baseline runs leave out; their legs run over the cache the
+# fig13-only legs filled, so line runs must miss past the line-less
+# entries of the same cells — cold at -workers 4 (the sharded merge),
+# warm, and with the run-level layer off. The per-experiment
 # wall-clock lines are the only legitimate difference in text mode and
 # are filtered before comparison; artifact stats go to stderr and never
 # touch the reports. The cold-vs-warm timing at the end enforces the run-level
@@ -142,6 +155,16 @@ cache-identity:
 		-cache-dir $$tmp/nkcache -workers 1 -quick -profiles mcf,omnetpp,xz,gcc fig13 \
 		2>/dev/null | sed '/completed in/d' >$$tmp/netqkill.txt; \
 	wait $$w1 $$killer 2>/dev/null || true; \
+	echo "cache-identity: snapshot readers (fig1 fig2 fig5 fig13), cache-off serial (reference)"; \
+	$$tmp/thesaurus -json -no-cache -workers 1 -quick -profiles mcf,omnetpp,xz,gcc fig1 fig2 fig5 fig13 \
+		2>/dev/null >$$tmp/snapref.json; \
+	echo "cache-identity: snapshot readers over the fig13-only cache: cold workers=4, warm serial, run-level layer off"; \
+	$$tmp/thesaurus -json -cache-dir $$tmp/cache -workers 4 -quick -profiles mcf,omnetpp,xz,gcc fig1 fig2 fig5 fig13 \
+		2>/dev/null >$$tmp/snapcold.json; \
+	$$tmp/thesaurus -json -cache-dir $$tmp/cache -workers 1 -quick -profiles mcf,omnetpp,xz,gcc fig1 fig2 fig5 fig13 \
+		2>/dev/null >$$tmp/snapwarm.json; \
+	$$tmp/thesaurus -json -cache-dir $$tmp/cache -no-run-cache -workers 4 -quick -profiles mcf,omnetpp,xz,gcc fig1 fig2 fig5 fig13 \
+		2>/dev/null >$$tmp/snapnorun.json; \
 	cmp $$tmp/ref.txt $$tmp/cold.txt; \
 	cmp $$tmp/ref.txt $$tmp/warm.txt; \
 	cmp $$tmp/ref.json $$tmp/warm.json; \
@@ -151,11 +174,14 @@ cache-identity:
 	cmp $$tmp/ref.txt $$tmp/netq.txt; \
 	cmp $$tmp/ref.json $$tmp/netq.json; \
 	cmp $$tmp/ref.txt $$tmp/netqkill.txt; \
+	cmp $$tmp/snapref.json $$tmp/snapcold.json; \
+	cmp $$tmp/snapref.json $$tmp/snapwarm.json; \
+	cmp $$tmp/snapref.json $$tmp/snapnorun.json; \
 	cold=$$((t1-t0)); warm=$$((t2-t1)); \
 	echo "cache-identity: cold $${cold}ms, warm $${warm}ms"; \
 	if [ $$((warm*5)) -gt $$cold ]; then \
 		echo "cache-identity: FAIL: warm quick-campaign rerun not >=5x faster than cold"; exit 1; fi; \
-	echo "cache-identity: OK (byte-identical across cache-off/cold/warm/run-cache-off/distributed/netq/netq-kill; warm >=5x cold)"
+	echo "cache-identity: OK (byte-identical across cache-off/cold/warm/run-cache-off/distributed/netq/netq-kill, snapshot readers cold/warm/run-cache-off; warm >=5x cold)"
 
 # Remove the default on-disk artifact cache (the -cache-dir default).
 clean-cache:

@@ -301,8 +301,10 @@ func measureBench() ([]benchEntry, error) {
 	// --- run-level cache codec ---
 	// A warm campaign's cost per design×profile cell is one RunOutput
 	// decode (docs/performance.md); these rows are that gap's trajectory.
-	// The snapshot is tiny next to a recording, so the codec itself — not
-	// payload size — dominates.
+	// A Thesaurus snapshot is statistics only, tiny next to a recording,
+	// so the codec itself — not payload size — dominates. Only a Baseline
+	// run that keeps its resident lines (harness.RunWithLines) carries a
+	// payload large enough to dominate.
 	runOpt := harness.DefaultRunOptions()
 	runOpt.Accesses = 100_000
 	benchRun, err := harness.Run("mcf", "Thesaurus", runOpt)

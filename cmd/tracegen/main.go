@@ -12,7 +12,8 @@
 //
 // With -artifact, the trace is filtered through the private L1/L2 levels
 // and written as a recording artifact (internal/artifact codec: the
-// L1/L2-filtered LLC event stream plus the full memory image), directly
+// L1/L2-filtered LLC event stream plus the memory image, which holds
+// only the lines the trace touched — see workload.Profile.Generate), directly
 // loadable by the experiment harness. With -cache-dir, the same artifact
 // is stored into an artifact cache under its canonical content key, so a
 // later thesaurus/calibrate run starts warm.
@@ -33,7 +34,7 @@ func main() {
 	profile := flag.String("profile", "mcf", "workload profile name")
 	n := flag.Int("n", 1_000_000, "number of accesses to generate")
 	out := flag.String("o", "", "output file (default <profile>.trace)")
-	artifactOut := flag.String("artifact", "", "write a recording artifact (recorded events + memory image) to this file")
+	artifactOut := flag.String("artifact", "", "write a recording artifact (recorded events + the memory image lines the trace touched) to this file")
 	cacheDir := flag.String("cache-dir", "", "store the recording into this artifact cache under its canonical key")
 	list := flag.Bool("list", false, "list available profiles and exit")
 	flag.Parse()

@@ -24,7 +24,10 @@ import (
 //
 // v2: snapshot codecs moved to the scheme registry, CPack (tag 5) and
 // DISH (tag 6) designs added, per-scheme config folded into run keys.
-const RunOutputVersion = 2
+// v3: Baseline and 2x Baseline snapshots carry their resident lines only
+// when the run asked for them (keyed by LinesKey); a v2 entry under a
+// default run's key still holds them and would fail -cache-verify.
+const RunOutputVersion = 3
 
 // RunOutput is a whole memoized run: the replay metrics, the released
 // cache's statistics snapshot, and the Fig. 16 cluster-size fractions.
@@ -97,6 +100,15 @@ func RunOutputKey(p workload.Profile, sys sim.SystemConfig, design string, acces
 			uint64(thCfg.AdaptiveEpoch), uint64(thCfg.WriteBufferDepth))
 	}
 	return hashKey(buf)
+}
+
+// LinesKey derives the content address of a run whose release snapshot
+// carries the LLC's resident lines (uncomp.Cache.KeepLines) from the
+// RunOutputKey of the same run without them. The two runs' statistics
+// are identical; only the snapshot's size differs, so they must not share
+// an entry.
+func LinesKey(runKey string) string {
+	return hashKey(append([]byte("thesaurus-runoutput-lines\x00"), runKey...))
 }
 
 func boolU64(b bool) uint64 {

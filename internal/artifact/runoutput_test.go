@@ -308,6 +308,13 @@ func TestRunOutputKeySensitivity(t *testing.T) {
 		t.Fatal(err)
 	}
 	perturb["profile"] = RunOutputKey(p2, sys, "Thesaurus", 1000, replay, true, &cfg)
+	// A run that keeps its resident lines is keyed apart from the same run
+	// without them.
+	perturb["lines"] = LinesKey(base)
+	perturb["lines-baseline"] = LinesKey(perturb["design-baseline"])
+	if LinesKey(base) != perturb["lines"] {
+		t.Fatal("LinesKey not deterministic")
+	}
 
 	whats := make([]string, 0, len(perturb))
 	for what := range perturb {

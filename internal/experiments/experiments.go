@@ -62,7 +62,7 @@ func (o Options) run() harness.RunOptions {
 // lines come from the released cache's snapshot, already in ascending
 // address order.
 func snapshot(profile string, opt Options) ([]line.Line, error) {
-	out, err := harness.Run(profile, "Baseline", opt.run())
+	out, err := harness.RunWithLines(profile, "Baseline", opt.run())
 	if err != nil {
 		return nil, err
 	}

@@ -129,10 +129,10 @@ func DefaultRunContentKey(profile, design string, opt RunOptions) (string, error
 // pin hundreds of read-once results) but disk persistence has no such
 // concern, and warm ablation reruns are where a campaign spends most of
 // its time.
-func runOrLoad(profile, design string, opt RunOptions, sample bool) (*RunOutput, error) {
+func runOrLoad(profile, design string, opt RunOptions, sample, lines bool) (*RunOutput, error) {
 	c := artifacts.Load()
 	if c == nil || runCacheOff.Load() {
-		return runOnce(profile, design, opt, sample)
+		return runOnce(profile, design, opt, sample, lines)
 	}
 	p, err := workload.ProfileByName(profile)
 	if err != nil {
@@ -144,8 +144,11 @@ func runOrLoad(profile, design string, opt RunOptions, sample bool) (*RunOutput,
 	keySample := sample && design == "Thesaurus"
 	key := artifact.RunOutputKey(p, sim.DefaultSystem(), design, opt.Accesses,
 		opt.Replay, keySample, effectiveThesaurusConfig(design, opt))
+	if lines {
+		key = artifact.LinesKey(key)
+	}
 	compute := func() (*artifact.RunOutput, error) {
-		out, err := runOnce(profile, design, opt, sample)
+		out, err := runOnce(profile, design, opt, sample, lines)
 		if err != nil {
 			return nil, err
 		}

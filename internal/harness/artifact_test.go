@@ -8,6 +8,7 @@ import (
 	"repro/internal/artifact"
 	"repro/internal/sim"
 	"repro/internal/thesaurus"
+	"repro/internal/uncomp"
 	"repro/internal/workload"
 )
 
@@ -129,7 +130,8 @@ func TestArtifactVerifyDetectsDivergence(t *testing.T) {
 // forgetRun drops the in-memory run memo entry, simulating a fresh
 // process over a warm artifact directory.
 func forgetRun(profile, design string, opt RunOptions) {
-	runCache.Delete(runKey(profile, design, opt))
+	runCache.Delete(runKey(profile, design, opt, false))
+	runCache.Delete(runKey(profile, design, opt, true))
 }
 
 func toArtifactRun(o *RunOutput) *artifact.RunOutput {
@@ -292,5 +294,127 @@ func TestArtifactCacheTransparent(t *testing.T) {
 	}
 	if !artifact.RecordedEqual(plain, cold) || !artifact.RecordedEqual(plain, warm) {
 		t.Fatal("artifact cache changed the recording")
+	}
+}
+
+// TestRunWithLinesAcrossPaths: a line snapshot is the same whether the
+// replay ran serially or set-sharded, and whether the run was computed,
+// loaded from a warm run-level cache, or loaded and re-verified
+// (-cache-verify). It is stored under its own disk key, so a plain run
+// of the same cell over the same directory neither loads it nor is
+// served lines.
+func TestRunWithLinesAcrossPaths(t *testing.T) {
+	const prof, design = "mcf", "Baseline"
+	opt := DefaultRunOptions()
+	opt.Accesses = 5107
+	opt.Workers = 1
+	ref, err := RunWithLines(prof, design, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ref.Snap.Extra.(*uncomp.Snapshot).Lines) == 0 {
+		t.Fatal("reference line snapshot is empty")
+	}
+	c, err := artifact.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	UseArtifacts(c)
+	defer func() {
+		SetArtifactVerify(false)
+		UseArtifacts(nil)
+	}()
+	for _, step := range []struct {
+		what    string
+		workers int
+		verify  bool
+		replays uint64
+	}{
+		{"cold, sharded", 4, false, 1},
+		{"warm, serial", 1, false, 0},
+		{"warm, verified", 1, true, 1},
+	} {
+		SetArtifactVerify(step.verify)
+		forgetRun(prof, design, opt)
+		o := opt
+		o.Workers = step.workers
+		before := replays.Load()
+		got, err := RunWithLines(prof, design, o)
+		if err != nil {
+			t.Fatalf("%s: %v", step.what, err)
+		}
+		if delta := replays.Load() - before; delta != step.replays {
+			t.Fatalf("%s: %d replays, want %d", step.what, delta, step.replays)
+		}
+		if !artifact.RunOutputEqual(toArtifactRun(ref), toArtifactRun(got)) {
+			t.Fatalf("%s: line snapshot differs from the uncached serial run", step.what)
+		}
+	}
+	SetArtifactVerify(false)
+
+	key, err := DefaultRunContentKey(prof, design, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.RawRunOutput(key); ok {
+		t.Fatal("a line run was stored under the plain run's key")
+	}
+	if _, ok := c.RawRunOutput(artifact.LinesKey(key)); !ok {
+		t.Fatal("line run not stored under LinesKey of the plain run's key")
+	}
+	before := replays.Load()
+	plain, err := Run(prof, design, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if delta := replays.Load() - before; delta != 1 {
+		t.Fatalf("plain run over a directory holding only the line run replayed %d times, want 1", delta)
+	}
+	if plain.Snap.Extra.(*uncomp.Snapshot).Lines != nil {
+		t.Fatal("plain run carries resident lines")
+	}
+}
+
+// TestDefaultRunContentKeyNamesCampaignCells: the key a netq worker
+// reports for a campaign cell (and the coordinator uses as its task key)
+// is the key the cell's Run stores under, for every design — line runs
+// of the same cell in the same process do not move it.
+func TestDefaultRunContentKeyNamesCampaignCells(t *testing.T) {
+	const prof = "xz"
+	opt := DefaultRunOptions()
+	opt.Accesses = 5113
+	c, err := artifact.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	UseArtifacts(c)
+	defer UseArtifacts(nil)
+	if _, err := RunWithLines(prof, "Baseline", opt); err != nil {
+		t.Fatal(err)
+	}
+	var cells []RunKey
+	for _, d := range Designs {
+		cells = append(cells, RunKey{prof, d})
+	}
+	matrix, err := RunMatrix(cells, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range Designs {
+		key, err := DefaultRunContentKey(prof, d, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, ok := c.RawRunOutput(key)
+		if !ok {
+			t.Fatalf("%s: no artifact under DefaultRunContentKey", d)
+		}
+		f, err := artifact.Decode(raw)
+		if err != nil || f.Run == nil {
+			t.Fatalf("%s: stored artifact does not decode to a run: %v", d, err)
+		}
+		if !artifact.RunOutputEqual(f.Run, toArtifactRun(matrix[RunKey{prof, d}])) {
+			t.Fatalf("%s: artifact under DefaultRunContentKey is not the cell's run", d)
+		}
 	}
 }

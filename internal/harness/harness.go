@@ -160,16 +160,33 @@ var replays atomic.Uint64
 // worker count), and memoized runs always use the default Thesaurus
 // configuration, so neither needs encoding. A caller-provided OnSample
 // hook disables memoization instead of being encoded (it is a side
-// effect, not part of the result).
-func runKey(profile, design string, opt RunOptions) string {
+// effect, not part of the result). lines marks a RunWithLines run.
+func runKey(profile, design string, opt RunOptions, lines bool) string {
 	r := opt.Replay
-	return fmt.Sprintf("%s/%s/n%d/w%g/s%d/v%t",
-		profile, design, opt.Accesses, r.WarmupFraction, r.SampleEvery, r.Verify)
+	return fmt.Sprintf("%s/%s/n%d/w%g/s%d/v%t/l%t",
+		profile, design, opt.Accesses, r.WarmupFraction, r.SampleEvery, r.Verify, lines)
 }
 
 // Run replays profile into design with memoization. Thesaurus runs also
 // collect the Fig. 16 cluster-size samples and the Fig. 19 diff series.
 func Run(profile, design string, opt RunOptions) (*RunOutput, error) {
+	return run(profile, design, opt, false)
+}
+
+// RunWithLines is Run for a conventional design (Baseline or 2x
+// Baseline) whose release snapshot also carries the LLC's resident lines
+// (uncomp.Snapshot.Lines), the input of the snapshot-based motivation
+// experiments. Run leaves them out: they are a megabyte per run that no
+// other report reads. The request is part of the memo key and of the
+// run-level artifact key, so the two kinds of run never share an entry.
+func RunWithLines(profile, design string, opt RunOptions) (*RunOutput, error) {
+	if !setPartitioned(design) {
+		return nil, fmt.Errorf("harness: design %q has no resident-line snapshot", design)
+	}
+	return run(profile, design, opt, true)
+}
+
+func run(profile, design string, opt RunOptions, lines bool) (*RunOutput, error) {
 	// Custom-configuration runs (sweeps, ablations) are not memoized:
 	// at full scale they would pin hundreds of results in memory that are
 	// read exactly once. The exception is a sweep point equal to the
@@ -185,12 +202,12 @@ func Run(profile, design string, opt RunOptions) (*RunOutput, error) {
 		// An OnSample hook must observe its own live replay, so it can
 		// never be served from the run-level disk cache either.
 		if opt.Replay.OnSample != nil {
-			return runOnce(profile, design, opt, false)
+			return runOnce(profile, design, opt, false, lines)
 		}
-		return runOrLoad(profile, design, opt, false)
+		return runOrLoad(profile, design, opt, false, lines)
 	}
-	out, err := coalesce(&runCache, &runFlights, runKey(profile, design, opt), func() (*RunOutput, error) {
-		return runOrLoad(profile, design, opt, true)
+	out, err := coalesce(&runCache, &runFlights, runKey(profile, design, opt, lines), func() (*RunOutput, error) {
+		return runOrLoad(profile, design, opt, true, lines)
 	})
 	if err != nil {
 		return nil, err
@@ -202,7 +219,8 @@ func Run(profile, design string, opt RunOptions) (*RunOutput, error) {
 
 // Designs whose LLCs implement sim.SetPartitioned, eligible for
 // set-sharded parallel replay (the compile-time assertion below keeps the
-// list honest).
+// list honest). They are the designs built on uncomp.Cache, so they are
+// also the ones RunWithLines accepts.
 var _ sim.SetPartitioned = (*uncomp.Cache)(nil)
 
 func setPartitioned(design string) bool {
@@ -210,8 +228,9 @@ func setPartitioned(design string) bool {
 }
 
 // runOnce executes one replay without consulting the memo. sample
-// enables the Fig. 16 cluster-size sampling (memoized default runs only).
-func runOnce(profile, design string, opt RunOptions, sample bool) (*RunOutput, error) {
+// enables the Fig. 16 cluster-size sampling (memoized default runs only);
+// lines keeps the resident lines in the snapshot (RunWithLines).
+func runOnce(profile, design string, opt RunOptions, sample, lines bool) (*RunOutput, error) {
 	rec, err := RecordProfile(profile, opt.Accesses)
 	if err != nil {
 		return nil, err
@@ -223,7 +242,7 @@ func runOnce(profile, design string, opt RunOptions, sample bool) (*RunOutput, e
 	// regardless of which path produced them. An OnSample hook forces the
 	// serial path: it expects to observe one whole cache per instant.
 	if opt.Workers > 1 && opt.Replay.OnSample == nil && setPartitioned(design) {
-		return runShardedOnce(design, rec, opt)
+		return runShardedOnce(design, rec, opt, lines)
 	}
 	var c llc.Cache
 	var st *memory.Store
@@ -242,6 +261,9 @@ func runOnce(profile, design string, opt RunOptions, sample bool) (*RunOutput, e
 	}
 	if err != nil {
 		return nil, err
+	}
+	if lines {
+		c.(*uncomp.Cache).KeepLines()
 	}
 	out := &RunOutput{}
 	ropt := opt.Replay
@@ -287,7 +309,7 @@ func runOnce(profile, design string, opt RunOptions, sample bool) (*RunOutput, e
 // shard caches (sim.ReplaySharded) and merges the shards' snapshots into
 // the one the serial path would have released. One logical replay, so the
 // replays counter advances once.
-func runShardedOnce(design string, rec *sim.Recorded, opt RunOptions) (*RunOutput, error) {
+func runShardedOnce(design string, rec *sim.Recorded, opt RunOptions, lines bool) (*RunOutput, error) {
 	n := opt.Workers
 	shards := make([]llc.Cache, n)
 	stores := make([]*memory.Store, n)
@@ -300,6 +322,9 @@ func runShardedOnce(design string, rec *sim.Recorded, opt RunOptions) (*RunOutpu
 		uc, ok := c.(*uncomp.Cache)
 		if !ok {
 			return nil, fmt.Errorf("harness: design %q listed set-partitioned but is %T", design, c)
+		}
+		if lines {
+			uc.KeepLines()
 		}
 		shards[i], stores[i], ucs[i] = c, st, uc
 	}

@@ -5,11 +5,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
+	"repro/internal/line"
 	"repro/internal/llc"
+	"repro/internal/sim"
 	"repro/internal/thesaurus"
+	"repro/internal/uncomp"
 )
 
 func quickOpt() RunOptions {
@@ -346,7 +350,8 @@ func TestParMap(t *testing.T) {
 func TestShardedReplayMatchesSerial(t *testing.T) {
 	// Property: for the set-partitioned designs, a replay sharded across any
 	// worker count is byte-identical to the serial replay — every metric
-	// (including the float-derived ones) and the full release snapshot.
+	// (including the float-derived ones) and the full release snapshot,
+	// resident lines included.
 	// A non-default Thesaurus config disables memoization for every design,
 	// so each Run below actually replays instead of sharing one memo entry
 	// across worker counts.
@@ -357,14 +362,17 @@ func TestShardedReplayMatchesSerial(t *testing.T) {
 		opt.Replay.Verify = true
 		opt.Thesaurus = &noMemo
 		opt.Workers = 1
-		want, err := Run("exchange2", design, opt)
+		want, err := RunWithLines("exchange2", design, opt)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if len(want.Snap.Extra.(*uncomp.Snapshot).Lines) == 0 {
+			t.Fatalf("%s: empty line snapshot compares nothing", design)
 		}
 		for _, w := range []int{2, 4, 7} {
 			opt.Workers = w
 			before := replays.Load()
-			got, err := Run("exchange2", design, opt)
+			got, err := RunWithLines("exchange2", design, opt)
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", design, w, err)
 			}
@@ -379,6 +387,71 @@ func TestShardedReplayMatchesSerial(t *testing.T) {
 				t.Fatalf("%s workers=%d: release snapshot diverges from serial", design, w)
 			}
 		}
+	}
+}
+
+// TestRunWithLines: a plain Run of either conventional design releases a
+// snapshot without resident lines; RunWithLines releases the resident set
+// in ascending address order and is otherwise the same run, memoized
+// under its own key. Designs without a line snapshot are refused.
+func TestRunWithLines(t *testing.T) {
+	opt := DefaultRunOptions()
+	opt.Accesses = 5101
+	rec, err := RecordProfile("mcf", opt.Accesses)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, design := range []string{"Baseline", "2x Baseline"} {
+		plain, err := Run("mcf", design, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lines := plain.Snap.Extra.(*uncomp.Snapshot).Lines; lines != nil {
+			t.Fatalf("%s: plain Run carries %d resident lines", design, len(lines))
+		}
+		before := replays.Load()
+		with, err := RunWithLines("mcf", design, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if delta := replays.Load() - before; delta != 1 {
+			t.Fatalf("%s: line run replayed %d times, want its own memo entry (1)", design, delta)
+		}
+		if with.Res != plain.Res || with.Snap.Design != plain.Snap.Design || with.Snap.Stats != plain.Snap.Stats {
+			t.Fatalf("%s: line run's statistics differ from the plain run's", design)
+		}
+
+		// The resident set, independently: replay a fresh cache and sort
+		// its contents by address.
+		c, st, err := BuildLLC(design)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sim.Replay(c, rec, st, sim.DefaultSystem(), opt.Replay); err != nil {
+			t.Fatal(err)
+		}
+		contents := c.(*uncomp.Cache).Contents()
+		addrs := make([]line.Addr, 0, len(contents))
+		for a := range contents {
+			addrs = append(addrs, a)
+		}
+		sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+		want := make([]line.Line, len(addrs))
+		for i, a := range addrs {
+			want[i] = contents[a]
+		}
+		c.Release()
+		st.Release()
+		if got := with.Snap.Extra.(*uncomp.Snapshot).Lines; len(want) == 0 || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: line snapshot (%d lines) is not the resident set sorted by address (%d lines)",
+				design, len(got), len(want))
+		}
+	}
+	if runKey("mcf", "Baseline", opt, false) == runKey("mcf", "Baseline", opt, true) {
+		t.Fatal("line and plain runs share a memo key")
+	}
+	if _, err := RunWithLines("mcf", "Thesaurus", opt); err == nil {
+		t.Fatal("RunWithLines accepted a design without a line snapshot")
 	}
 }
 

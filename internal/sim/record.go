@@ -59,8 +59,9 @@ type void struct{}
 
 // Record streams src through the private L1D and L2 and returns the
 // resulting LLC-level event stream. img is the program's memory image: it
-// must hold the workload's initial data (pre-populated, mirroring the
-// paper's warmup skip) and is updated in place by stores.
+// must hold each line's initial data (mirroring the paper's warmup skip)
+// by the time src yields the first access to that line — the workload
+// streams write it then — and is updated in place by stores.
 func Record(src trace.Source, sys SystemConfig, img *memory.Store) *Recorded {
 	l1 := cache.New[void](cache.LineConfig(sys.L1DSizeBytes, sys.L1DWays, "lru"))
 	l2 := cache.New[void](cache.LineConfig(sys.L2SizeBytes, sys.L2Ways, "lru"))

@@ -345,14 +345,20 @@ func TestShardedWarmupBoundaries(t *testing.T) {
 		warmup := int(frac * float64(e))
 		opt := ReplayOptions{WarmupFraction: frac, SampleEvery: sampleEvery, Verify: true}
 
+		// Both sides keep their resident lines, so the snapshot comparison
+		// covers the merged line order, not just the statistics.
 		st := memory.NewStore()
 		c := uncomp.New("Baseline", cfg, st)
+		c.KeepLines()
 		want, err := Replay(c, rec, st, sys, opt)
 		if err != nil {
 			t.Fatalf("warmup=%d: serial: %v", warmup, err)
 		}
 		wantSnap := c.Release()
 		st.Release()
+		if len(wantSnap.Extra.(*uncomp.Snapshot).Lines) == 0 {
+			t.Fatalf("warmup=%d: serial snapshot holds no lines", warmup)
+		}
 
 		for _, n := range []int{2, 3} {
 			shards := make([]llc.Cache, n)
@@ -361,6 +367,7 @@ func TestShardedWarmupBoundaries(t *testing.T) {
 			for i := range shards {
 				stores[i] = memory.NewStore()
 				ucs[i] = uncomp.New("Baseline", cfg, stores[i])
+				ucs[i].KeepLines()
 				shards[i] = ucs[i]
 			}
 			got, err := ReplaySharded(shards, stores, rec, sys, opt)

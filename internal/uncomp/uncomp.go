@@ -30,11 +30,12 @@ func DefaultConfig() Config {
 // Cache is a conventional write-back, write-allocate LLC storing full
 // 64-byte lines.
 type Cache struct {
-	name  string
-	tags  *cache.Array[line.Line]
-	mem   *memory.Store
-	stats llc.Stats
-	cfg   Config
+	name      string
+	tags      *cache.Array[line.Line]
+	mem       *memory.Store
+	stats     llc.Stats
+	cfg       Config
+	keepLines bool
 }
 
 var _ llc.Cache = (*Cache)(nil)
@@ -142,9 +143,12 @@ func (c *Cache) Contents() map[line.Addr]line.Line {
 	return out
 }
 
-// Snapshot is the conventional cache's release snapshot: the resident
-// lines in ascending address order, the input to the snapshot-based
-// motivation experiments (Figs. 1, 2, 5).
+// Snapshot is the conventional cache's release snapshot. Lines holds the
+// resident lines in ascending address order — the input to the
+// snapshot-based motivation experiments (Figs. 1, 2, 5) — when the cache
+// was asked to keep them (KeepLines), and is nil otherwise: a 1MB cache's
+// lines are a megabyte that no other report reads, and every released
+// snapshot is persisted by the run-level artifact cache.
 type Snapshot struct {
 	Lines []line.Line
 }
@@ -159,35 +163,21 @@ func (s *Snapshot) Clone() llc.ExtraSnapshot {
 	return cp
 }
 
-// Release implements llc.Cache: it extracts the resident lines in
-// ascending address order and frees the tag array. The cache must not be
-// used afterwards.
-func (c *Cache) Release() llc.StatsSnapshot {
-	if c.tags == nil {
-		panic("uncomp: Release called twice")
-	}
-	type resident struct {
-		addr line.Addr
-		data line.Line
-	}
-	pairs := make([]resident, 0, c.tags.CountValid())
-	c.tags.ForEach(func(_ int, e *cache.Entry[line.Line]) {
-		pairs = append(pairs, resident{e.Addr, e.Payload})
-	})
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].addr < pairs[j].addr })
-	snap := &Snapshot{Lines: make([]line.Line, len(pairs))}
-	for i := range pairs {
-		snap.Lines[i] = pairs[i].data
-	}
-	c.tags = nil
-	return llc.StatsSnapshot{Design: c.name, Stats: c.stats, Extra: snap}
-}
+// KeepLines makes Release and MergeRelease put the resident lines into
+// the snapshot. Call it before the cache is released.
+func (c *Cache) KeepLines() { c.keepLines = true }
+
+// Release implements llc.Cache: it extracts the snapshot (with the
+// resident lines if KeepLines was called) and frees the tag array. The
+// cache must not be used afterwards.
+func (c *Cache) Release() llc.StatsSnapshot { return MergeRelease([]*Cache{c}) }
 
 // MergeRelease releases every shard of a set-sharded replay and merges
 // them into the snapshot the equivalent unsharded cache would have
-// produced: statistics summed field-wise and the union of resident lines
-// in ascending address order. Set-sharding partitions addresses by tag
-// set, so the shards hold disjoint address ranges and the merged ordering
+// produced: statistics summed field-wise and, if the shards keep their
+// lines (KeepLines on every shard), the union of resident lines in
+// ascending address order. Set-sharding partitions addresses by tag set,
+// so the shards hold disjoint address ranges and the merged ordering
 // equals the serial ordering. The shards must not be used afterwards.
 func MergeRelease(shards []*Cache) llc.StatsSnapshot {
 	if len(shards) == 0 {
@@ -199,13 +189,19 @@ func MergeRelease(shards []*Cache) llc.StatsSnapshot {
 	}
 	var pairs []resident
 	var stats llc.Stats
+	keep := shards[0].keepLines
 	for _, c := range shards {
 		if c.tags == nil {
-			panic("uncomp: MergeRelease after Release")
+			panic("uncomp: cache released twice")
 		}
-		c.tags.ForEach(func(_ int, e *cache.Entry[line.Line]) {
-			pairs = append(pairs, resident{e.Addr, e.Payload})
-		})
+		if c.keepLines != keep {
+			panic("uncomp: MergeRelease of shards that disagree on KeepLines")
+		}
+		if keep {
+			c.tags.ForEach(func(_ int, e *cache.Entry[line.Line]) {
+				pairs = append(pairs, resident{e.Addr, e.Payload})
+			})
+		}
 		s := c.stats
 		stats.Reads += s.Reads
 		stats.Writes += s.Writes
@@ -215,10 +211,13 @@ func MergeRelease(shards []*Cache) llc.StatsSnapshot {
 		stats.Writebacks += s.Writebacks
 		c.tags = nil
 	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].addr < pairs[j].addr })
-	snap := &Snapshot{Lines: make([]line.Line, len(pairs))}
-	for i := range pairs {
-		snap.Lines[i] = pairs[i].data
+	snap := &Snapshot{}
+	if keep {
+		sort.Slice(pairs, func(i, j int) bool { return pairs[i].addr < pairs[j].addr })
+		snap.Lines = make([]line.Line, len(pairs))
+		for i := range pairs {
+			snap.Lines[i] = pairs[i].data
+		}
 	}
 	return llc.StatsSnapshot{Design: shards[0].name, Stats: stats, Extra: snap}
 }

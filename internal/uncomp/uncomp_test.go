@@ -1,6 +1,8 @@
 package uncomp
 
 import (
+	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/line"
@@ -103,4 +105,84 @@ func TestName(t *testing.T) {
 	if c.Name() != "Baseline" {
 		t.Fatal("name")
 	}
+}
+
+// fillRandom drives c with a seeded mix of reads and writes over more
+// lines than it holds.
+func fillRandom(c *Cache, seed uint64) {
+	rng := xrand.New(seed)
+	for i := 0; i < 4000; i++ {
+		addr := line.Addr(rng.Intn(2048)) * line.Size
+		if rng.Bool(0.3) {
+			var l line.Line
+			l.SetWord(0, rng.Uint64())
+			c.Write(addr, l)
+		} else {
+			c.Read(addr)
+		}
+	}
+}
+
+// sortedContents is the resident set in ascending address order.
+func sortedContents(c *Cache) []line.Line {
+	m := c.Contents()
+	addrs := make([]line.Addr, 0, len(m))
+	for a := range m {
+		addrs = append(addrs, a)
+	}
+	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+	out := make([]line.Line, len(addrs))
+	for i, a := range addrs {
+		out[i] = m[a]
+	}
+	return out
+}
+
+// TestReleaseLinesOnRequest: Release leaves the resident lines out unless
+// KeepLines was called, and then returns the resident set sorted by
+// address; the statistics are the same either way.
+func TestReleaseLinesOnRequest(t *testing.T) {
+	plain, kept := New("test", small(), memory.NewStore()), New("test", small(), memory.NewStore())
+	kept.KeepLines()
+	fillRandom(plain, 7)
+	fillRandom(kept, 7)
+	want := sortedContents(kept)
+	ps, ks := plain.Release(), kept.Release()
+	if ps.Stats != ks.Stats {
+		t.Fatal("KeepLines changed the statistics")
+	}
+	if lines := ps.Extra.(*Snapshot).Lines; lines != nil {
+		t.Fatalf("default release carries %d lines", len(lines))
+	}
+	if got := ks.Extra.(*Snapshot).Lines; len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("kept lines (%d) are not the resident set sorted by address (%d)", len(got), len(want))
+	}
+}
+
+// TestMergeReleaseLinesOnRequest: merged shards carry lines only when
+// every shard keeps them, and refuse a mix.
+func TestMergeReleaseLinesOnRequest(t *testing.T) {
+	shards := func(keep ...bool) []*Cache {
+		out := make([]*Cache, len(keep))
+		for i, k := range keep {
+			out[i] = New("test", small(), memory.NewStore())
+			if k {
+				out[i].KeepLines()
+			}
+			fillRandom(out[i], uint64(i+1))
+		}
+		return out
+	}
+	if lines := MergeRelease(shards(false, false)).Extra.(*Snapshot).Lines; lines != nil {
+		t.Fatalf("default merge carries %d lines", len(lines))
+	}
+	if lines := MergeRelease(shards(true, true)).Extra.(*Snapshot).Lines; len(lines) == 0 {
+		t.Fatal("merge of shards keeping lines carries none")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("merge of shards disagreeing on KeepLines did not panic")
+		}
+	}()
+	MergeRelease(shards(true, false))
 }

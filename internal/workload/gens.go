@@ -24,9 +24,12 @@ import (
 	"repro/internal/xrand"
 )
 
-// LineGen produces the content of a region's lines. Version 0 is the
-// pre-populated image; writes bump a line's version, yielding fresh but
-// distribution-identical content.
+// LineGen produces the content of a region's lines. Version 0 is a
+// line's initial content, written into the image when the stream first
+// touches the line; writes bump a line's version, yielding fresh but
+// distribution-identical content. Line must be a pure function of
+// (i, version): the image is filled lazily, in trace order, so a
+// generator with hidden state would make recordings depend on it.
 type LineGen interface {
 	// Line returns the content of line i at the given version.
 	Line(i int, version uint32) line.Line

@@ -22,7 +22,11 @@ type Profile struct {
 	Pattern   PatternSpec
 }
 
-// Generate populates a fresh image and returns the access stream.
+// Generate returns the profile's access stream over a fresh, empty
+// image. The stream fills the image on first touch: a line's initial
+// (version-0) content is written when the stream first emits an access
+// to it, so generating a short trace of a large profile costs only the
+// lines the trace reaches.
 func (p Profile) Generate(accesses int) *Generated {
 	img := memory.NewStore()
 	s := newStream(p.Seed, p.Regions, p.Pattern, accesses, img)

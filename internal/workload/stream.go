@@ -53,6 +53,7 @@ type regionState struct {
 	base    line.Addr
 	cursor  int
 	version []uint32 // per-line write versions, indexed by line
+	filled  []uint64 // bitmap of lines whose version-0 content is in the image
 }
 
 // Stream generates a profile's access trace; it implements trace.Source
@@ -78,8 +79,9 @@ type Stream struct {
 // regionGap separates region base addresses so set-index bits differ.
 const regionGap = 1 << 30
 
-// newStream lays out regions, populates img with their initial contents,
-// and returns a source producing limit accesses.
+// newStream lays out regions and returns a source producing limit
+// accesses. img starts empty: Next writes a line's initial content into
+// it when it first emits an access to that line.
 func newStream(seed uint64, regions []RegionSpec, pat PatternSpec, limit int, img *memory.Store) *Stream {
 	s := &Stream{pat: pat, rng: xrand.New(seed), limit: limit, img: img, weightsFor: -2}
 	base := line.Addr(1 << 33)
@@ -87,10 +89,8 @@ func newStream(seed uint64, regions []RegionSpec, pat PatternSpec, limit int, im
 		if spec.Lines <= 0 || spec.Gen == nil {
 			panic(fmt.Sprintf("workload: bad region %q", spec.Name))
 		}
-		rs := &regionState{spec: spec, base: base, version: make([]uint32, spec.Lines)}
-		for i := 0; i < spec.Lines; i++ {
-			img.Poke(rs.addr(i), spec.Gen.Line(i, 0))
-		}
+		rs := &regionState{spec: spec, base: base, version: make([]uint32, spec.Lines),
+			filled: make([]uint64, (spec.Lines+63)/64)}
 		s.regions = append(s.regions, rs)
 		base += line.Addr((spec.Lines + regionGap/line.Size) * line.Size)
 		base = base.LineAddr()
@@ -164,7 +164,11 @@ func (s *Stream) pickLine(r *regionState) int {
 	return int(uint64(i) * 1000000007 % uint64(r.spec.Lines))
 }
 
-// Next implements trace.Source.
+// Next implements trace.Source. The first access to a line writes the
+// line's version-0 content into the image, before any consumer of the
+// access can read or store the line, so the image a consumer sees is the
+// one a fully pre-populated image would show. Lines the trace never
+// touches are never generated.
 func (s *Stream) Next(a *trace.Access) bool {
 	if s.count >= s.limit {
 		return false
@@ -173,6 +177,10 @@ func (s *Stream) Next(a *trace.Access) bool {
 	r := s.pickRegion()
 	i := s.pickLine(r)
 	a.Addr = r.addr(i)
+	if w, bit := i/64, uint64(1)<<(i%64); r.filled[w]&bit == 0 {
+		r.filled[w] |= bit
+		s.img.Poke(a.Addr, r.spec.Gen.Line(i, 0))
+	}
 	gapP := 1.0 / (s.pat.GapMean + 1)
 	a.Gap = uint32(s.rng.Geometric(gapP))
 	if s.rng.Float64() < s.pat.WriteFraction {
@@ -198,13 +206,16 @@ func (s *Stream) FillBatch(dst []trace.Access) int {
 	return n
 }
 
-// Generated bundles a populated image with its access stream.
+// Generated bundles a memory image with its access stream. The image
+// holds the initial content of exactly the lines the stream has emitted
+// so far (see Stream.Next), plus whatever its consumer stored.
 type Generated struct {
 	Image  *memory.Store
 	Stream *Stream
 }
 
-// WorkingSetBytes returns the total populated footprint.
+// WorkingSetBytes returns the profile's declared footprint: every region
+// line, touched or not. The image holds only the touched lines.
 func (g *Generated) WorkingSetBytes() int {
 	total := 0
 	for _, r := range g.Stream.regions {

@@ -1,9 +1,11 @@
 package workload
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/line"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -123,16 +125,55 @@ func TestWritesCarryFullLines(t *testing.T) {
 	}
 }
 
-func TestPopulateMatchesGenerators(t *testing.T) {
-	p, _ := ProfileByName("mcf")
-	g := p.Generate(100)
-	for _, rs := range g.Stream.regions {
-		for _, i := range []int{0, 1, rs.spec.Lines / 2, rs.spec.Lines - 1} {
-			want := rs.spec.Gen.Line(i, 0)
-			if got := g.Image.Peek(rs.addr(i)); got != want {
-				t.Fatalf("region %s line %d: image differs from generator", rs.spec.Name, i)
+// TestFirstTouchImageMatchesPrefilled: filling the image on first touch
+// is invisible to the recorder. For every profile, recording over the
+// lazily filled image equals recording over an image pre-filled with
+// every region line — both when the recorder pulls from the stream and
+// when the stream is first drained into a slice — and the lazy image
+// holds exactly the lines the stream emitted.
+func TestFirstTouchImageMatchesPrefilled(t *testing.T) {
+	const n = 12_000
+	sys := sim.DefaultSystem()
+	for _, p := range Profiles() {
+		// The reference is the eager contract: every region line written
+		// up front, and the stream told every line is already filled.
+		prefilled := p.Generate(n)
+		for _, rs := range prefilled.Stream.regions {
+			for i := 0; i < rs.spec.Lines; i++ {
+				prefilled.Image.Poke(rs.addr(i), rs.spec.Gen.Line(i, 0))
+			}
+			for w := range rs.filled {
+				rs.filled[w] = ^uint64(0)
 			}
 		}
+		want := sim.Record(prefilled.Stream, sys, prefilled.Image)
+		prefilled.Image.Release()
+		if want.UniqueLines == 0 {
+			t.Fatalf("%s: empty recording", p.Name)
+		}
+
+		pulled := p.Generate(n)
+		if got := sim.Record(pulled.Stream, sys, pulled.Image); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: recording pulled from the stream differs from the pre-filled one", p.Name)
+		}
+
+		drained := p.Generate(n)
+		acc := trace.Collect(drained.Stream, 0)
+		emitted := map[line.Addr]bool{}
+		for _, a := range acc {
+			emitted[a.Addr] = true
+		}
+		if got := drained.Image.Populated(); got != len(emitted) {
+			t.Errorf("%s: image holds %d lines, stream emitted %d distinct", p.Name, got, len(emitted))
+		}
+		if got := sim.Record(trace.NewSliceSource(acc), sys, drained.Image); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: recording of the drained stream differs from the pre-filled one", p.Name)
+		}
+		if got := pulled.Image.Populated(); got != len(emitted) {
+			t.Errorf("%s: pulled image holds %d lines, stream emitted %d distinct", p.Name, got, len(emitted))
+		}
+		pulled.Image.Release()
+		drained.Image.Release()
 	}
 }
 
