@@ -65,9 +65,11 @@ test:
 # the parallel campaign paths — including the per-worker scratch arenas
 # the Thesaurus/BΔI caches carry, the singleflight run coalescing, and
 # the pooled base-table release lifecycle (docs/performance.md). Short
-# trace lengths keep this a smoke pass, not a full campaign.
+# trace lengths keep this a smoke pass, not a full campaign. netq, the
+# distributed-campaign queue, is goroutine-heavy too: leases, heartbeats,
+# reconnects (docs/distribution.md).
 race:
-	$(GO) test -race -count=1 ./internal/harness ./internal/experiments ./internal/thesaurus
+	$(GO) test -race -count=1 ./internal/harness ./internal/experiments ./internal/thesaurus ./internal/netq
 
 # Compile-and-run the micro-benchmarks once: catches benchmarks broken by
 # API changes without paying full measurement time. The figure benchmarks
@@ -97,16 +99,16 @@ fuzz:
 # The artifact cache is an accelerator, never an input: campaign reports
 # must be byte-identical whether the cache is off, cold, or warm, with
 # the run-level layer on or off, serial, parallel, or distributed across
-# worker processes (docs/performance.md) — including over the netq TCP
-# transport (docs/distribution.md), both with a shared cache dir
-# (key-only completions) and with private per-worker dirs (artifact
-# streaming), and even when a worker is killed -9 mid-campaign (its
+# worker processes over the netq TCP work queue (docs/distribution.md):
+# -distribute alone (loopback), -serve with spawned workers sharing the
+# cache dir (key-only completions), and workers with private per-worker
+# dirs (artifact streaming), even when one is killed -9 mid-campaign (its
 # leases requeue and the survivor finishes). The snapshot readers (Figs.
 # 1, 2, 5) ask for Baseline runs that keep their resident lines, which
 # fig13's Baseline runs leave out; their legs run over the cache the
 # fig13-only legs filled, so line runs must miss past the line-less
-# entries of the same cells — cold at -workers 4 (the sharded merge),
-# warm, and with the run-level layer off. The per-experiment
+# entries of the same cells — cold at -workers 4, warm, and with the
+# run-level layer off. The per-experiment
 # wall-clock lines are the only legitimate difference in text mode and
 # are filtered before comparison; artifact stats go to stderr and never
 # touch the reports. The cold-vs-warm timing at the end enforces the run-level
@@ -148,8 +150,8 @@ cache-identity:
 		-cache-dir $$tmp/ncache -workers 1 -quick -profiles mcf,omnetpp,xz,gcc fig13 \
 		2>/dev/null >$$tmp/netq.json; \
 	echo "cache-identity: netq streaming (workers with private cache dirs), one worker killed mid-campaign"; \
-	$$tmp/thesaurus -worker -connect @$$tmp/addr2 -cache-dir $$tmp/w1cache 2>/dev/null & w1=$$!; \
-	$$tmp/thesaurus -worker -connect @$$tmp/addr2 -cache-dir $$tmp/w2cache 2>/dev/null & w2=$$!; \
+	$$tmp/thesaurus -connect @$$tmp/addr2 -cache-dir $$tmp/w1cache 2>/dev/null & w1=$$!; \
+	$$tmp/thesaurus -connect @$$tmp/addr2 -cache-dir $$tmp/w2cache 2>/dev/null & w2=$$!; \
 	( sleep 3; kill -9 $$w2 2>/dev/null ) & killer=$$!; \
 	$$tmp/thesaurus -serve 127.0.0.1:0 -addr-file $$tmp/addr2 -lease 5s -serve-grace 30s \
 		-cache-dir $$tmp/nkcache -workers 1 -quick -profiles mcf,omnetpp,xz,gcc fig13 \

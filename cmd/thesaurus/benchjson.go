@@ -17,7 +17,6 @@ import (
 	"repro/internal/memory"
 	"repro/internal/netq"
 	"repro/internal/thesaurus"
-	"repro/internal/workq"
 )
 
 // benchSchema versions the BENCH_hotpath.json layout so downstream tooling
@@ -338,9 +337,9 @@ func measureBench() ([]benchEntry, error) {
 	// overhead of a -serve/-connect campaign; it must stay microseconds —
 	// noise next to even a -quick cell's compute.
 	add("netq_task_roundtrip", classTransport, 0, func(b *testing.B) {
-		tasks := make([]workq.Task, b.N)
+		tasks := make([]netq.Task, b.N)
 		for i := range tasks {
-			tasks[i] = workq.Task{ID: i, Profile: "mcf", Design: "Baseline"}
+			tasks[i] = netq.Task{ID: i, Profile: "mcf", Design: "Baseline"}
 		}
 		srv, err := netq.NewServer("127.0.0.1:0", tasks, netq.ServerOptions{})
 		if err != nil {
@@ -358,7 +357,7 @@ func measureBench() ([]benchEntry, error) {
 			if err != nil || !ok {
 				b.Fatalf("claim %d: ok=%v err=%v", i, ok, err)
 			}
-			if err := cli.Finish(t, workq.Outcome{Key: "bench"}); err != nil {
+			if err := cli.Finish(t, netq.Outcome{Key: "bench"}); err != nil {
 				b.Fatal(err)
 			}
 		}

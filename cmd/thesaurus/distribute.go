@@ -12,30 +12,21 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/harness"
 	"repro/internal/netq"
-	"repro/internal/spool"
 	"repro/internal/workload"
-	"repro/internal/workq"
 )
 
-// workReclaimAfter is how long a claim may sit untouched before the queue
-// takes it back from a presumed-dead worker. Workers heartbeat every
-// workq.HeartbeatEvery, so only a genuinely dead worker's claims ever
-// come back — on both transports (spool mtime restamp, netq lease).
-const workReclaimAfter = 2 * time.Minute
-
 // campaignTasks enumerates the design × profile matrix of the coming
-// campaign as transport-neutral queue tasks — the one task list both the
-// spool coordinator and the netq coordinator publish.
-func campaignTasks(opt experiments.Options) []workq.Task {
+// campaign as queue tasks.
+func campaignTasks(opt experiments.Options) []netq.Task {
 	profiles := opt.Profiles
 	if len(profiles) == 0 {
 		profiles = workload.Names()
 	}
 	ro := harness.DefaultRunOptions()
-	var tasks []workq.Task
+	var tasks []netq.Task
 	for _, p := range profiles {
 		for _, d := range harness.Designs {
-			tasks = append(tasks, workq.Task{
+			tasks = append(tasks, netq.Task{
 				ID:             len(tasks),
 				Profile:        p,
 				Design:         d,
@@ -50,13 +41,11 @@ func campaignTasks(opt experiments.Options) []workq.Task {
 }
 
 // taskRunOptions reconstructs the harness options a task's cell runs
-// under. Workers stay serial per task (Workers=1): parallelism comes
-// from draining many tasks at once, not from sharding one replay.
-func taskRunOptions(t workq.Task) harness.RunOptions {
+// under.
+func taskRunOptions(t netq.Task) harness.RunOptions {
 	opt := harness.RunOptions{
 		Accesses: t.Accesses,
 		Replay:   harness.DefaultRunOptions().Replay,
-		Workers:  1,
 	}
 	opt.Replay.WarmupFraction = t.WarmupFraction
 	opt.Replay.SampleEvery = t.SampleEvery
@@ -69,23 +58,23 @@ func taskRunOptions(t workq.Task) harness.RunOptions {
 // under the cross-process singleflight. Run failures ride the outcome
 // (the task is marked failed, the coordinator recomputes in-process);
 // they never stop the worker's drain loop.
-func runCell(t workq.Task) workq.Outcome {
+func runCell(t netq.Task) netq.Outcome {
 	_, err := harness.Run(t.Profile, t.Design, taskRunOptions(t))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "thesaurus worker: task %d (%s/%s): %v\n",
 			t.ID, t.Profile, t.Design, err)
 	}
-	return workq.Outcome{Err: err}
+	return netq.Outcome{Err: err}
 }
 
 // workerCacheStats snapshots the installed cache's counters in the
-// transport schema workers report back to the coordinator.
-func workerCacheStats() workq.CacheStats {
+// schema workers report back to the coordinator.
+func workerCacheStats() netq.CacheStats {
 	st, ok := harness.ArtifactStats()
 	if !ok {
-		return workq.CacheStats{}
+		return netq.CacheStats{}
 	}
-	return workq.CacheStats{
+	return netq.CacheStats{
 		Hits:          st.Hits,
 		Misses:        st.Misses,
 		Stores:        st.Stores,
@@ -100,7 +89,7 @@ func workerCacheStats() workq.CacheStats {
 // reportMergedStats prints one coordinator-side summary of every
 // reporting worker's cache counters — the replacement for N workers
 // interleaving their own stats lines on a shared stderr.
-func reportMergedStats(workers int, s workq.CacheStats) {
+func reportMergedStats(workers int, s netq.CacheStats) {
 	if workers == 0 {
 		return
 	}
@@ -115,27 +104,13 @@ func reportMergedStats(workers int, s workq.CacheStats) {
 	}
 }
 
-// runWorkerSpool drains a spool directory, then publishes this worker's
-// cache counters into it for the coordinator's merged summary line.
-func runWorkerSpool(dir string) error {
-	if _, ok := harness.ArtifactStats(); !ok {
-		return errors.New("-worker -spool requires the artifact cache (-no-cache is incompatible)")
-	}
-	drainErr := workq.Drain(spool.NewQueue(dir, workReclaimAfter), workq.HeartbeatEvery, runCell)
-	if err := spool.WriteStats(dir, workerCacheStats()); err != nil {
-		fmt.Fprintln(os.Stderr, "thesaurus worker:", err)
-	}
-	return drainErr
-}
-
-// runWorkerNet connects to a netq coordinator and drains its queue.
+// runWorker connects to a netq coordinator and drains its queue.
 // connect is host:port, or @file naming a file that will hold the
 // address (the coordinator's -addr-file; polled briefly so workers can
-// start before the coordinator binds its port). On this transport
-// completed tasks report their RunOutput content key, plus the raw
-// artifact bytes when the handshake proved the coordinator's cache
-// directory is not ours.
-func runWorkerNet(connect string, cache *artifact.Cache) error {
+// start before the coordinator binds its port). Completed tasks report
+// their RunOutput content key, plus the raw artifact bytes when the
+// handshake proved the coordinator's cache directory is not ours.
+func runWorker(connect string, cache *artifact.Cache) error {
 	addr, err := resolveConnectAddr(connect)
 	if err != nil {
 		return err
@@ -149,8 +124,8 @@ func runWorkerNet(connect string, cache *artifact.Cache) error {
 		return err
 	}
 	defer cli.Close()
-	stream := workq.WantsArtifacts(cli)
-	return workq.Drain(cli, workq.HeartbeatEvery, func(t workq.Task) workq.Outcome {
+	stream := cli.StreamArtifacts()
+	return netq.Drain(cli, netq.HeartbeatEvery, func(t netq.Task) netq.Outcome {
 		out := runCell(t)
 		if out.Err != nil {
 			return out
@@ -203,76 +178,12 @@ func resolveConnectAddr(connect string) (string, error) {
 	}
 }
 
-// distribute shards the design × profile matrix of the coming campaign
-// across n worker processes draining a spool directory, each warming the
-// shared artifact cache, then returns so the caller's normal (in-process)
-// campaign runs against the warm cache. The report is therefore assembled
-// by exactly the same code path as a serial run — byte-identity with
-// serial execution holds by construction, and a lost or failed worker
-// costs only recomputation in the final pass, never correctness.
-func distribute(n int, exeArgs workerArgs, opt experiments.Options) error {
-	if _, ok := harness.ArtifactStats(); !ok {
-		return errors.New("-distribute requires the artifact cache (-no-cache is incompatible)")
-	}
-	spoolDir, err := os.MkdirTemp("", "thesaurus-spool-*")
-	if err != nil {
-		return fmt.Errorf("distribute: %w", err)
-	}
-	defer os.RemoveAll(spoolDir)
-
-	tasks := campaignTasks(opt)
-	if err := spool.Write(spoolDir, tasks); err != nil {
-		return err
-	}
-
-	exited, err := spawnWorkers(n, append([]string{"-worker", "-spool", spoolDir}, exeArgs.flags()...))
-	if err != nil {
-		return err
-	}
-
-	fmt.Fprintf(os.Stderr, "distribute: %d tasks across %d workers (spool %s)\n",
-		len(tasks), n, spoolDir)
-	tick := time.NewTicker(200 * time.Millisecond)
-	defer tick.Stop()
-	for running := n; running > 0; {
-		select {
-		case err := <-exited:
-			running--
-			if err != nil {
-				// A dead worker is a warning, not a failure: its tasks stay
-				// unclaimed (or un-done) and the final in-process pass
-				// computes whatever the cache is missing.
-				fmt.Fprintf(os.Stderr, "distribute: worker exited with error: %v\n", err)
-			}
-		case <-tick.C:
-			if p, err := spool.Scan(spoolDir); err == nil {
-				fmt.Fprintf(os.Stderr, "distribute: %d/%d done, %d working, %d failed\r",
-					p.Done, len(tasks), p.Working, p.Failed)
-			}
-		}
-	}
-	p, err := spool.Scan(spoolDir)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "distribute: %d/%d done, %d failed\n", p.Done, len(tasks), p.Failed)
-	if msgs, err := spool.Failures(spoolDir); err == nil {
-		for _, m := range msgs {
-			fmt.Fprintf(os.Stderr, "distribute: %s (will recompute in-process)\n", m)
-		}
-	}
-	if s, workers, err := spool.ReadStats(spoolDir); err == nil {
-		reportMergedStats(workers, s)
-	}
-	return nil
-}
-
 // spawnWorkers launches n copies of our own binary with args, returning
 // a channel that receives each worker's exit status.
 func spawnWorkers(n int, args []string) (<-chan error, error) {
 	exe, err := os.Executable()
 	if err != nil {
-		return nil, fmt.Errorf("distribute: resolve executable: %w", err)
+		return nil, fmt.Errorf("serve: resolve executable: %w", err)
 	}
 	exited := make(chan error, n)
 	for i := 0; i < n; i++ {
@@ -282,7 +193,7 @@ func spawnWorkers(n int, args []string) (<-chan error, error) {
 		cmd.Stdout = os.Stderr
 		cmd.Stderr = os.Stderr
 		if err := cmd.Start(); err != nil {
-			return nil, fmt.Errorf("distribute: start worker: %w", err)
+			return nil, fmt.Errorf("serve: start worker: %w", err)
 		}
 		go func() { exited <- cmd.Wait() }()
 	}

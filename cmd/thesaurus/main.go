@@ -24,17 +24,17 @@
 //	-no-cache          disable the on-disk artifact cache
 //	-no-run-cache      disable the run-level artifact layer (recordings still cached)
 //	-cache-verify      debug: regenerate and deep-compare every artifact hit
-//	-distribute N      shard the design×profile matrix across N worker processes
-//	                   warming the shared cache before the in-process campaign
+//	-distribute N      shard the design×profile matrix across N local worker
+//	                   processes warming the shared cache before the in-process
+//	                   campaign (a loopback TCP work queue)
 //	-serve host:port   serve the matrix as a TCP work queue (multi-host runs;
 //	                   port 0 picks a free one, -addr-file publishes it)
 //	-addr-file f       with -serve: write the bound address to f
-//	-lease d           with -serve: task lease duration (default 2m)
-//	-serve-grace d     with -serve: degrade to in-process recompute after this
-//	                   long with no workers connected (default 15s)
-//	-worker            worker mode: drain a work queue (-spool or -connect)
-//	-spool d           work-queue directory for -worker (spool transport)
-//	-connect a         coordinator host:port or @file for -worker (TCP transport)
+//	-lease d           task lease duration (default 2m)
+//	-serve-grace d     degrade to in-process recompute after this long with
+//	                   no workers connected (default 15s)
+//	-connect a         worker mode: drain the work queue of the coordinator at
+//	                   host:port, or at the address published in @file
 package main
 
 import (
@@ -115,14 +115,12 @@ func main() {
 	noCache := flag.Bool("no-cache", false, "disable the on-disk artifact cache")
 	noRunCache := flag.Bool("no-run-cache", false, "disable the run-level artifact layer (recordings still cached)")
 	cacheVerify := flag.Bool("cache-verify", false, "debug: regenerate and deep-compare every artifact hit")
-	distributeN := flag.Int("distribute", 0, "shard the design×profile matrix across N worker processes before the campaign")
-	worker := flag.Bool("worker", false, "worker mode: drain a work queue (-spool or -connect)")
-	spoolDir := flag.String("spool", "", "work-queue directory (worker mode, spool transport)")
-	connect := flag.String("connect", "", "coordinator host:port, or @file naming a file holding it (worker mode, TCP transport)")
+	distributeN := flag.Int("distribute", 0, "shard the design×profile matrix across N local worker processes before the campaign")
+	connect := flag.String("connect", "", "worker mode: drain the work queue of the coordinator at host:port, or @file naming a file holding it")
 	serveAddr := flag.String("serve", "", "host:port to serve the campaign's TCP work queue on before the in-process campaign (port 0 picks one)")
 	addrFile := flag.String("addr-file", "", "with -serve: publish the bound address to this file (for -connect @file)")
-	leaseDur := flag.Duration("lease", 2*time.Minute, "with -serve: task lease duration (re-queued when a worker stops heartbeating)")
-	serveGrace := flag.Duration("serve-grace", 15*time.Second, "with -serve: give up and recompute in-process after this long with no workers connected")
+	leaseDur := flag.Duration("lease", 2*time.Minute, "task lease duration (re-queued when a worker stops heartbeating)")
+	serveGrace := flag.Duration("serve-grace", 15*time.Second, "give up and recompute in-process after this long with no workers connected")
 	flag.Parse()
 
 	if *benchjson != "" {
@@ -141,22 +139,11 @@ func main() {
 	cache := setupArtifacts(*cacheDir, *cacheMax, *noCache, *cacheVerify)
 	harness.SetRunCache(!*noRunCache)
 
-	if *worker {
-		// Workers do not print their own cache stats: each transport
-		// carries them back (spool stats file / netq goodbye frame) and
-		// the coordinator prints one merged line instead of N interleaved.
-		var err error
-		switch {
-		case *spoolDir != "" && *connect != "":
-			err = fmt.Errorf("-worker takes -spool or -connect, not both")
-		case *spoolDir != "":
-			err = runWorkerSpool(*spoolDir)
-		case *connect != "":
-			err = runWorkerNet(*connect, cache)
-		default:
-			err = fmt.Errorf("-worker requires -spool or -connect")
-		}
-		if err != nil {
+	if *connect != "" {
+		// Workers do not print their own cache stats: the goodbye frame
+		// carries them back and the coordinator prints one merged line
+		// instead of N interleaved.
+		if err := runWorker(*connect, cache); err != nil {
 			fail(err)
 		}
 		return
@@ -198,21 +185,14 @@ func main() {
 	if cache != nil {
 		wa.cacheDir = cache.Dir()
 	}
-	switch {
-	case *serveAddr != "":
-		// Pre-warm the cache over the TCP work queue (workers connect from
-		// anywhere; -distribute N additionally spawns N local ones); the
+	if *serveAddr != "" || *distributeN > 0 {
+		// Pre-warm the cache over the TCP work queue (with -serve, workers
+		// connect from anywhere; -distribute N spawns N local ones); the
 		// campaign below then assembles the report in-process from warm
 		// artifacts, so its bytes are identical to a serial run by
 		// construction.
 		if err := serveCampaign(*serveAddr, *addrFile, *leaseDur, *serveGrace,
 			*distributeN, wa, opt, cache); err != nil {
-			fail(err)
-		}
-	case *distributeN > 0:
-		// Same pre-warm over the spool directory: local worker processes
-		// sharing our filesystem.
-		if err := distribute(*distributeN, wa, opt); err != nil {
 			fail(err)
 		}
 	}

@@ -11,22 +11,29 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/harness"
 	"repro/internal/netq"
-	"repro/internal/workq"
 )
 
 // serveCampaign pre-warms the cache over the TCP work queue: it serves
 // the campaign's design × profile matrix on addr, waits for workers
-// (anywhere on the network; spawn > 0 additionally launches that many
-// local worker processes pointed back at us), and returns once every
-// task is terminal — or once no worker has been connected for grace, at
-// which point it degrades exactly like the spool coordinator: the
-// in-process campaign that follows recomputes whatever the cache is
-// missing, so a transport failure costs redundant work, never
-// correctness or report bytes.
+// (spawn > 0 launches that many local worker processes pointed back at
+// us), and returns once every task is terminal — or once waiting is
+// pointless, at which point it degrades: the in-process campaign that
+// follows recomputes whatever the cache is missing, so a transport
+// failure costs redundant work, never correctness or report bytes.
+//
+// An empty addr is -distribute without -serve: the queue listens on
+// loopback only, so the spawned workers are the only ones that can ever
+// connect, and the server closes as soon as all of them have exited.
+// With -serve, remote workers may join at any time, so only the grace
+// window (no worker connected for grace) ends the wait early.
 func serveCampaign(addr, addrFile string, lease, grace time.Duration,
 	spawn int, wa workerArgs, opt experiments.Options, cache *artifact.Cache) error {
 	if cache == nil {
-		return errors.New("-serve requires the artifact cache (-no-cache is incompatible)")
+		return errors.New("-serve and -distribute require the artifact cache (-no-cache is incompatible)")
+	}
+	local := addr == ""
+	if local {
+		addr = "127.0.0.1:0"
 	}
 	tasks := campaignTasks(opt)
 	srv, err := netq.NewServer(addr, tasks, netq.ServerOptions{
@@ -36,7 +43,7 @@ func serveCampaign(addr, addrFile string, lease, grace time.Duration,
 		// Streamed artifacts are stored under the key the coordinator
 		// derives from its own task table — the worker-reported key is
 		// untrusted input on an unauthenticated listener and is ignored.
-		TaskKey: func(t workq.Task) (string, error) {
+		TaskKey: func(t netq.Task) (string, error) {
 			return harness.DefaultRunContentKey(t.Profile, t.Design, taskRunOptions(t))
 		},
 	})
@@ -54,10 +61,25 @@ func serveCampaign(addr, addrFile string, lease, grace time.Duration,
 	}
 
 	if spawn > 0 {
-		args := append([]string{"-worker", "-connect", srv.Addr()}, wa.flags()...)
-		if _, err := spawnWorkers(spawn, args); err != nil {
+		exited, err := spawnWorkers(spawn, append([]string{"-connect", srv.Addr()}, wa.flags()...))
+		if err != nil {
 			return err
 		}
+		go func() {
+			for i := 0; i < spawn; i++ {
+				if err := <-exited; err != nil {
+					// A dead worker is a warning, not a failure: its leases
+					// requeue for the others, and the in-process campaign
+					// computes whatever the cache is still missing.
+					fmt.Fprintf(os.Stderr, "serve: worker exited with error: %v\n", err)
+				}
+			}
+			// Once every task is terminal, Wait returns on its own; closing
+			// then could cut off the last workers' goodbye frames.
+			if local && !srv.Progress().Terminal() {
+				srv.Close()
+			}
+		}()
 	}
 
 	sum := srv.Wait(grace, func(p netq.Progress) {
@@ -71,8 +93,8 @@ func serveCampaign(addr, addrFile string, lease, grace time.Duration,
 	}
 	if sum.Degraded {
 		fmt.Fprintf(os.Stderr,
-			"serve: no workers for %s with %d tasks outstanding — degrading to in-process recompute\n",
-			grace, sum.Pending+sum.Leased)
+			"serve: workers gone with %d tasks outstanding — degrading to in-process recompute\n",
+			sum.Pending+sum.Leased)
 	}
 	reportMergedStats(sum.StatsWorkers, sum.Stats)
 	return nil

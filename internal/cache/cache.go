@@ -112,11 +112,6 @@ func (a *Array[P]) setOf(addr line.Addr) int {
 	return int(addr.BlockNumber() % uint64(a.sets))
 }
 
-// SetOf maps an address to its set index. It is exported for set-sharded
-// replay, which partitions an event stream by tag set so disjoint shards
-// of a set-partitioned design can replay concurrently.
-func (a *Array[P]) SetOf(addr line.Addr) int { return a.setOf(addr.LineAddr()) }
-
 // index returns the global entry index for (set, way); this is the stable
 // "tag pointer" used by designs whose data arrays point back at tags.
 func (a *Array[P]) index(set, way int) int { return set*a.cfg.Ways + way }

@@ -298,16 +298,14 @@ func TestArtifactCacheTransparent(t *testing.T) {
 }
 
 // TestRunWithLinesAcrossPaths: a line snapshot is the same whether the
-// replay ran serially or set-sharded, and whether the run was computed,
-// loaded from a warm run-level cache, or loaded and re-verified
-// (-cache-verify). It is stored under its own disk key, so a plain run
+// run was computed, loaded from a warm run-level cache, or loaded and
+// re-verified (-cache-verify). It is stored under its own disk key, so a plain run
 // of the same cell over the same directory neither loads it nor is
 // served lines.
 func TestRunWithLinesAcrossPaths(t *testing.T) {
 	const prof, design = "mcf", "Baseline"
 	opt := DefaultRunOptions()
 	opt.Accesses = 5107
-	opt.Workers = 1
 	ref, err := RunWithLines(prof, design, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -326,20 +324,17 @@ func TestRunWithLinesAcrossPaths(t *testing.T) {
 	}()
 	for _, step := range []struct {
 		what    string
-		workers int
 		verify  bool
 		replays uint64
 	}{
-		{"cold, sharded", 4, false, 1},
-		{"warm, serial", 1, false, 0},
-		{"warm, verified", 1, true, 1},
+		{"cold", false, 1},
+		{"warm", false, 0},
+		{"warm, verified", true, 1},
 	} {
 		SetArtifactVerify(step.verify)
 		forgetRun(prof, design, opt)
-		o := opt
-		o.Workers = step.workers
 		before := replays.Load()
-		got, err := RunWithLines(prof, design, o)
+		got, err := RunWithLines(prof, design, opt)
 		if err != nil {
 			t.Fatalf("%s: %v", step.what, err)
 		}
@@ -347,7 +342,7 @@ func TestRunWithLinesAcrossPaths(t *testing.T) {
 			t.Fatalf("%s: %d replays, want %d", step.what, delta, step.replays)
 		}
 		if !artifact.RunOutputEqual(toArtifactRun(ref), toArtifactRun(got)) {
-			t.Fatalf("%s: line snapshot differs from the uncached serial run", step.what)
+			t.Fatalf("%s: line snapshot differs from the uncached run", step.what)
 		}
 	}
 	SetArtifactVerify(false)

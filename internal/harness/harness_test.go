@@ -347,49 +347,6 @@ func TestParMap(t *testing.T) {
 	}
 }
 
-func TestShardedReplayMatchesSerial(t *testing.T) {
-	// Property: for the set-partitioned designs, a replay sharded across any
-	// worker count is byte-identical to the serial replay — every metric
-	// (including the float-derived ones) and the full release snapshot,
-	// resident lines included.
-	// A non-default Thesaurus config disables memoization for every design,
-	// so each Run below actually replays instead of sharing one memo entry
-	// across worker counts.
-	noMemo := thesaurus.DefaultConfig()
-	noMemo.LSH.Bits = 8
-	for _, design := range []string{"Baseline", "2x Baseline"} {
-		opt := quickOpt()
-		opt.Replay.Verify = true
-		opt.Thesaurus = &noMemo
-		opt.Workers = 1
-		want, err := RunWithLines("exchange2", design, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(want.Snap.Extra.(*uncomp.Snapshot).Lines) == 0 {
-			t.Fatalf("%s: empty line snapshot compares nothing", design)
-		}
-		for _, w := range []int{2, 4, 7} {
-			opt.Workers = w
-			before := replays.Load()
-			got, err := RunWithLines("exchange2", design, opt)
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", design, w, err)
-			}
-			if delta := replays.Load() - before; delta != 1 {
-				t.Fatalf("%s workers=%d: %d replays, want 1", design, w, delta)
-			}
-			if !reflect.DeepEqual(got.Res, want.Res) {
-				t.Fatalf("%s workers=%d: metrics diverge from serial\n got %+v\nwant %+v",
-					design, w, got.Res, want.Res)
-			}
-			if !reflect.DeepEqual(got.Snap, want.Snap) {
-				t.Fatalf("%s workers=%d: release snapshot diverges from serial", design, w)
-			}
-		}
-	}
-}
-
 // TestRunWithLines: a plain Run of either conventional design releases a
 // snapshot without resident lines; RunWithLines releases the resident set
 // in ascending address order and is otherwise the same run, memoized

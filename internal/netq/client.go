@@ -11,8 +11,6 @@ import (
 	"path/filepath"
 	"sync"
 	"time"
-
-	"repro/internal/workq"
 )
 
 // ClientOptions configures a worker-side connection.
@@ -33,16 +31,16 @@ type ClientOptions struct {
 	// FinalStats, when non-nil, is called once at drain time; the result
 	// rides the goodbye frame so the coordinator can print one merged
 	// stats line instead of N interleaved ones.
-	FinalStats func() workq.CacheStats
+	FinalStats func() CacheStats
 }
 
-// Client is the worker-side queue handle. It implements workq.Queue and
-// workq.ArtifactStreamer, and survives coordinator restarts and network
-// blips by redialing with exponential backoff plus jitter; operations are
-// idempotent on the server (duplicate results are dropped), so a retry
-// after a half-delivered frame is safe.
+// Client is the worker-side queue handle that Drain consumes. It
+// survives coordinator restarts and network blips by redialing with
+// exponential backoff plus jitter; operations are idempotent on the
+// server (duplicate results are dropped), so a retry after a
+// half-delivered frame is safe.
 //
-// A Client is safe for the workq.Drain usage pattern (heartbeats
+// A Client is safe for the Drain usage pattern (heartbeats
 // concurrent with the claim/finish sequence); all operations serialize on
 // one internal mutex.
 type Client struct {
@@ -84,8 +82,8 @@ func (c *Client) SharedCache() bool {
 	return c.shared
 }
 
-// StreamArtifacts implements workq.ArtifactStreamer: outcomes must carry
-// artifact bytes exactly when the cache is not shared.
+// StreamArtifacts reports whether outcomes must carry artifact bytes:
+// exactly when the cache is not shared.
 func (c *Client) StreamArtifacts() bool { return !c.SharedCache() }
 
 // Close drops the connection.
@@ -206,33 +204,33 @@ func (c *Client) do(m *message, wantReply bool) (*message, error) {
 	return nil, fmt.Errorf("netq: %s failed after %d attempts: %w", m.Type, c.opt.MaxAttempts, lastErr)
 }
 
-// Claim implements workq.Queue: ask for a task, polling through wait
-// responses until the coordinator hands one out or declares the queue
-// drained. At drain it also delivers the goodbye/stats frame — the last
-// thing the coordinator hears from this worker.
-func (c *Client) Claim() (workq.Task, bool, error) {
+// Claim asks for a task, polling through wait responses until the
+// coordinator hands one out or declares the queue drained. At drain it
+// also delivers the goodbye/stats frame — the last thing the coordinator
+// hears from this worker.
+func (c *Client) Claim() (Task, bool, error) {
 	for {
 		m, err := c.do(&message{Type: msgClaim}, true)
 		if err != nil {
-			return workq.Task{}, false, err
+			return Task{}, false, err
 		}
 		switch m.Type {
 		case msgTask:
 			if m.Task == nil {
-				return workq.Task{}, false, fmt.Errorf("netq: task frame without task")
+				return Task{}, false, fmt.Errorf("netq: task frame without task")
 			}
 			return *m.Task, true, nil
 		case msgWait:
 			wait := time.Duration(m.WaitMS) * time.Millisecond
 			if wait <= 0 {
-				wait = 200 * time.Millisecond
+				wait = pollEvery
 			}
 			time.Sleep(wait)
 		case msgDrained:
 			c.sayGoodbye()
-			return workq.Task{}, false, nil
+			return Task{}, false, nil
 		default:
-			return workq.Task{}, false, fmt.Errorf("netq: claim: unexpected %q", m.Type)
+			return Task{}, false, fmt.Errorf("netq: claim: unexpected %q", m.Type)
 		}
 	}
 }
@@ -254,9 +252,9 @@ func (c *Client) sayGoodbye() {
 	c.mu.Unlock()
 }
 
-// Heartbeat implements workq.Queue; fire-and-forget, failures surface as
+// Heartbeat extends t's lease; fire-and-forget, failures surface as
 // lease expiry at worst.
-func (c *Client) Heartbeat(t workq.Task) error {
+func (c *Client) Heartbeat(t Task) error {
 	_, err := c.do(&message{Type: msgHeartbeat, ID: t.ID}, false)
 	return err
 }
@@ -267,11 +265,11 @@ func (c *Client) Heartbeat(t workq.Task) error {
 // leaves under MaxFrame is guaranteed to frame.
 const resultEnvelope = 4096
 
-// Finish implements workq.Queue: deliver the outcome and wait for the
-// coordinator's ack so a crash after Finish can never lose a result
-// silently. An ack carrying an error means the coordinator could not
-// record the completion (it will recompute); the worker moves on.
-func (c *Client) Finish(t workq.Task, out workq.Outcome) error {
+// Finish delivers t's outcome and waits for the coordinator's ack so a
+// crash after Finish can never lose a result silently. An ack carrying
+// an error means the coordinator could not record the completion (it
+// will recompute); the worker moves on.
+func (c *Client) Finish(t Task, out Outcome) error {
 	m := &message{Type: msgResult, ID: t.ID, Key: out.Key, Artifact: out.Artifact}
 	if out.Err != nil {
 		m.Err = out.Err.Error()

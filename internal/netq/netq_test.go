@@ -12,19 +12,17 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/workq"
 )
 
-func testTasks(n int) []workq.Task {
-	tasks := make([]workq.Task, n)
+func testTasks(n int) []Task {
+	tasks := make([]Task, n)
 	for i := range tasks {
-		tasks[i] = workq.Task{ID: i, Profile: fmt.Sprintf("p%d", i), Design: "D", Accesses: 100}
+		tasks[i] = Task{ID: i, Profile: fmt.Sprintf("p%d", i), Design: "D", Accesses: 100}
 	}
 	return tasks
 }
 
-func newTestServer(t *testing.T, tasks []workq.Task, opt ServerOptions) *Server {
+func newTestServer(t *testing.T, tasks []Task, opt ServerOptions) *Server {
 	t.Helper()
 	srv, err := NewServer("127.0.0.1:0", tasks, opt)
 	if err != nil {
@@ -152,7 +150,7 @@ func TestClaimDrainFinish(t *testing.T) {
 			t.Fatalf("task %d claimed twice", task.ID)
 		}
 		seen[task.ID] = true
-		if err := cli.Finish(task, workq.Outcome{}); err != nil {
+		if err := cli.Finish(task, Outcome{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -174,7 +172,7 @@ func TestFailedOutcomeRecorded(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("claim: ok=%v err=%v", ok, err)
 	}
-	if err := cli.Finish(task, workq.Outcome{Err: errors.New("boom")}); err != nil {
+	if err := cli.Finish(task, Outcome{Err: errors.New("boom")}); err != nil {
 		t.Fatal(err)
 	}
 	sum := srv.Wait(time.Second, nil)
@@ -183,11 +181,10 @@ func TestFailedOutcomeRecorded(t *testing.T) {
 	}
 }
 
-// TestLeaseExpiryExactlyOnce is the reclaim race mirror of the spool
-// crash-injection suite: worker A claims and goes silent, the lease
-// expires and worker B re-claims; both eventually finish, and completion
-// stays exactly-once — one done task, the late duplicate acknowledged
-// and dropped.
+// TestLeaseExpiryExactlyOnce is the reclaim race: worker A claims and
+// goes silent, the lease expires and worker B re-claims; both eventually
+// finish, and completion stays exactly-once — one done task, the late
+// duplicate acknowledged and dropped.
 func TestLeaseExpiryExactlyOnce(t *testing.T) {
 	srv := newTestServer(t, testTasks(1), ServerOptions{Lease: 100 * time.Millisecond})
 	a := dialTest(t, srv, ClientOptions{})
@@ -200,7 +197,7 @@ func TestLeaseExpiryExactlyOnce(t *testing.T) {
 	// A goes silent (no heartbeat): the lease expires and the scanner
 	// re-queues the task for B.
 	deadline := time.Now().Add(5 * time.Second)
-	var taskB workq.Task
+	var taskB Task
 	for {
 		m, err := b.do(&message{Type: msgClaim}, true)
 		if err != nil {
@@ -219,10 +216,10 @@ func TestLeaseExpiryExactlyOnce(t *testing.T) {
 		t.Fatalf("B claimed task %d, want %d", taskB.ID, taskA.ID)
 	}
 	// Both finish: first one in wins, the other is acked as a duplicate.
-	if err := b.Finish(taskB, workq.Outcome{}); err != nil {
+	if err := b.Finish(taskB, Outcome{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Finish(taskA, workq.Outcome{}); err != nil {
+	if err := a.Finish(taskA, Outcome{}); err != nil {
 		t.Fatal(err)
 	}
 	p := srv.Progress()
@@ -252,7 +249,7 @@ func TestHeartbeatKeepsLease(t *testing.T) {
 	if p := srv.Progress(); p.Requeues != 0 || p.Leased != 1 {
 		t.Fatalf("progress = %+v, heartbeated lease was re-queued", p)
 	}
-	if err := cli.Finish(task, workq.Outcome{}); err != nil {
+	if err := cli.Finish(task, Outcome{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -286,7 +283,7 @@ func TestConnDropRequeuesImmediately(t *testing.T) {
 		if !ok {
 			break
 		}
-		if err := survivor.Finish(task, workq.Outcome{}); err != nil {
+		if err := survivor.Finish(task, Outcome{}); err != nil {
 			t.Fatal(err)
 		}
 		done++
@@ -314,7 +311,7 @@ func TestWorkerReconnect(t *testing.T) {
 	cli.mu.Lock()
 	cli.conn.Close()
 	cli.mu.Unlock()
-	if err := cli.Finish(task, workq.Outcome{}); err != nil {
+	if err := cli.Finish(task, Outcome{}); err != nil {
 		t.Fatal(err)
 	}
 	if p := srv.Progress(); p.Done != 1 {
@@ -371,7 +368,7 @@ func TestArtifactStreaming(t *testing.T) {
 		t.Fatalf("claim: ok=%v err=%v", ok, err)
 	}
 	payload := bytes.Repeat([]byte{0x42, 0x00, 0x7F}, 1000)
-	if err := cli.Finish(task, workq.Outcome{Key: "ab12cd34", Artifact: payload}); err != nil {
+	if err := cli.Finish(task, Outcome{Key: "ab12cd34", Artifact: payload}); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
@@ -390,7 +387,7 @@ func TestArtifactStreaming(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("claim: ok=%v err=%v", ok, err)
 	}
-	if err := rcli.Finish(rtask, workq.Outcome{Key: "ab", Artifact: []byte{1}}); err != nil {
+	if err := rcli.Finish(rtask, Outcome{Key: "ab", Artifact: []byte{1}}); err != nil {
 		t.Fatal(err)
 	}
 	sum := refuser.Wait(time.Second, nil)
@@ -412,7 +409,7 @@ func TestStoreKeyDerivedCoordinatorSide(t *testing.T) {
 			stored[key] = append([]byte(nil), data...)
 			return nil
 		},
-		TaskKey: func(task workq.Task) (string, error) {
+		TaskKey: func(task Task) (string, error) {
 			return fmt.Sprintf("derived-%d", task.ID), nil
 		},
 	})
@@ -422,7 +419,7 @@ func TestStoreKeyDerivedCoordinatorSide(t *testing.T) {
 		t.Fatalf("claim: ok=%v err=%v", ok, err)
 	}
 	payload := []byte{0xDE, 0xAD}
-	if err := cli.Finish(task, workq.Outcome{Key: "../../etc/poison", Artifact: payload}); err != nil {
+	if err := cli.Finish(task, Outcome{Key: "../../etc/poison", Artifact: payload}); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
@@ -451,7 +448,7 @@ func TestMalformedWireKeyRejected(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("claim: ok=%v err=%v", ok, err)
 	}
-	if err := cli.Finish(task, workq.Outcome{Key: "../../escape", Artifact: []byte{1}}); err != nil {
+	if err := cli.Finish(task, Outcome{Key: "../../escape", Artifact: []byte{1}}); err != nil {
 		t.Fatal(err)
 	}
 	if called {
@@ -470,7 +467,7 @@ func TestUnknownTaskResultIgnored(t *testing.T) {
 	srv := newTestServer(t, testTasks(2), ServerOptions{})
 	cli := dialTest(t, srv, ClientOptions{})
 	for _, id := range []int{99, 100} {
-		if err := cli.Finish(workq.Task{ID: id}, workq.Outcome{}); err != nil {
+		if err := cli.Finish(Task{ID: id}, Outcome{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -493,7 +490,7 @@ func TestStaleFailureDoesNotPinTask(t *testing.T) {
 	}
 	// A goes silent until the lease expires and B re-claims the task.
 	deadline := time.Now().Add(5 * time.Second)
-	var taskB workq.Task
+	var taskB Task
 	for {
 		m, err := b.do(&message{Type: msgClaim}, true)
 		if err != nil {
@@ -509,13 +506,13 @@ func TestStaleFailureDoesNotPinTask(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 	// A's stale failure arrives while B is computing: dropped, not final.
-	if err := a.Finish(taskA, workq.Outcome{Err: errors.New("stale boom")}); err != nil {
+	if err := a.Finish(taskA, Outcome{Err: errors.New("stale boom")}); err != nil {
 		t.Fatal(err)
 	}
 	if p := srv.Progress(); p.Failed != 0 {
 		t.Fatalf("progress = %+v, stale failure marked the task failed", p)
 	}
-	if err := b.Finish(taskB, workq.Outcome{}); err != nil {
+	if err := b.Finish(taskB, Outcome{}); err != nil {
 		t.Fatal(err)
 	}
 	if p := srv.Progress(); p.Done != 1 || p.Failed != 0 {
@@ -536,7 +533,7 @@ func TestSuccessOverwritesFailure(t *testing.T) {
 		t.Fatalf("claim A: ok=%v err=%v", ok, err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	var taskB workq.Task
+	var taskB Task
 	for {
 		m, err := b.do(&message{Type: msgClaim}, true)
 		if err != nil {
@@ -552,14 +549,14 @@ func TestSuccessOverwritesFailure(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 	// B holds the lease now, so its failure is recorded...
-	if err := b.Finish(taskB, workq.Outcome{Err: errors.New("boom")}); err != nil {
+	if err := b.Finish(taskB, Outcome{Err: errors.New("boom")}); err != nil {
 		t.Fatal(err)
 	}
 	if p := srv.Progress(); p.Failed != 1 {
 		t.Fatalf("progress = %+v, holder failure not recorded", p)
 	}
 	// ...until A's success arrives and supersedes it.
-	if err := a.Finish(taskA, workq.Outcome{}); err != nil {
+	if err := a.Finish(taskA, Outcome{}); err != nil {
 		t.Fatal(err)
 	}
 	if p := srv.Progress(); p.Done != 1 || p.Failed != 0 {
@@ -589,7 +586,7 @@ func TestOversizeArtifactDegradesToKeyOnly(t *testing.T) {
 	}
 	// Base64 expands 4/3×, so this cannot fit MaxFrame after encoding.
 	huge := make([]byte, MaxFrame-1<<20)
-	if err := cli.Finish(task, workq.Outcome{Key: "abcd1234", Artifact: huge}); err != nil {
+	if err := cli.Finish(task, Outcome{Key: "abcd1234", Artifact: huge}); err != nil {
 		t.Fatalf("oversize artifact aborted Finish: %v", err)
 	}
 	if p := srv.Progress(); p.Done != 1 || p.Failed != 0 {
@@ -613,15 +610,15 @@ func TestGoodbyeStatsMerged(t *testing.T) {
 			defer wg.Done()
 			cli, err := Dial(srv.Addr(), ClientOptions{
 				IOTimeout:  5 * time.Second,
-				FinalStats: func() workq.CacheStats { return workq.CacheStats{Hits: 2, Stores: 1} },
+				FinalStats: func() CacheStats { return CacheStats{Hits: 2, Stores: 1} },
 			})
 			if err != nil {
 				t.Error(err)
 				return
 			}
 			defer cli.Close()
-			if err := workq.Drain(cli, time.Second, func(workq.Task) workq.Outcome {
-				return workq.Outcome{}
+			if err := Drain(cli, time.Second, func(Task) Outcome {
+				return Outcome{}
 			}); err != nil {
 				t.Error(err)
 			}
@@ -646,5 +643,33 @@ func TestWaitDegradesWithoutWorkers(t *testing.T) {
 	}
 	if d := time.Since(start); d < 300*time.Millisecond || d > 5*time.Second {
 		t.Fatalf("degrade after %v, want just past the grace window", d)
+	}
+}
+
+// TestWaitReturnsWhenClosed: a coordinator closes its server once every
+// worker it spawned has exited; Wait must then return at once, flagged
+// degraded, instead of sitting out the grace window with tasks still
+// outstanding (one leased to a worker that died, one never claimed).
+func TestWaitReturnsWhenClosed(t *testing.T) {
+	srv := newTestServer(t, testTasks(2), ServerOptions{})
+	cli := dialTest(t, srv, ClientOptions{})
+	if _, ok, err := cli.Claim(); err != nil || !ok {
+		t.Fatalf("claim: ok=%v err=%v", ok, err)
+	}
+	cli.Close()
+	go func() {
+		time.Sleep(100 * time.Millisecond)
+		srv.Close()
+	}()
+	start := time.Now()
+	sum := srv.Wait(time.Minute, nil)
+	if !sum.Degraded {
+		t.Fatalf("summary = %+v, want Degraded after Close", sum)
+	}
+	if sum.Done != 0 || sum.Pending+sum.Leased != 2 {
+		t.Fatalf("summary = %+v, want both tasks outstanding", sum)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("Wait returned %v after Close, want promptly", d)
 	}
 }

@@ -1,12 +1,14 @@
-// Package netq is the TCP transport of the campaign work queue: a small
-// stdlib-only protocol that replaces the spool directory when workers run
-// on machines that do not share a filesystem with the coordinator.
+// Package netq is the campaign work queue: a small stdlib-only TCP
+// protocol that hands the design × profile cells of a campaign matrix to
+// worker processes, on the coordinator's own host (cmd/thesaurus
+// -distribute N spawns N loopback workers) or on any other (-serve plus
+// -connect workers).
 //
-// The coordinator (cmd/thesaurus -serve) listens on a TCP port, holds the
-// campaign's task list, and hands out time-leased tasks; workers
-// (cmd/thesaurus -worker -connect) pull tasks, heartbeat their leases
-// while computing, and report outcomes. Results travel one of two ways,
-// negotiated per connection at handshake:
+// The coordinator (cmd/thesaurus -serve or -distribute) listens on a TCP
+// port, holds the campaign's task list, and hands out time-leased tasks;
+// workers (cmd/thesaurus -connect) pull tasks, heartbeat their leases
+// while computing (Drain), and report outcomes. Results travel one of two
+// ways, negotiated per connection at handshake:
 //
 //   - shared cache directory: the worker proves it sees the coordinator's
 //     -cache-dir (it reads back a session token file the coordinator
@@ -17,13 +19,15 @@
 //     coordinator verifies and stores them into its own cache, so report
 //     assembly stays byte-identical-by-construction either way.
 //
-// Robustness: a lease that expires (no heartbeat) or whose connection
-// drops re-queues its task for the surviving workers; workers reconnect
-// with exponential backoff plus jitter; and when the last worker dies the
-// coordinator degrades to in-process recompute exactly like the spool
-// transport — the queue partitions work, the content-addressed cache is
-// the result channel, so a transport failure costs redundant work, never
-// correctness.
+// Completion is at-least-once with idempotent effect: a lease that
+// expires (no heartbeat) or whose connection drops re-queues its task for
+// the surviving workers, and a duplicate completion of the same task is
+// harmless because the run result is content-addressed — both executions
+// produce the same artifact under the same key. Workers reconnect with
+// exponential backoff plus jitter, and when the workers are gone the
+// coordinator degrades to in-process recompute: the queue partitions
+// work, the content-addressed cache is the result channel, so a transport
+// failure costs redundant work, never correctness.
 //
 // Wire format: length-prefixed JSON frames — a 4-byte big-endian payload
 // length, then the JSON-encoded message. The first exchange is a
@@ -45,8 +49,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-
-	"repro/internal/workq"
 )
 
 // ProtoVersion is the wire-protocol version exchanged in the handshake.
@@ -92,7 +94,7 @@ type message struct {
 	TokenFile string `json:"token_file,omitempty"`
 	Token     string `json:"token,omitempty"`
 
-	Task *workq.Task `json:"task,omitempty"`
+	Task *Task `json:"task,omitempty"`
 
 	// ID names the task a heartbeat/result/ack refers to. IDs are
 	// non-negative; -1 marks "no task" where 0 would be ambiguous.
@@ -107,7 +109,7 @@ type message struct {
 	Key      string `json:"key,omitempty"`
 	Artifact []byte `json:"artifact,omitempty"`
 
-	Stats *workq.CacheStats `json:"stats,omitempty"`
+	Stats *CacheStats `json:"stats,omitempty"`
 
 	// WaitMS tells a waiting worker when to poll again.
 	WaitMS int `json:"wait_ms,omitempty"`

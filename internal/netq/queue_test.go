@@ -1,4 +1,4 @@
-package workq
+package netq
 
 import (
 	"errors"
@@ -16,7 +16,6 @@ type fakeQueue struct {
 	finished   []Outcome
 	claimErr   error
 	finishErr  error
-	stream     bool
 }
 
 func (q *fakeQueue) Claim() (Task, bool, error) {
@@ -52,8 +51,6 @@ func (q *fakeQueue) Finish(t Task, out Outcome) error {
 	q.finished = append(q.finished, out)
 	return nil
 }
-
-func (q *fakeQueue) StreamArtifacts() bool { return q.stream }
 
 // TestDrainRunsEveryTask: the loop claims to exhaustion, reporting each
 // outcome — including failed cells, which must not stop the drain.
@@ -109,17 +106,6 @@ func TestDrainHeartbeatsDuringRun(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	if q.heartbeats[7] != n {
 		t.Fatal("heartbeats continued after the task finished")
-	}
-}
-
-// TestWantsArtifacts: streaming is the transport's call, defaulting off
-// for transports without the capability.
-func TestWantsArtifacts(t *testing.T) {
-	if WantsArtifacts(&fakeQueue{}) {
-		t.Fatal("non-streaming transport reported as streaming")
-	}
-	if !WantsArtifacts(&fakeQueue{stream: true}) {
-		t.Fatal("streaming transport not detected")
 	}
 }
 

@@ -11,16 +11,13 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"repro/internal/workq"
 )
 
 // ServerOptions configures a coordinator-side queue.
 type ServerOptions struct {
 	// Lease is how long a claimed task may go without a heartbeat before
 	// it re-queues for another worker. It must comfortably exceed one
-	// heartbeat interval (workq.HeartbeatEvery); 0 means 2 minutes, the
-	// same deadline the spool transport uses for claim reclamation.
+	// heartbeat interval (HeartbeatEvery); 0 means 2 minutes.
 	Lease time.Duration
 
 	// IdleTimeout bounds how long a connected worker may stay silent
@@ -51,7 +48,7 @@ type ServerOptions struct {
 	// poison a different task's cache entry. nil falls back to the wire
 	// key, which is then required to look like a bare content hash
 	// (lowercase hex) before it gets anywhere near a filename.
-	TaskKey func(t workq.Task) (string, error)
+	TaskKey func(t Task) (string, error)
 }
 
 // Progress is a point-in-time snapshot of the queue's state.
@@ -76,16 +73,16 @@ type Summary struct {
 	Failures []string
 	// Stats is the sum of every reporting worker's cache counters;
 	// StatsWorkers is how many workers reported.
-	Stats        workq.CacheStats
+	Stats        CacheStats
 	StatsWorkers int
-	// Degraded is set when Wait gave up waiting for workers (none
-	// connected for the grace window with tasks still pending).
+	// Degraded is set when Wait returned with tasks still outstanding:
+	// the server was closed, or no worker connected for the grace window.
 	Degraded bool
 }
 
 // lease is one outstanding claim.
 type lease struct {
-	task     workq.Task
+	task     Task
 	deadline time.Time
 	conn     net.Conn
 }
@@ -102,8 +99,8 @@ type Server struct {
 
 	mu           sync.Mutex
 	conns        map[net.Conn]bool
-	tasks        map[int]workq.Task // every task ever loaded, by ID
-	pending      []workq.Task
+	tasks        map[int]Task // every task ever loaded, by ID
+	pending      []Task
 	leases       map[int]*lease
 	done         map[int]bool
 	failed       map[int]string
@@ -112,7 +109,7 @@ type Server struct {
 	dupResults   int
 	workersNow   int
 	workersEver  int
-	stats        workq.CacheStats
+	stats        CacheStats
 	statsWorkers int
 	closed       bool
 
@@ -122,7 +119,7 @@ type Server struct {
 // NewServer listens on addr (host:port; port 0 picks a free one), loads
 // the queue with tasks, and starts serving. Close releases the listener
 // and the session token file.
-func NewServer(addr string, tasks []workq.Task, opt ServerOptions) (*Server, error) {
+func NewServer(addr string, tasks []Task, opt ServerOptions) (*Server, error) {
 	if opt.Lease <= 0 {
 		opt.Lease = 2 * time.Minute
 	}
@@ -141,8 +138,8 @@ func NewServer(addr string, tasks []workq.Task, opt ServerOptions) (*Server, err
 		ln:      ln,
 		stop:    make(chan struct{}),
 		conns:   map[net.Conn]bool{},
-		tasks:   make(map[int]workq.Task, len(tasks)),
-		pending: append([]workq.Task(nil), tasks...),
+		tasks:   make(map[int]Task, len(tasks)),
+		pending: append([]Task(nil), tasks...),
 		leases:  map[int]*lease{},
 		done:    map[int]bool{},
 		failed:  map[int]string{},
@@ -223,21 +220,31 @@ func (s *Server) progressLocked() Progress {
 	}
 }
 
-// Wait blocks until every task is terminal, or — degrading exactly like
-// the spool coordinator when its workers die — until no worker has been
-// connected for grace with tasks still outstanding (the grace timer
-// restarts whenever a worker connects). onTick, when non-nil, is called
-// roughly every 200ms with a progress snapshot (the CLI's live stderr
-// line).
+// pollEvery is the queue's polling floor: how long a worker told to wait
+// sleeps before it claims again, and how often Wait re-checks the queue.
+// A finished campaign sits idle for up to one floor on each side before
+// the coordinator moves on, so it stays short; a loopback claim costs
+// microseconds.
+const pollEvery = 20 * time.Millisecond
+
+// Wait blocks until every task is terminal, or until waiting longer is
+// pointless with tasks still outstanding: the server was closed (a
+// coordinator closes it once every worker it spawned has exited and no
+// other can join), or no worker has been connected for grace (the grace
+// timer restarts whenever a worker connects). Those two return Degraded,
+// and the coordinator recomputes the outstanding cells in-process.
+// onTick, when non-nil, is called roughly every 200ms with a progress
+// snapshot (the CLI's live stderr line).
 func (s *Server) Wait(grace time.Duration, onTick func(Progress)) Summary {
 	idleSince := time.Now()
-	var terminalSince time.Time
-	for {
+	var terminalSince, lastTick time.Time
+	for ; ; time.Sleep(pollEvery) {
 		s.mu.Lock()
-		p := s.progressLocked()
+		p, closed := s.progressLocked(), s.closed
 		s.mu.Unlock()
-		if onTick != nil {
+		if onTick != nil && time.Since(lastTick) >= 200*time.Millisecond {
 			onTick(p)
+			lastTick = time.Now()
 		}
 		if p.Terminal() {
 			// Linger for still-connected workers: their goodbye frames
@@ -250,15 +257,16 @@ func (s *Server) Wait(grace time.Duration, onTick func(Progress)) Summary {
 			if p.Workers == 0 || time.Since(terminalSince) > 2*time.Second {
 				return s.summary(false)
 			}
-			time.Sleep(50 * time.Millisecond)
 			continue
+		}
+		if closed {
+			return s.summary(true)
 		}
 		if p.Workers > 0 || p.Leased > 0 {
 			idleSince = time.Now()
 		} else if time.Since(idleSince) > grace {
 			return s.summary(true)
 		}
-		time.Sleep(200 * time.Millisecond)
 	}
 }
 
@@ -440,7 +448,7 @@ func (s *Server) claim(conn net.Conn) *message {
 	}
 	// Tasks are leased elsewhere; one may come back if its worker
 	// dies, so the worker should poll rather than leave.
-	return &message{Type: msgWait, WaitMS: 200}
+	return &message{Type: msgWait, WaitMS: int(pollEvery / time.Millisecond)}
 }
 
 // heartbeat extends the caller's lease. A heartbeat for a lease this
@@ -528,7 +536,7 @@ func (s *Server) result(conn net.Conn, m *message) *message {
 // TaskKey configured the key is derived from the coordinator's own copy
 // of the task and the worker-reported wire key is ignored; without it
 // the wire key is used but must have the bare content-hash shape.
-func (s *Server) storeKey(t workq.Task, wire string) (string, error) {
+func (s *Server) storeKey(t Task, wire string) (string, error) {
 	if s.opt.TaskKey != nil {
 		key, err := s.opt.TaskKey(t)
 		if err != nil {

@@ -87,15 +87,18 @@ func Replay(c llc.Cache, rec *Recorded, st *memory.Store, sys SystemConfig, opt 
 	var ratioSum, occSum, residentSum float64
 	var measuredInstr uint64
 	var critBase uint64 // critical DRAM accesses at measurement start
+	reset := func() {
+		c.ResetStats()
+		st.ResetStats()
+		if cd, ok := c.(CriticalDRAM); ok {
+			critBase = cd.CriticalDRAMAccesses()
+		}
+	}
 
 	for i := range rec.Events {
 		ev := &rec.Events[i]
 		if i == warmup {
-			c.ResetStats()
-			st.ResetStats()
-			if cd, ok := c.(CriticalDRAM); ok {
-				critBase = cd.CriticalDRAMAccesses()
-			}
+			reset()
 		}
 		if i >= warmup {
 			measuredInstr += ev.Instrs
@@ -125,6 +128,11 @@ func Replay(c llc.Cache, rec *Recorded, st *memory.Store, sys SystemConfig, opt 
 		}
 	}
 
+	if warmup >= len(rec.Events) {
+		// An empty measurement window: the reset falls after the last event.
+		reset()
+	}
+
 	res.Instructions = measuredInstr
 	res.LLCStats = c.Stats()
 	res.DRAM = st.Stats()
@@ -143,9 +151,7 @@ func Replay(c llc.Cache, rec *Recorded, st *memory.Store, sys SystemConfig, opt 
 }
 
 // finalizeSamples converts the running footprint-sample sums into the
-// time-averaged Fig. 13a metrics and the MPKI. Shared by the serial and
-// set-sharded replays so both produce bit-identical derived metrics from
-// identical sums.
+// time-averaged Fig. 13a metrics and the MPKI.
 //
 //thesaurus:hotpath
 func finalizeSamples(res *Result, ratioSum, occSum, residentSum float64) {
@@ -160,7 +166,7 @@ func finalizeSamples(res *Result, ratioSum, occSum, residentSum float64) {
 }
 
 // applyTiming fills the overlap-aware timing-model outputs (Cycles, IPC)
-// from the merged post-warmup statistics. Upper-level behaviour is
+// from the post-warmup statistics. Upper-level behaviour is
 // identical across designs, so L1/L2 stalls are scaled from the
 // whole-trace counts by the measured window's share of instructions.
 // demandCycles/haveModel carry the backing store's DRAM-model totals

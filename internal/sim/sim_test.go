@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"reflect"
 	"sort"
 	"testing"
 
@@ -197,27 +196,65 @@ func TestTimingMonotonicity(t *testing.T) {
 	}
 }
 
-// TestWarmupReset: stats must cover only the measurement window.
+// TestWarmupReset: statistics cover exactly the measurement window. At
+// the extreme warmups (none, one event, all but one, all) and around the
+// last SampleEvery stride, where the number of sample instants changes
+// by one, the measured reads and writes are the post-warmup read and
+// write events, Instructions is the sum of their Instrs, and Samples is
+// ⌈(len − warmup) / SampleEvery⌉.
 func TestWarmupReset(t *testing.T) {
 	img := memory.NewStore()
-	accesses := synthTrace(5, 40000, 2048, img)
+	accesses := synthTrace(9, 60000, 4096, img)
 	sys := tinySystem()
 	rec := Record(trace.NewSliceSource(accesses), sys, img)
-	st := memory.NewStore()
-	c := uncomp.New("c", uncomp.Config{SizeBytes: 32 << 10, Ways: 8, Policy: "plru"}, st)
-	opt := DefaultReplayOptions()
-	opt.WarmupFraction = 0.5
-	res, err := Replay(c, rec, st, sys, opt)
-	if err != nil {
-		t.Fatal(err)
+	e := len(rec.Events)
+	const sampleEvery = 64
+	if e < 4*sampleEvery {
+		t.Fatalf("trace too filtered for boundary cases: %d events", e)
 	}
-	// Measured accesses must be well under the whole stream.
-	if res.LLCStats.Accesses() >= uint64(len(rec.Events)) {
-		t.Fatalf("warmup not excluded: %d accesses of %d events",
-			res.LLCStats.Accesses(), len(rec.Events))
-	}
-	if res.Instructions >= rec.Instructions {
-		t.Fatal("instructions not windowed")
+	// fracFor yields a WarmupFraction that truncates to exactly w:
+	// (w+0.5)/e × e is within half an event of w+0.5, so int() floors it
+	// to w for every e this trace produces.
+	fracFor := func(w int) float64 { return (float64(w) + 0.5) / float64(e) }
+	for _, tc := range []struct {
+		frac   float64
+		warmup int
+	}{
+		{0, 0},
+		{1, e},
+		{fracFor(1), 1},
+		{fracFor(e - 1), e - 1},
+		{fracFor(e - sampleEvery - 1), e - sampleEvery - 1},
+		{fracFor(e - sampleEvery), e - sampleEvery},
+		{fracFor(e - sampleEvery + 1), e - sampleEvery + 1},
+	} {
+		var reads, writes, instrs uint64
+		for _, ev := range rec.Events[tc.warmup:] {
+			instrs += ev.Instrs
+			switch ev.Kind {
+			case EventRead:
+				reads++
+			case EventWrite:
+				writes++
+			}
+		}
+		st := memory.NewStore()
+		c := uncomp.New("c", uncomp.Config{SizeBytes: 32 << 10, Ways: 8, Policy: "plru"}, st)
+		opt := ReplayOptions{WarmupFraction: tc.frac, SampleEvery: sampleEvery, Verify: true}
+		res, err := Replay(c, rec, st, sys, opt)
+		if err != nil {
+			t.Fatalf("warmup=%d: %v", tc.warmup, err)
+		}
+		if res.LLCStats.Reads != reads || res.LLCStats.Writes != writes {
+			t.Errorf("warmup=%d/%d: measured %d reads, %d writes; want %d, %d",
+				tc.warmup, e, res.LLCStats.Reads, res.LLCStats.Writes, reads, writes)
+		}
+		if res.Instructions != instrs {
+			t.Errorf("warmup=%d/%d: Instructions = %d, want %d", tc.warmup, e, res.Instructions, instrs)
+		}
+		if want := (e - tc.warmup + sampleEvery - 1) / sampleEvery; res.Samples != want {
+			t.Errorf("warmup=%d/%d: Samples = %d, want %d", tc.warmup, e, res.Samples, want)
+		}
 	}
 }
 
@@ -303,88 +340,5 @@ func TestReplayWithDRAMModel(t *testing.T) {
 	}
 	if modelled.IPC == flat.IPC {
 		t.Fatal("DRAM model had no timing effect")
-	}
-}
-
-// TestShardedWarmupBoundaries: Replay and ReplaySharded each compute the
-// warmup index from WarmupFraction independently (replay.go and
-// sharded.go carry a copy of the same formula), so a drift in either
-// copy silently breaks the byte-identity contract. This property test
-// pins field-for-field agreement — metrics, sample counts, and the full
-// release snapshot — at the degenerate extremes (warmup == 0, warmup ==
-// len(events)) and at off-by-one sample-schedule boundaries around the
-// last sample instant.
-func TestShardedWarmupBoundaries(t *testing.T) {
-	img := memory.NewStore()
-	accesses := synthTrace(9, 60000, 4096, img)
-	sys := tinySystem()
-	rec := Record(trace.NewSliceSource(accesses), sys, img)
-	e := len(rec.Events)
-	const sampleEvery = 64
-	if e < 4*sampleEvery {
-		t.Fatalf("trace too filtered for boundary cases: %d events", e)
-	}
-	cfg := uncomp.Config{SizeBytes: 64 << 10, Ways: 8, Policy: "plru"}
-
-	// fracFor yields a WarmupFraction that truncates to exactly w:
-	// (w+0.5)/e × e is within half an event of w+0.5, so int() floors it
-	// to w for every e this trace produces.
-	fracFor := func(w int) float64 { return (float64(w) + 0.5) / float64(e) }
-	fracs := []float64{
-		0,          // warmup == 0: reset fires on the first event
-		1,          // warmup == len(events): empty measurement window
-		fracFor(1), // reset one event in
-		fracFor(e - 1),
-		// Around one SampleEvery stride before the end: the number of
-		// post-warmup sample instants changes by one across these.
-		fracFor(e - sampleEvery - 1),
-		fracFor(e - sampleEvery),
-		fracFor(e - sampleEvery + 1),
-	}
-	for _, frac := range fracs {
-		warmup := int(frac * float64(e))
-		opt := ReplayOptions{WarmupFraction: frac, SampleEvery: sampleEvery, Verify: true}
-
-		// Both sides keep their resident lines, so the snapshot comparison
-		// covers the merged line order, not just the statistics.
-		st := memory.NewStore()
-		c := uncomp.New("Baseline", cfg, st)
-		c.KeepLines()
-		want, err := Replay(c, rec, st, sys, opt)
-		if err != nil {
-			t.Fatalf("warmup=%d: serial: %v", warmup, err)
-		}
-		wantSnap := c.Release()
-		st.Release()
-		if len(wantSnap.Extra.(*uncomp.Snapshot).Lines) == 0 {
-			t.Fatalf("warmup=%d: serial snapshot holds no lines", warmup)
-		}
-
-		for _, n := range []int{2, 3} {
-			shards := make([]llc.Cache, n)
-			stores := make([]*memory.Store, n)
-			ucs := make([]*uncomp.Cache, n)
-			for i := range shards {
-				stores[i] = memory.NewStore()
-				ucs[i] = uncomp.New("Baseline", cfg, stores[i])
-				ucs[i].KeepLines()
-				shards[i] = ucs[i]
-			}
-			got, err := ReplaySharded(shards, stores, rec, sys, opt)
-			if err != nil {
-				t.Fatalf("warmup=%d shards=%d: %v", warmup, n, err)
-			}
-			gotSnap := uncomp.MergeRelease(ucs)
-			for _, s := range stores {
-				s.Release()
-			}
-			if got != want {
-				t.Errorf("warmup=%d/%d shards=%d: result diverged\n got %+v\nwant %+v",
-					warmup, e, n, got, want)
-			}
-			if !reflect.DeepEqual(gotSnap, wantSnap) {
-				t.Errorf("warmup=%d/%d shards=%d: release snapshot diverged", warmup, e, n)
-			}
-		}
 	}
 }

@@ -158,31 +158,3 @@ func TestReleaseLinesOnRequest(t *testing.T) {
 		t.Fatalf("kept lines (%d) are not the resident set sorted by address (%d)", len(got), len(want))
 	}
 }
-
-// TestMergeReleaseLinesOnRequest: merged shards carry lines only when
-// every shard keeps them, and refuse a mix.
-func TestMergeReleaseLinesOnRequest(t *testing.T) {
-	shards := func(keep ...bool) []*Cache {
-		out := make([]*Cache, len(keep))
-		for i, k := range keep {
-			out[i] = New("test", small(), memory.NewStore())
-			if k {
-				out[i].KeepLines()
-			}
-			fillRandom(out[i], uint64(i+1))
-		}
-		return out
-	}
-	if lines := MergeRelease(shards(false, false)).Extra.(*Snapshot).Lines; lines != nil {
-		t.Fatalf("default merge carries %d lines", len(lines))
-	}
-	if lines := MergeRelease(shards(true, true)).Extra.(*Snapshot).Lines; len(lines) == 0 {
-		t.Fatal("merge of shards keeping lines carries none")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("merge of shards disagreeing on KeepLines did not panic")
-		}
-	}()
-	MergeRelease(shards(true, false))
-}
