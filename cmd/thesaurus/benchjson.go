@@ -176,6 +176,22 @@ func measureBench() ([]benchEntry, error) {
 			bdi.CompressInto(&enc, &l)
 		}
 	})
+	// The byte-distance kernel of every nearest-line search (Ideal-Diff,
+	// Figs. 1 and 2, Thesaurus's clusteroid diffs), on L1-resident lines
+	// a few bytes apart; the pair alternates so the call is not hoisted.
+	add("line_diffbytes", classKernel, line.Size, func(b *testing.B) {
+		base := benchLine(3, 0)
+		pair := [2]line.Line{benchLine(5, 1), benchLine(9, 2)}
+		pair[1][40] ^= 0x81
+		b.ReportAllocs()
+		sink := 0
+		for i := 0; i < b.N; i++ {
+			sink += line.DiffBytes(&base, &pair[i&1])
+		}
+		if sink < 0 {
+			b.Fatal("negative diff count")
+		}
+	})
 
 	// --- end-to-end access paths, per design point ---
 	lines := benchWriteLines()

@@ -12,15 +12,13 @@
 // within a useful diff distance almost always share at least one aligned
 // 8-byte word with their nearest neighbour, so candidates are found by
 // word equality and supplemented with a random probe set. This is the one
-// deliberate approximation in the package (documented in DESIGN.md).
+// deliberate approximation in the package (DESIGN.md, "The Ideal-Diff
+// candidate search").
 package ideal
 
 import (
-	"repro/internal/cache"
 	"repro/internal/diffenc"
 	"repro/internal/line"
-	"repro/internal/llc"
-	"repro/internal/memory"
 	"repro/internal/xrand"
 )
 
@@ -109,11 +107,13 @@ func DiffCDF(lines []line.Line) [line.Size + 1]float64 {
 }
 
 // wordIndex locates near-duplicate candidates by exact 8-byte word match,
-// with a bounded random probe fallback.
+// with a bounded random probe fallback. Unlike the online cache's index
+// it never changes under a lookup: a snapshot's lines do not move, so
+// there is nothing stale to clean and a long list is only cut short.
 type wordIndex struct {
-	byWord map[uint64][]int
-	all    []int
-	rng    *xrand.Rand
+	words wordTable // word → snapshot indices of the lines holding it
+	all   []int
+	rng   *xrand.Rand
 }
 
 // maxCandidates bounds the per-lookup work; beyond this the candidate set
@@ -125,16 +125,14 @@ const maxCandidates = 192
 const randomProbes = 32
 
 func newWordIndex(seed uint64) *wordIndex {
-	return &wordIndex{byWord: make(map[uint64][]int), rng: xrand.New(seed)}
+	return &wordIndex{rng: xrand.New(seed)}
 }
 
 func (ix *wordIndex) add(id int, l *line.Line) {
+	ix.words.reserve(line.WordsPerLine)
 	for i := 0; i < line.WordsPerLine; i++ {
 		w := l.Word(i)
-		lst := ix.byWord[w]
-		if len(lst) < maxCandidates { // duplicate-heavy words need no more
-			ix.byWord[w] = append(lst, id)
-		}
+		ix.words.add(ix.words.locate(w), w, uint64(id))
 	}
 	ix.all = append(ix.all, id)
 }
@@ -158,8 +156,8 @@ func (ix *wordIndex) nearestExcluding(l *line.Line, lines []line.Line, self int)
 		}
 	}
 	for i := 0; i < line.WordsPerLine && bestDiff > 0; i++ {
-		for _, id := range ix.byWord[l.Word(i)] {
-			consider(id)
+		for _, id := range ix.words.list(l.Word(i)) {
+			consider(int(id))
 			if seen > maxCandidates {
 				break
 			}
@@ -169,221 +167,4 @@ func (ix *wordIndex) nearestExcluding(l *line.Line, lines []line.Line, self int)
 		consider(ix.all[ix.rng.Intn(len(ix.all))])
 	}
 	return best, best >= 0
-}
-
-// Config sizes the online Ideal-Diff cache: tag count matching the
-// compressed designs and a data-byte budget matching Thesaurus.
-type Config struct {
-	TagEntries int
-	TagWays    int
-	DataBytes  int
-	Seed       uint64
-}
-
-// DefaultConfig matches the iso-silicon envelope of Table 2.
-func DefaultConfig() Config {
-	return Config{TagEntries: 32768, TagWays: 8, DataBytes: 1462 * 512, Seed: 0x1dea1}
-}
-
-// payload records the line and its frozen compressed size. The ideal
-// model charges each line the size observed at insertion (the paper's
-// ideal searches the cache at insertion time).
-type payload struct {
-	data line.Line
-	cost int
-}
-
-// Cache is the online ideal-diff LLC (the "Ideal" series in Fig. 13).
-type Cache struct {
-	cfg   Config
-	tags  *cache.Array[payload]
-	used  int
-	clock int
-	mem   *memory.Store
-	idx   map[uint64][]int // word → tag indices (lazily cleaned)
-	rng   *xrand.Rand
-
-	stats llc.Stats
-}
-
-var _ llc.Cache = (*Cache)(nil)
-
-// New builds the ideal cache over mem.
-func New(cfg Config, mem *memory.Store) *Cache {
-	return &Cache{
-		cfg: cfg,
-		tags: cache.New[payload](cache.Config{
-			Entries: cfg.TagEntries, Ways: cfg.TagWays, Policy: "plru",
-		}),
-		mem: mem,
-		idx: make(map[uint64][]int),
-		rng: xrand.New(cfg.Seed),
-	}
-}
-
-// Name implements llc.Cache.
-func (c *Cache) Name() string { return "Ideal" }
-
-// Read implements llc.Cache.
-func (c *Cache) Read(addr line.Addr) (line.Line, bool) {
-	addr = addr.LineAddr()
-	c.stats.Reads++
-	if e, _ := c.tags.Lookup(addr); e != nil {
-		c.stats.ReadHits++
-		return e.Payload.data, true
-	}
-	data := c.mem.Read(addr, memory.Fill)
-	c.stats.Fills++
-	c.install(addr, data, false)
-	return data, false
-}
-
-// Write implements llc.Cache.
-func (c *Cache) Write(addr line.Addr, data line.Line) bool {
-	addr = addr.LineAddr()
-	c.stats.Writes++
-	if e, idx := c.tags.Lookup(addr); e != nil {
-		c.stats.WriteHits++
-		c.used -= e.Payload.cost
-		e.Payload = payload{data: data, cost: c.cost(&data)}
-		c.used += e.Payload.cost
-		c.indexLine(idx, &data)
-		c.evictToBudget(addr)
-		e.Dirty = true
-		return true
-	}
-	c.install(addr, data, true)
-	return false
-}
-
-// cost returns the idealized storage cost of data given current contents.
-func (c *Cache) cost(data *line.Line) int {
-	if data.IsZero() {
-		return 0
-	}
-	best := line.Size
-	if z := diffenc.DiffSizeBytes(data.PopCountNonZero()); z < best {
-		best = z
-	}
-	probe := func(id int) {
-		e := c.tags.EntryAt(id)
-		if !e.Valid {
-			return
-		}
-		if d := diffenc.DiffSizeBytes(line.DiffBytes(data, &e.Payload.data)); d < best {
-			best = d
-		}
-	}
-	seen := 0
-	for i := 0; i < line.WordsPerLine && best > diffenc.DiffSizeBytes(0); i++ {
-		lst := c.idx[data.Word(i)]
-		kept := lst[:0]
-		for _, id := range lst {
-			e := c.tags.EntryAt(id)
-			if !e.Valid || !hasWord(&e.Payload.data, data.Word(i)) {
-				continue // lazily drop stale index entries
-			}
-			kept = append(kept, id)
-			probe(id)
-			seen++
-			if seen > maxCandidates {
-				break
-			}
-		}
-		c.idx[data.Word(i)] = kept
-	}
-	for p := 0; p < randomProbes; p++ {
-		probe(c.rng.Intn(c.cfg.TagEntries))
-	}
-	return best
-}
-
-func hasWord(l *line.Line, w uint64) bool {
-	for i := 0; i < line.WordsPerLine; i++ {
-		if l.Word(i) == w {
-			return true
-		}
-	}
-	return false
-}
-
-// indexLine registers the line's words for candidate lookup.
-func (c *Cache) indexLine(tagIdx int, l *line.Line) {
-	for i := 0; i < line.WordsPerLine; i++ {
-		w := l.Word(i)
-		lst := c.idx[w]
-		if len(lst) < maxCandidates {
-			c.idx[w] = append(lst, tagIdx)
-		}
-	}
-}
-
-// install inserts a new line, charging its ideal compressed size.
-func (c *Cache) install(addr line.Addr, data line.Line, dirty bool) {
-	e, idx, evicted, had := c.tags.Insert(addr)
-	if had {
-		c.retire(evicted)
-	}
-	e.Payload = payload{data: data, cost: c.cost(&data)}
-	e.Dirty = dirty
-	c.used += e.Payload.cost
-	c.indexLine(idx, &data)
-	c.evictToBudget(addr)
-}
-
-// evictToBudget evicts clock victims until the data budget is respected.
-func (c *Cache) evictToBudget(keep line.Addr) {
-	for c.used > c.cfg.DataBytes {
-		e := c.tags.EntryAt(c.clock)
-		victim := c.clock
-		c.clock = (c.clock + 1) % c.cfg.TagEntries
-		if !e.Valid || e.Addr == keep.LineAddr() {
-			continue
-		}
-		old := c.tags.InvalidateIndex(victim)
-		c.retire(old)
-	}
-}
-
-// retire writes back and un-charges a displaced line.
-func (c *Cache) retire(evicted cache.Entry[payload]) {
-	c.used -= evicted.Payload.cost
-	if evicted.Dirty {
-		c.mem.Write(evicted.Addr, evicted.Payload.data, memory.Writeback)
-		c.stats.Writebacks++
-	}
-}
-
-// DecompressionCycles reports the idealized one-cycle diff application.
-func (c *Cache) DecompressionCycles() float64 { return 1 }
-
-// Stats implements llc.Cache.
-func (c *Cache) Stats() llc.Stats { return c.stats }
-
-// ResetStats implements llc.Cache.
-func (c *Cache) ResetStats() {
-	c.stats = llc.Stats{}
-	c.tags.ResetStats()
-}
-
-// Footprint implements llc.Cache.
-func (c *Cache) Footprint() llc.Footprint {
-	used := c.used
-	return llc.Footprint{
-		ResidentLines:  c.tags.CountValid(),
-		DataBytesUsed:  used,
-		DataBytesTotal: c.cfg.DataBytes,
-	}
-}
-
-// Release implements llc.Cache: the ideal model keeps no post-run extras,
-// so the snapshot carries only the common statistics. The tag array and
-// the candidate index are freed; the cache must not be used afterwards.
-func (c *Cache) Release() llc.StatsSnapshot {
-	if c.tags == nil {
-		panic("ideal: Release called twice")
-	}
-	c.tags = nil
-	c.idx = nil
-	return llc.StatsSnapshot{Design: c.Name(), Stats: c.stats}
 }

@@ -117,8 +117,22 @@ func DiffMask(l, m *Line) uint64 {
 // DiffBytes returns the number of byte positions at which l and m differ.
 // This is the distance metric used throughout the paper (it determines the
 // size of the base+diff encoding).
+//
+// It counts without building DiffMask: for each XOR word x, the top bit
+// of every byte of ((x&0x7f…)+0x7f…)|x is set iff that byte of x is
+// non-zero (the add cannot carry across bytes). Those bits are shifted to
+// each byte's bottom and summed across the eight words, so no byte of the
+// sum exceeds 8, and one multiply folds the eight byte counts into the
+// top byte.
 func DiffBytes(l, m *Line) int {
-	return bits.OnesCount64(DiffMask(l, m))
+	const low7 = 0x7f7f7f7f7f7f7f7f
+	var sum uint64
+	for i := 0; i < WordsPerLine; i++ {
+		x := binary.LittleEndian.Uint64(l[i*8:]) ^ binary.LittleEndian.Uint64(m[i*8:])
+		y := ((x & low7) + low7) | x
+		sum += (y >> 7) & 0x0101010101010101
+	}
+	return int((sum * 0x0101010101010101) >> 56)
 }
 
 // HammingBits returns the number of differing bits between l and m.

@@ -1,6 +1,7 @@
 package line
 
 import (
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -33,6 +34,43 @@ func TestDiffMaskSparseChanges(t *testing.T) {
 		return DiffMask(&a, &b) == naiveDiffMask(&a, &b)
 	}, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDiffBytesMatchesMaskCount pins the mask-free counting kernel to the
+// popcount of DiffMask, on random pairs, sparse edits, and byte values
+// at the carry boundaries of its per-byte add (0x01, 0x7f, 0x80, 0xff).
+func TestDiffBytesMatchesMaskCount(t *testing.T) {
+	want := func(a, b *Line) int { return bits.OnesCount64(DiffMask(a, b)) }
+	if err := quick.Check(func(a, b Line) bool {
+		return DiffBytes(&a, &b) == want(&a, &b)
+	}, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+	if err := quick.Check(func(a Line, pos [4]uint8, val [4]byte) bool {
+		b := a
+		for i := range pos {
+			b[int(pos[i])%Size] ^= val[i]
+		}
+		return DiffBytes(&a, &b) == want(&a, &b)
+	}, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+	edges := []byte{0x00, 0x01, 0x7f, 0x80, 0x81, 0xfe, 0xff}
+	for _, x := range edges {
+		for _, y := range edges {
+			var a, b Line
+			for i := range a {
+				a[i], b[i] = x, y
+			}
+			if got := DiffBytes(&a, &b); got != want(&a, &b) {
+				t.Fatalf("bytes %#x vs %#x: DiffBytes %d, mask count %d", x, y, got, want(&a, &b))
+			}
+			b[Size-1] = x
+			if got := DiffBytes(&a, &b); got != want(&a, &b) {
+				t.Fatalf("bytes %#x vs %#x (last equal): DiffBytes %d, mask count %d", x, y, got, want(&a, &b))
+			}
+		}
 	}
 }
 

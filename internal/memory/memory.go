@@ -109,13 +109,20 @@ func getPage() *page {
 
 // putPages recycles owned pages. Each page is zeroed before it is
 // offered so a recycled page is indistinguishable from a fresh one.
+// Only the present lines need clearing: set is the only writer of an
+// owned page's lines and always marks the line present, so every other
+// line is still zero. Replays populate a few lines per page, so this
+// touches a fraction of the 4 KiB a whole-page clear would.
 func putPages(pages []*page) {
 	pagePool.mu.Lock()
 	for _, p := range pages {
 		if len(pagePool.free) >= pagePoolCap {
 			break
 		}
-		*p = page{owned: true}
+		for m := p.present; m != 0; m &= m - 1 {
+			p.lines[bits.TrailingZeros64(m)] = line.Line{}
+		}
+		p.present = 0
 		pagePool.free = append(pagePool.free, p)
 	}
 	pagePool.mu.Unlock()

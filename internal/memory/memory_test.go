@@ -170,6 +170,57 @@ func TestReleaseRecyclesOwnedPages(t *testing.T) {
 	}
 }
 
+// TestRecycledSparsePageReadsZero: Release clears only a page's present
+// lines, so a page holding a few scattered lines — including one written
+// with zero content, and the first and last slots — must come back from
+// the pool reading zero everywhere, with population counted afresh.
+func TestRecycledSparsePageReadsZero(t *testing.T) {
+	drainPagePool()
+	s := NewStore()
+	for _, slot := range []int{0, 17, 63} {
+		var l line.Line
+		for i := range l {
+			l[i] = byte(slot + i + 1)
+		}
+		s.Poke(line.Addr(slot*line.Size), l)
+	}
+	s.Poke(5*line.Size, line.Line{})
+	s.Release()
+	if got := pagePoolSize(); got != 1 {
+		t.Fatalf("pool holds %d pages after release, want 1", got)
+	}
+	f := NewStore()
+	var l line.Line
+	l[63] = 0x5a
+	f.Poke(40*line.Size, l) // draws the recycled page
+	if pagePoolSize() != 0 {
+		t.Fatal("poke did not draw from the pool")
+	}
+	if got := f.Populated(); got != 1 {
+		t.Fatalf("populated %d after one poke into a recycled page, want 1", got)
+	}
+	for slot := 0; slot < pageLines; slot++ {
+		got := f.Peek(line.Addr(slot * line.Size))
+		if slot == 40 {
+			if got != l {
+				t.Fatal("poked line reads back wrong")
+			}
+			continue
+		}
+		if !got.IsZero() {
+			t.Fatalf("line %d of the recycled page reads %v, want zero", slot, got)
+		}
+	}
+	// The image carries one page whose bitmap names only the new line.
+	d := NewStore()
+	if _, err := d.LoadPages(f.AppendPages(nil)); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.Populated(); got != 1 {
+		t.Fatalf("recycled page's image decodes to %d lines, want 1", got)
+	}
+}
+
 // TestReleaseDoesNotRecycleForeignPages is the regression test for the
 // artifact-cache ownership rule: a store decoded from an artifact image
 // is backed by the decode slab, and Release must drop — never pool —
