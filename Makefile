@@ -50,9 +50,11 @@ lint-fix-check:
 # Registry completeness (internal/scheme): every registered design must
 # build by name, report its registered name, and round-trip its release
 # snapshot through its codec hook — a half-wired scheme fails here, not
-# in a stale artifact cache.
+# in a stale artifact cache. Every design must also replay exactly:
+# fills staged with Store.Stage match fills written with Poke read by
+# read, and sim.Replay with Verify on returns every recorded value.
 registry-check:
-	$(GO) test -run 'TestRegistryOrderAndHarnessAgreement|TestEverySchemeIsComplete' ./internal/scheme
+	$(GO) test -run 'TestRegistryOrderAndHarnessAgreement|TestEverySchemeIsComplete|TestEverySchemeReplaysExactly' ./internal/scheme
 
 build:
 	$(GO) build ./...

@@ -237,8 +237,14 @@ func (c *Cache) StoreRawRunOutput(key string, data []byte) error {
 	return nil
 }
 
+// encodeHint is store's initial encode buffer: a run output without
+// resident lines fits (about 200 bytes). The large sections — a
+// recording's line pool and events, a page image, a snapshot's resident
+// lines — grow the buffer to their own size as they append.
+const encodeHint = 512
+
 func (c *Cache) store(key string, f *File) {
-	data := Encode(make([]byte, 0, 1<<20), f)
+	data := Encode(make([]byte, 0, encodeHint), f)
 	if err := writeAtomic(c.dir, c.path(key), data); err != nil {
 		return
 	}

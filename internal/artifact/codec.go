@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 
 	"repro/internal/line"
 	"repro/internal/memory"
@@ -170,6 +171,11 @@ func Decode(data []byte) (*File, error) {
 	return f, nil
 }
 
+// eventBytesHint is the encoded size of a typical event (three varints:
+// address delta, instruction gap, pool index), the estimate appendRecorded
+// sizes its buffer by.
+const eventBytesHint = 8
+
 // appendRecorded encodes one sim.Recorded. Events reference line contents
 // through a first-seen pool of unique lines; addresses are zigzag deltas
 // from the previous event; the pool index carries the event kind in its
@@ -184,6 +190,8 @@ func appendRecorded(dst []byte, r *sim.Recorded) []byte {
 			order = append(order, d)
 		}
 	}
+	// Grow once for the header, the pool and typical event varints.
+	dst = slices.Grow(dst, 7*binary.MaxVarintLen64+len(order)*line.Size+len(r.Events)*eventBytesHint)
 	dst = binary.AppendUvarint(dst, uint64(len(r.Events)))
 	dst = binary.AppendUvarint(dst, uint64(len(order)))
 	dst = binary.AppendUvarint(dst, r.Instructions)

@@ -136,6 +136,21 @@ func synthRunOutput(seed uint64) *RunOutput {
 	return r
 }
 
+// TestStoreRunOutputAllocates: storing a run output allocates for the
+// artifact's size, not a fixed megabyte-sized encode buffer.
+func TestStoreRunOutputAllocates(t *testing.T) {
+	c := testCache(t, 0)
+	r := synthRunOutput(5) // a Thesaurus snapshot: the largest extra
+	res := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			c.StoreRunOutput("k", r)
+		}
+	})
+	if got := res.AllocedBytesPerOp(); got >= 64<<10 {
+		t.Fatalf("StoreRunOutput allocates %d bytes per store, want under 64 KiB", got)
+	}
+}
+
 func TestRunOutputRoundtrip(t *testing.T) {
 	for seed := uint64(0); seed < 24; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {

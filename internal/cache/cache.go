@@ -78,6 +78,7 @@ type Array[P any] struct {
 	entries []Entry[P] // sets × ways, row-major
 	policy  []plru.Policy
 	stats   Stats
+	valid   int // entries with Valid set (CountValid)
 }
 
 // New builds an Array from cfg, panicking on invalid configuration (all
@@ -178,6 +179,8 @@ func (a *Array[P]) Insert(addr line.Addr) (e *Entry[P], idx int, evicted Entry[P
 		evicted = a.entries[base+victim]
 		hadEviction = true
 		a.stats.Evictions++
+	} else {
+		a.valid++
 	}
 	idx = a.index(set, victim)
 	var zero P
@@ -247,6 +250,7 @@ func (a *Array[P]) InvalidateIndex(idx int) Entry[P] {
 	a.entries[idx].Valid = false
 	if old.Valid {
 		a.stats.Evictions++
+		a.valid--
 	}
 	return old
 }
@@ -265,13 +269,7 @@ func (a *Array[P]) ForEach(fn func(idx int, e *Entry[P])) {
 	}
 }
 
-// CountValid returns the number of valid (resident) entries.
-func (a *Array[P]) CountValid() int {
-	n := 0
-	for i := range a.entries {
-		if a.entries[i].Valid {
-			n++
-		}
-	}
-	return n
-}
+// CountValid returns the number of valid (resident) entries. Insert and
+// InvalidateIndex, the only writers of Valid, keep the count, so every
+// design's per-sample Footprint reads it without scanning the array.
+func (a *Array[P]) CountValid() int { return a.valid }

@@ -158,6 +158,41 @@ func TestForEachAndCountValid(t *testing.T) {
 	}
 }
 
+// TestCountValidMatchesRecount: the running count CountValid returns
+// equals a recount of the array's valid entries after every operation
+// of random Insert / InvalidateIndex / Lookup sequences, including
+// invalidations of entries that are already invalid.
+func TestCountValidMatchesRecount(t *testing.T) {
+	for _, policy := range []string{"lru", "plru"} {
+		for seed := uint64(1); seed <= 4; seed++ {
+			a := New[int](Config{Entries: 32, Ways: 4, Policy: policy})
+			rng := xrand.New(seed)
+			for step := 0; step < 20000; step++ {
+				ad := addr(rng.Intn(96))
+				switch rng.Intn(3) {
+				case 0:
+					if e, _ := a.Peek(ad); e == nil {
+						a.Insert(ad)
+					}
+				case 1:
+					a.InvalidateIndex(rng.Intn(32))
+				default:
+					a.Lookup(ad)
+				}
+				n := 0
+				for i := range a.entries {
+					if a.entries[i].Valid {
+						n++
+					}
+				}
+				if got := a.CountValid(); got != n {
+					t.Fatalf("%s seed %d step %d: CountValid %d, recount %d", policy, seed, step, got, n)
+				}
+			}
+		}
+	}
+}
+
 // TestAgainstReferenceModel cross-checks hit/miss behaviour against a
 // map+recency reference under a random workload.
 func TestAgainstReferenceModel(t *testing.T) {

@@ -323,53 +323,28 @@ type RunKey struct {
 	Design  string
 }
 
-// RunMatrix executes every (profile, design) pair concurrently, bounded
-// by GOMAXPROCS workers. Runs are independent and deterministic, so
-// parallelism changes wall time only; results are memoized exactly as in
-// Run. The first error aborts the remaining work.
+// RunMatrix executes every (profile, design) pair on a ParMap worker
+// pool bounded by opt.Workers. Runs are independent and deterministic,
+// so parallelism changes wall time only; results are memoized exactly as
+// in Run. The first error stops the pool from starting further runs.
+// No pre-recording pass is needed: RecordProfile coalesces concurrent
+// recordings of the same profile, so workers that race into one profile
+// share a single recording while distinct profiles record in parallel.
 func RunMatrix(keys []RunKey, opt RunOptions) (map[RunKey]*RunOutput, error) {
-	type job struct {
-		key RunKey
-		out *RunOutput
-		err error
-	}
-	// No pre-recording pass is needed: RecordProfile coalesces concurrent
-	// recordings of the same profile, so workers that race into one
-	// profile share a single recording while distinct profiles record in
-	// parallel.
-	workers := clampWorkers(opt.Workers, len(keys))
-	in := make(chan RunKey)
-	results := make(chan job, len(keys))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := range in {
-				out, err := Run(k.Profile, k.Design, opt)
-				results <- job{key: k, out: out, err: err}
-			}
-		}()
-	}
-	go func() {
-		for _, k := range keys {
-			in <- k
+	outs, err := ParMap(len(keys), opt.Workers, func(i int) (*RunOutput, error) {
+		k := keys[i]
+		out, err := Run(k.Profile, k.Design, opt)
+		if err != nil {
+			return nil, fmt.Errorf("%s/%s: %w", k.Profile, k.Design, err)
 		}
-		close(in)
-		wg.Wait()
-		close(results)
-	}()
-
+		return out, nil
+	})
+	if err != nil {
+		return nil, err
+	}
 	got := make(map[RunKey]*RunOutput, len(keys))
-	var firstErr error
-	for j := range results {
-		if j.err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("%s/%s: %w", j.key.Profile, j.key.Design, j.err)
-		}
-		got[j.key] = j.out
-	}
-	if firstErr != nil {
-		return nil, firstErr
+	for i, k := range keys {
+		got[k] = outs[i]
 	}
 	return got, nil
 }

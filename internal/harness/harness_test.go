@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -148,6 +149,34 @@ func TestRunMatrix(t *testing.T) {
 	}
 	if _, err := RunMatrix([]RunKey{{Profile: "nope", Design: "Baseline"}}, quickOpt()); err == nil {
 		t.Fatal("bad profile accepted")
+	}
+}
+
+// TestRunMatrixStopsAtFirstError: with one worker, a failing first key
+// stops the pool before any later key replays, and the error names the
+// failing cell.
+func TestRunMatrixStopsAtFirstError(t *testing.T) {
+	opt := quickOpt()
+	opt.Accesses = 7_001 // a trace length no other test memoizes
+	opt.Workers = 1
+	good := []RunKey{{Profile: "exchange2", Design: "Baseline"}, {Profile: "leela", Design: "BDI"}}
+	keys := append([]RunKey{{Profile: "nope", Design: "Baseline"}}, good...)
+	before := replays.Load()
+	_, err := RunMatrix(keys, opt)
+	if err == nil || !strings.HasPrefix(err.Error(), "nope/Baseline: ") {
+		t.Fatalf("error %v, want one prefixed with the failing cell", err)
+	}
+	if delta := replays.Load() - before; delta != 0 {
+		t.Fatalf("%d replays ran after the first key failed", delta)
+	}
+	// The good keys do replay on their own, so the check above is not
+	// vacuous.
+	before = replays.Load()
+	if _, err := RunMatrix(good, opt); err != nil {
+		t.Fatal(err)
+	}
+	if delta := replays.Load() - before; delta != uint64(len(good)) {
+		t.Fatalf("good keys ran %d replays, want %d", delta, len(good))
 	}
 }
 

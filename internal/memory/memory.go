@@ -12,6 +12,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 
@@ -62,9 +63,9 @@ type LatencyModel interface {
 
 // pageLines is the store's internal page size in cachelines (4 KiB
 // pages). Content is kept as a map of pages rather than a map of lines:
-// replays touch every event's line, so the per-access map probe is the
-// hottest store operation, and one probe per page instead of per line
-// keeps it off the replay profile.
+// program images (workload streams, sim.Record) and replay writebacks
+// probe the map once per access, and one probe per page instead of per
+// line keeps that off the profile.
 const pageLines = 64
 
 // page holds one aligned run of lines plus a presence bitmap (a line
@@ -78,9 +79,10 @@ type page struct {
 	lines   [pageLines]line.Line
 }
 
-// pagePool recycles owned pages across stores. Replays materialize one
-// ~4KiB page per 64 working-set lines and drop them all at Release; the
-// pool turns that churn into reuse. A mutex-guarded stack (not a
+// pagePool recycles owned pages across stores. A store materializes one
+// ~4KiB page per 64 lines it is written — a replay's writebacks, a
+// workload's program image — and drops them all at Release; the pool
+// turns that churn into reuse. A mutex-guarded stack (not a
 // sync.Pool) keeps the behaviour deterministic and testable; the cap
 // bounds idle memory at cap × 4KiB.
 var pagePool struct {
@@ -151,6 +153,11 @@ type Store struct {
 	latency   LatencyModel
 	// demandCycles accumulates modelled latency of demand traffic.
 	demandCycles float64
+	// The fill latch (Stage): while latched, latchAddr's line reads as
+	// latch, ahead of the page image.
+	latched   bool
+	latchAddr line.Addr
+	latch     line.Line
 }
 
 // locate splits addr into its page index and in-page line slot.
@@ -159,9 +166,14 @@ func locate(addr line.Addr) (uint64, uint) {
 	return la / pageLines, uint(la % pageLines)
 }
 
-// get returns the content of addr's line (zero if never written).
+// get returns the content of addr's line: the latched value if addr is
+// the staged line, else the page image (zero if never written).
 func (s *Store) get(addr line.Addr) line.Line {
-	pi, si := locate(addr.LineAddr())
+	addr = addr.LineAddr()
+	if s.latched && addr == s.latchAddr {
+		return s.latch
+	}
+	pi, si := locate(addr)
 	if p := s.pages[pi]; p != nil {
 		return p.lines[si]
 	}
@@ -169,8 +181,14 @@ func (s *Store) get(addr line.Addr) line.Line {
 }
 
 // set stores data at addr's line, materializing its page on first touch.
+// A store to the staged line also updates the latch, so a writeback that
+// lands after Stage is what the next fill returns.
 func (s *Store) set(addr line.Addr, data line.Line) {
-	pi, si := locate(addr.LineAddr())
+	addr = addr.LineAddr()
+	if s.latched && addr == s.latchAddr {
+		s.latch = data
+	}
+	pi, si := locate(addr)
 	p := s.pages[pi]
 	if p == nil {
 		p = getPage()
@@ -239,14 +257,29 @@ func (s *Store) Poke(addr line.Addr, data line.Line) {
 	s.set(addr, data)
 }
 
+// Stage latches data as the content of addr's line until the next Stage,
+// without accounting and without touching the page image: Read and Peek
+// of that line return data, and a Write or Poke to it updates the latch
+// as well as the page. sim.Replay stages each read event's fill value
+// here, so a design's miss path reads the program's current content
+// without the store materializing a page per working-set line; Populated
+// and AppendPages see only the page image.
+//
+//thesaurus:hotpath
+func (s *Store) Stage(addr line.Addr, data line.Line) {
+	s.latched = true
+	s.latchAddr = addr.LineAddr()
+	s.latch = data
+}
+
 // Populated returns the number of distinct lines ever written.
 func (s *Store) Populated() int { return s.populated }
 
-// Reserve pre-sizes the page map for a working set of about n lines.
-// Replays stage every fill value with Poke, so an unsized map is rebuilt
-// and rehashed through a dozen doublings per replay; reserving the known
-// working-set size up front pays the allocation once. Existing content
-// is preserved.
+// Reserve pre-sizes the page map for a working set of about n lines, so
+// a caller that Pokes a known working set pays the map's growth once.
+// sim.Replay does not call it (it stages fills with Stage); the
+// benchmark's per-operation LLC probe, which Pokes fills, does. Existing
+// content is preserved.
 func (s *Store) Reserve(n int) {
 	hint := n / pageLines
 	if hint <= len(s.pages) {
@@ -259,9 +292,10 @@ func (s *Store) Reserve(n int) {
 	s.pages = pages
 }
 
-// Release drops the content pages, keeping the access statistics. Long
-// experiment campaigns call this once a replay is finished and only the
-// counters are still needed; subsequent reads observe zero lines.
+// Release drops the content pages and the fill latch, keeping the access
+// statistics. Long experiment campaigns call this once a replay is
+// finished and only the counters are still needed; subsequent reads
+// observe zero lines.
 //
 // Pages this store allocated return to the package pool for the next
 // replay. Pages it does not own — the slab backing a store decoded from
@@ -287,6 +321,8 @@ func (s *Store) Release() {
 	putPages(recycle)
 	s.pages = make(map[uint64]*page)
 	s.populated = 0
+	s.latched = false
+	s.latch = line.Line{}
 }
 
 // pageBytes is the raw payload size of one serialized page.
@@ -304,6 +340,7 @@ func (s *Store) AppendPages(dst []byte) []byte {
 		pis = append(pis, pi)
 	}
 	sort.Slice(pis, func(i, j int) bool { return pis[i] < pis[j] })
+	dst = slices.Grow(dst, (1+len(pis))*binary.MaxVarintLen64+len(pis)*(8+pageBytes))
 	dst = binary.AppendUvarint(dst, uint64(len(pis)))
 	prev := uint64(0)
 	for _, pi := range pis {

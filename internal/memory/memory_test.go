@@ -69,6 +69,64 @@ func TestLineGranularity(t *testing.T) {
 	}
 }
 
+// TestStageLatch: a staged line reads as its staged data through Read
+// and Peek; a Write or Poke to it updates what reads return; staging
+// leaves Populated and the page image alone; and a second Stage hands
+// the first line back to the page image (zero if it was never written).
+func TestStageLatch(t *testing.T) {
+	s := NewStore()
+	var a, b, w, p, old line.Line
+	a[0], b[0], w[0], p[0], old[0] = 1, 2, 3, 4, 5
+	s.Poke(0x80, old)
+	image := string(s.AppendPages(nil))
+
+	s.Stage(0x47, a) // unaligned: latches line 0x40
+	if got := s.Read(0x40, Fill); got != a {
+		t.Fatal("Read of the staged line missed the latch")
+	}
+	if got := s.Peek(0x7F); got != a {
+		t.Fatal("Peek of the staged line missed the latch")
+	}
+	if s.Populated() != 1 || string(s.AppendPages(nil)) != image {
+		t.Fatal("Stage changed the page image")
+	}
+	if got := s.Peek(0x80); got != old {
+		t.Fatal("Stage changed another line")
+	}
+
+	s.Write(0x40, w, Writeback)
+	if got := s.Read(0x40, Fill); got != w {
+		t.Fatal("Write to the staged line did not update the latch")
+	}
+	s.Poke(0x40, p)
+	if got := s.Peek(0x40); got != p {
+		t.Fatal("Poke to the staged line did not update the latch")
+	}
+
+	s.Stage(0x80, b)
+	if got := s.Peek(0x80); got != b {
+		t.Fatal("second Stage not latched")
+	}
+	if got := s.Peek(0x40); got != p {
+		t.Fatal("first line lost its written value after a second Stage")
+	}
+	s.Stage(0xC0, a)
+	if got := s.Peek(0x80); got != old {
+		t.Fatal("restaged line does not read its page image")
+	}
+	s.Stage(0x100, b)
+	if got := s.Peek(0xC0); !got.IsZero() {
+		t.Fatal("a never-written line reads non-zero after it is unstaged")
+	}
+	if st := s.Stats(); st.Counts[Fill] != 2 || st.Counts[Writeback] != 1 {
+		t.Fatalf("Stage or Peek counted an access: %+v", st)
+	}
+	s.Release()
+	if got := s.Peek(0x100); !got.IsZero() {
+		t.Fatal("Release kept the latch")
+	}
+}
+
 // fillStore populates n lines with distinct content, leaving partial
 // pages at both ends (base is deliberately mid-page).
 func fillStore(s *Store, base line.Addr, n int) {

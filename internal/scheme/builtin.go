@@ -7,6 +7,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/bdi"
@@ -86,6 +87,7 @@ var uncompCodec = &ExtraCodec{
 	},
 	Encode: func(dst []byte, x llc.ExtraSnapshot) []byte {
 		s := x.(*uncomp.Snapshot)
+		dst = slices.Grow(dst, 1+binary.MaxVarintLen64+len(s.Lines)*line.Size)
 		dst = appendBool(dst, s.Lines != nil)
 		dst = appendU(dst, uint64(len(s.Lines)))
 		for i := range s.Lines {

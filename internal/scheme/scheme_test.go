@@ -1,8 +1,9 @@
 // Registry-completeness gate: every registered design must construct by
 // name, report the name it registered under, and — when it releases an
 // Extra snapshot — carry a complete codec whose encode/decode round-trip
-// is the identity. `make registry-check` runs exactly this file; it is
-// part of `make ci` so a half-wired design cannot land.
+// is the identity. `make registry-check` runs these checks and the
+// replay-exactness test (replay_test.go); it is part of `make ci` so a
+// half-wired design cannot land.
 package scheme_test
 
 import (

@@ -38,9 +38,9 @@ type Recorded struct {
 	CoreAccesses uint64
 	L1Hits       uint64
 	L2Hits       uint64
-	// UniqueLines is the number of distinct line addresses in Events;
-	// replays use it to pre-size their backing store (one recording is
-	// replayed into many designs, so the count amortizes).
+	// UniqueLines is the number of distinct line addresses in Events. The
+	// artifact codec stores it and sizes its line pool from it; Replay
+	// does not read it (it stages fills with Store.Stage).
 	UniqueLines int
 }
 

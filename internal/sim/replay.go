@@ -74,15 +74,18 @@ func (r Result) DRAMRate(t Timing) float64 {
 // Replay drives the recorded LLC event stream into c, whose backing store
 // must be st (used to stage fill values and read DRAM counters). It
 // returns the design's metrics over the post-warmup window.
+//
+// Each read event's fill value is staged with st.Stage, not written into
+// st's page image: a design reads the store only on its own read-miss
+// path, for the line the event just staged, so replay builds no DRAM
+// image of the recording's working set. st's pages hold only what the
+// design writes back.
 func Replay(c llc.Cache, rec *Recorded, st *memory.Store, sys SystemConfig, opt ReplayOptions) (Result, error) {
 	if opt.SampleEvery <= 0 {
 		opt.SampleEvery = 2048
 	}
 	warmup := int(opt.WarmupFraction * float64(len(rec.Events)))
 	res := Result{Design: c.Name()}
-	// Fill staging Pokes every event's line into st; size the map for the
-	// recording's working set once instead of rehashing it up per replay.
-	st.Reserve(rec.UniqueLines)
 
 	var ratioSum, occSum, residentSum float64
 	var measuredInstr uint64
@@ -107,7 +110,7 @@ func Replay(c llc.Cache, rec *Recorded, st *memory.Store, sys SystemConfig, opt 
 		case EventRead:
 			// Stage the fill value: the store must serve the program's
 			// current content if the read misses.
-			st.Poke(ev.Addr, ev.Data)
+			st.Stage(ev.Addr, ev.Data)
 			got, _ := c.Read(ev.Addr)
 			if opt.Verify && got != ev.Data {
 				return res, fmt.Errorf("sim: %s returned wrong data for %#x at event %d",
