@@ -52,9 +52,11 @@ lint-fix-check:
 # snapshot through its codec hook — a half-wired scheme fails here, not
 # in a stale artifact cache. Every design must also replay exactly:
 # fills staged with Store.Stage match fills written with Poke read by
-# read, and sim.Replay with Verify on returns every recorded value.
+# read, and sim.Replay with Verify on returns every recorded value. And
+# a design built from the arrays a released instance parked must replay
+# exactly like one built from fresh allocations.
 registry-check:
-	$(GO) test -run 'TestRegistryOrderAndHarnessAgreement|TestEverySchemeIsComplete|TestEverySchemeReplaysExactly' ./internal/scheme
+	$(GO) test -run 'TestRegistryOrderAndHarnessAgreement|TestEverySchemeIsComplete|TestEverySchemeReplaysExactly|TestRecycledSchemesMatchFresh' ./internal/scheme
 
 build:
 	$(GO) build ./...
@@ -66,12 +68,14 @@ test:
 # the experiments package; -race over their tests catches data races in
 # the parallel campaign paths — including the per-worker scratch arenas
 # the Thesaurus/BΔI caches carry, the singleflight run coalescing, and
-# the pooled base-table release lifecycle (docs/performance.md). Short
-# trace lengths keep this a smoke pass, not a full campaign. netq, the
-# distributed-campaign queue, is goroutine-heavy too: leases, heartbeats,
-# reconnects (docs/distribution.md).
+# the release lifecycle's pools (docs/performance.md): the pooled base
+# tables, and the cache.Pool free lists every design parks its arrays in,
+# which concurrent workers share. Short trace lengths keep this a smoke
+# pass, not a full campaign. netq, the distributed-campaign queue, is
+# goroutine-heavy too: leases, heartbeats, reconnects
+# (docs/distribution.md).
 race:
-	$(GO) test -race -count=1 ./internal/harness ./internal/experiments ./internal/thesaurus ./internal/netq
+	$(GO) test -race -count=1 ./internal/harness ./internal/experiments ./internal/thesaurus ./internal/netq ./internal/cache
 
 # Compile-and-run the micro-benchmarks once: catches benchmarks broken by
 # API changes without paying full measurement time. The figure benchmarks

@@ -16,6 +16,7 @@ import (
 	"repro/internal/lsh"
 	"repro/internal/memory"
 	"repro/internal/netq"
+	"repro/internal/scheme"
 	"repro/internal/thesaurus"
 )
 
@@ -268,16 +269,33 @@ func measureBench() ([]benchEntry, error) {
 	})
 
 	// --- construction and release lifecycle ---
-	// Sweeps and ablations build one cache per configuration point; with
-	// the release lifecycle the base table comes back from the per-size
-	// pool, so steady-state construction is an epoch bump instead of a
-	// multi-megabyte make-and-zero.
+	// Campaigns, sweeps and ablations build one cache per cell; with the
+	// release lifecycle the bulk arrays come back from the design pools,
+	// so steady-state construction is a reset of recycled arrays (an
+	// epoch bump for the base table) instead of a multi-megabyte
+	// make-and-zero.
 	add("thesaurus_new_release", classLifecycle, 0, func(b *testing.B) {
 		cfg := thesaurus.DefaultConfig()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			c := thesaurus.MustNew(cfg, memory.NewStore())
 			c.Release()
+		}
+	})
+	// One op is a Build and Release of every registered design. Each
+	// design cycles b.N times before the next starts, as the design-major
+	// fig13 matrix builds them.
+	add("all_designs_build_release", classLifecycle, 0, func(b *testing.B) {
+		mem := memory.NewStore()
+		b.ReportAllocs()
+		for _, name := range scheme.Names() {
+			for i := 0; i < b.N; i++ {
+				c, err := scheme.Build(name, mem)
+				if err != nil {
+					b.Fatal(err)
+				}
+				c.Release()
+			}
 		}
 	})
 	add("basetable_pooled_cycle_2p20", classHotPath, 0, func(b *testing.B) {

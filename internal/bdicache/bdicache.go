@@ -88,6 +88,10 @@ type Cache struct {
 
 var _ llc.Cache = (*Cache)(nil)
 
+// tagPool parks released tag arrays for the next cache of the same
+// geometry (docs/performance.md, "The release lifecycle").
+var tagPool = cache.NewArrayPool[tagPayload]()
+
 // New builds a BΔI LLC over mem.
 func New(cfg Config, mem *memory.Store) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
@@ -95,7 +99,7 @@ func New(cfg Config, mem *memory.Store) (*Cache, error) {
 	}
 	c := &Cache{
 		cfg: cfg,
-		tags: cache.New[tagPayload](cache.Config{
+		tags: tagPool.New(cache.Config{
 			Entries: cfg.Sets * cfg.TagWays, Ways: cfg.TagWays, Policy: "plru",
 		}),
 		usedSegs: make([]int, cfg.Sets),
@@ -291,14 +295,15 @@ func (s *Snapshot) Clone() llc.ExtraSnapshot {
 	return cp
 }
 
-// Release implements llc.Cache: it extracts the statistics snapshot and
-// frees the tag array and the recycled delta buffers. The cache must not
-// be used afterwards.
+// Release implements llc.Cache: it extracts the statistics snapshot,
+// parks the tag array for the next cache of the same geometry and frees
+// the recycled delta buffers. The cache must not be used afterwards.
 func (c *Cache) Release() llc.StatsSnapshot {
 	if c.tags == nil {
 		panic("bdicache: Release called twice")
 	}
 	snap := (&Snapshot{Extra: c.extra}).Clone()
+	tagPool.Put(c.tags)
 	c.tags = nil
 	c.usedSegs = nil
 	c.deltaPool = nil

@@ -41,7 +41,7 @@ func (c Config) Validate() error {
 	if c.Entries <= 0 || c.Entries%c.Ways != 0 {
 		return fmt.Errorf("cache: entries %d not a positive multiple of ways %d", c.Entries, c.Ways)
 	}
-	return nil
+	return plru.Check(c.Policy, c.Ways)
 }
 
 // Sets returns the number of sets.
@@ -76,9 +76,12 @@ type Array[P any] struct {
 	cfg     Config
 	sets    int
 	entries []Entry[P] // sets × ways, row-major
-	policy  []plru.Policy
-	stats   Stats
-	valid   int // entries with Valid set (CountValid)
+	// Replacement state, flat: one word of tree bits per set for "plru",
+	// or the sets × ways recency order (MRU first) for "lru".
+	tree  []uint64
+	order []uint8
+	stats Stats
+	valid int // entries with Valid set (CountValid)
 }
 
 // New builds an Array from cfg, panicking on invalid configuration (all
@@ -87,16 +90,45 @@ func New[P any](cfg Config) *Array[P] {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	a := &Array[P]{
-		cfg:     cfg,
-		sets:    cfg.Sets(),
-		entries: make([]Entry[P], cfg.Entries),
-		policy:  make([]plru.Policy, cfg.Sets()),
-	}
-	for i := range a.policy {
-		a.policy[i] = plru.NewPolicy(cfg.Policy, cfg.Ways)
+	a := &Array[P]{cfg: cfg, sets: cfg.Sets(), entries: make([]Entry[P], cfg.Entries)}
+	if cfg.Policy == "lru" {
+		a.order = make([]uint8, cfg.Entries)
+		for s := 0; s < a.sets; s++ {
+			plru.InitLRU(a.order[s*cfg.Ways : (s+1)*cfg.Ways])
+		}
+	} else {
+		a.tree = make([]uint64, a.sets)
 	}
 	return a
+}
+
+// reset returns the array to the state New leaves it in: every entry
+// zeroed, the replacement state fresh, the counters zero.
+func (a *Array[P]) reset() {
+	clear(a.entries)
+	clear(a.tree)
+	for s := 0; s < len(a.order); s += a.cfg.Ways {
+		plru.InitLRU(a.order[s : s+a.cfg.Ways])
+	}
+	a.stats = Stats{}
+	a.valid = 0
+}
+
+// touch marks way as the most recently used of its set.
+func (a *Array[P]) touch(set, way int) {
+	if a.order != nil {
+		plru.LRUTouch(a.order[set*a.cfg.Ways:(set+1)*a.cfg.Ways], way)
+		return
+	}
+	plru.TreeTouch(&a.tree[set], a.cfg.Ways, way)
+}
+
+// victim returns the way the replacement policy evicts next from set.
+func (a *Array[P]) victim(set int) int {
+	if a.order != nil {
+		return plru.LRUVictim(a.order[set*a.cfg.Ways : (set+1)*a.cfg.Ways])
+	}
+	return plru.TreeVictim(a.tree[set], a.cfg.Ways)
 }
 
 // Config returns the array configuration.
@@ -141,7 +173,7 @@ func (a *Array[P]) Lookup(addr line.Addr) (*Entry[P], int) {
 		return nil, -1
 	}
 	a.stats.Hits++
-	a.policy[set].Touch(way)
+	a.touch(set, way)
 	return &a.entries[a.index(set, way)], a.index(set, way)
 }
 
@@ -175,7 +207,7 @@ func (a *Array[P]) Insert(addr line.Addr) (e *Entry[P], idx int, evicted Entry[P
 		}
 	}
 	if victim < 0 {
-		victim = a.policy[set].Victim()
+		victim = a.victim(set)
 		evicted = a.entries[base+victim]
 		hadEviction = true
 		a.stats.Evictions++
@@ -185,7 +217,7 @@ func (a *Array[P]) Insert(addr line.Addr) (e *Entry[P], idx int, evicted Entry[P
 	idx = a.index(set, victim)
 	var zero P
 	a.entries[idx] = Entry[P]{Addr: addr, Valid: true, Payload: zero}
-	a.policy[set].Touch(victim)
+	a.touch(set, victim)
 	return &a.entries[idx], idx, evicted, hadEviction
 }
 
@@ -200,7 +232,7 @@ func (a *Array[P]) VictimPeek(addr line.Addr) Entry[P] {
 			return Entry[P]{}
 		}
 	}
-	return a.entries[base+a.policy[set].Victim()]
+	return a.entries[base+a.victim(set)]
 }
 
 // PolicyVictimIndex returns the stable index of the entry the replacement
@@ -215,7 +247,7 @@ func (a *Array[P]) PolicyVictimIndex(addr line.Addr) int {
 			return -1
 		}
 	}
-	return a.index(set, a.policy[set].Victim())
+	return a.index(set, a.victim(set))
 }
 
 // ValidVictimIndex returns the stable index of a valid entry to evict
@@ -227,7 +259,7 @@ func (a *Array[P]) ValidVictimIndex(addr line.Addr) int {
 	addr = addr.LineAddr()
 	set := a.setOf(addr)
 	base := set * a.cfg.Ways
-	w := a.policy[set].Victim()
+	w := a.victim(set)
 	if e := &a.entries[base+w]; e.Valid && e.Addr != addr {
 		return a.index(set, w)
 	}

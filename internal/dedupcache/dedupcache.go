@@ -85,11 +85,9 @@ type ExtraStats struct {
 
 // Cache is a Dedup LLC.
 type Cache struct {
-	cfg   Config
-	tags  *cache.Array[tagPayload]
-	data  []dataEntry
-	free  []int
-	table []hashSlot
+	cfg  Config
+	tags *cache.Array[tagPayload]
+	dataArrays
 	clock int
 	mem   *memory.Store
 
@@ -99,25 +97,53 @@ type Cache struct {
 
 var _ llc.Cache = (*Cache)(nil)
 
+// dataArrays is a cache's data, free-list and hash-table storage, parked
+// in arrayPool by geometry when the cache is released.
+type dataArrays struct {
+	data  []dataEntry
+	free  []int
+	table []hashSlot
+}
+
+// dataGeom keys arrayPool.
+type dataGeom struct{ dataEntries, hashEntries int }
+
+// Pools of released bulk state, keyed by geometry (docs/performance.md,
+// "The release lifecycle").
+var (
+	tagPool   = cache.NewArrayPool[tagPayload]()
+	arrayPool = cache.NewPool[dataGeom, dataArrays]()
+)
+
 // New builds a Dedup LLC over mem.
 func New(cfg Config, mem *memory.Store) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	c := &Cache{
+	a, ok := arrayPool.Get(dataGeom{cfg.DataEntries, cfg.HashEntries})
+	if ok {
+		clear(a.data)
+		clear(a.table)
+		a.free = a.free[:cfg.DataEntries]
+	} else {
+		a = dataArrays{
+			data:  make([]dataEntry, cfg.DataEntries),
+			free:  make([]int, cfg.DataEntries),
+			table: make([]hashSlot, cfg.HashEntries),
+		}
+	}
+	// Blocks are handed out in ascending index order.
+	for i := range a.free {
+		a.free[i] = cfg.DataEntries - 1 - i
+	}
+	return &Cache{
 		cfg: cfg,
-		tags: cache.New[tagPayload](cache.Config{
+		tags: tagPool.New(cache.Config{
 			Entries: cfg.TagEntries, Ways: cfg.TagWays, Policy: "plru",
 		}),
-		data:  make([]dataEntry, cfg.DataEntries),
-		table: make([]hashSlot, cfg.HashEntries),
-		mem:   mem,
-	}
-	c.free = make([]int, cfg.DataEntries)
-	for i := range c.free {
-		c.free[i] = cfg.DataEntries - 1 - i
-	}
-	return c, nil
+		dataArrays: a,
+		mem:        mem,
+	}, nil
 }
 
 // MustNew is New but panics on error.
@@ -385,16 +411,16 @@ func (s *Snapshot) Clone() llc.ExtraSnapshot {
 }
 
 // Release implements llc.Cache: it extracts the statistics snapshot and
-// frees the tag, data, and hash arrays. The cache must not be used
-// afterwards.
+// parks the tag, data, free-list and hash arrays for the next cache of
+// the same geometry. The cache must not be used afterwards.
 func (c *Cache) Release() llc.StatsSnapshot {
 	if c.tags == nil {
 		panic("dedupcache: Release called twice")
 	}
+	tagPool.Put(c.tags)
+	arrayPool.Put(dataGeom{c.cfg.DataEntries, c.cfg.HashEntries}, c.dataArrays)
 	c.tags = nil
-	c.data = nil
-	c.free = nil
-	c.table = nil
+	c.dataArrays = dataArrays{}
 	return llc.StatsSnapshot{Design: c.Name(), Stats: c.stats, Extra: &Snapshot{Extra: c.extra}}
 }
 

@@ -111,6 +111,10 @@ type Cache struct {
 
 var _ llc.Cache = (*Cache)(nil)
 
+// tagPool parks released tag arrays for the next cache of the same
+// geometry (docs/performance.md, "The release lifecycle").
+var tagPool = cache.NewArrayPool[tagPayload]()
+
 // New builds a DISH LLC over mem.
 func New(cfg Config, mem *memory.Store) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
@@ -118,7 +122,7 @@ func New(cfg Config, mem *memory.Store) (*Cache, error) {
 	}
 	return &Cache{
 		cfg: cfg,
-		tags: cache.New[tagPayload](cache.Config{
+		tags: tagPool.New(cache.Config{
 			Entries: cfg.Sets * cfg.TagWays, Ways: cfg.TagWays, Policy: "plru",
 		}),
 		usedSegs: make([]int, cfg.Sets),
@@ -347,12 +351,14 @@ func (s *Snapshot) Clone() llc.ExtraSnapshot {
 }
 
 // Release implements llc.Cache: it extracts the statistics snapshot and
-// frees the tag array. The cache must not be used afterwards.
+// parks the tag array for the next cache of the same geometry. The cache
+// must not be used afterwards.
 func (c *Cache) Release() llc.StatsSnapshot {
 	if c.tags == nil {
 		panic("dish: Release called twice")
 	}
 	snap := &Snapshot{Extra: c.extra}
+	tagPool.Put(c.tags)
 	c.tags = nil
 	c.usedSegs = nil
 	return llc.StatsSnapshot{Design: c.Name(), Stats: c.stats, Extra: snap}

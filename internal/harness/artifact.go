@@ -83,12 +83,11 @@ func recordOrLoad(name string, accesses int) (*sim.Recorded, error) {
 }
 
 // effectiveThesaurusConfig resolves the configuration a Thesaurus run
-// will actually execute with — the same normalization runOnce applies
-// (nil means paper defaults; DiffSeriesWindow 0 means the Fig. 19
-// default window). The run-level content key must hash the effective
-// configuration, not the requested one, or equivalent runs would key
-// differently. Returns nil for non-Thesaurus designs: their runs don't
-// read the configuration at all.
+// executes with: nil means paper defaults, and DiffSeriesWindow 0 means
+// the Fig. 19 default window. runOnce builds the cache from it and the
+// run-level content key hashes it, so equivalent runs key alike and a
+// run cannot drift from its key. Returns nil for non-Thesaurus designs:
+// their runs don't read the configuration at all.
 func effectiveThesaurusConfig(design string, opt RunOptions) *thesaurus.Config {
 	if design != "Thesaurus" {
 		return nil

@@ -191,8 +191,8 @@ func run(profile, design string, opt RunOptions, lines bool) (*RunOutput, error)
 	// at full scale they would pin hundreds of results in memory that are
 	// read exactly once. The exception is a sweep point equal to the
 	// paper-default configuration — every ablation includes one — which
-	// shares the default design's memo entry (the config normalization in
-	// runOnce makes the runs identical), so a campaign pays for the
+	// shares the default design's memo entry (effectiveThesaurusConfig
+	// makes the runs identical), so a campaign pays for the
 	// default Thesaurus run once rather than per sweep. A caller-provided
 	// OnSample hook also disables memoization: the hook must observe its
 	// own replay, and the memo key cannot encode a function.
@@ -234,16 +234,9 @@ func runOnce(profile, design string, opt RunOptions, sample, lines bool) (*RunOu
 	}
 	var c llc.Cache
 	var st *memory.Store
-	if design == "Thesaurus" {
-		cfg := thesaurus.DefaultConfig()
-		if opt.Thesaurus != nil {
-			cfg = *opt.Thesaurus
-		}
-		if cfg.DiffSeriesWindow == 0 {
-			cfg.DiffSeriesWindow = 512
-		}
+	if cfg := effectiveThesaurusConfig(design, opt); cfg != nil {
 		st = memory.NewStore()
-		c, err = thesaurus.New(cfg, st)
+		c, err = thesaurus.New(*cfg, st)
 	} else {
 		c, st, err = BuildLLC(design)
 	}

@@ -45,18 +45,12 @@ type tagState struct {
 type Cache struct {
 	cfg   Config
 	tags  *cache.Array[int32]
-	lines []line.Line // contents by tag index
-	state []tagState  // search state by tag index
-	valid []uint64    // bitset of valid tags, for the random probes
 	used  int
 	clock int
 	mem   *memory.Store
 	rng   *xrand.Rand
 
-	// words maps a word to stamped tag references, gen<<idBits | tag
-	// (lazily cleaned: a reference whose tag no longer holds the word
-	// leaves its list only when a scan reaches it).
-	words  wordTable
+	tagArrays
 	idBits uint
 	idMask uint64
 
@@ -64,35 +58,67 @@ type Cache struct {
 	// computed once and shared by cost, store and indexLine.
 	slots [line.WordsPerLine]int
 	sig   signature
-	// queue lists the tags the current search has queued for a diff, and
-	// queued marks them in a bitset that is all zero between searches.
-	queue  []int
-	queued []uint64
+	// queue lists the tags the current search has queued for a diff.
+	queue []int
 
 	stats llc.Stats
 }
+
+// tagArrays is the per-tag bulk state beside the tag array, parked in
+// arrayPool by tag count when a cache is released.
+type tagArrays struct {
+	lines []line.Line // contents by tag index
+	state []tagState  // search state by tag index
+	valid []uint64    // bitset of valid tags, for the random probes
+	// queued marks the tags in the current search's queue, a bitset that
+	// is all zero between searches.
+	queued []uint64
+	// words maps a word to stamped tag references, gen<<idBits | tag
+	// (lazily cleaned: a reference whose tag no longer holds the word
+	// leaves its list only when a scan reaches it).
+	words wordTable
+}
+
+// Pools of released bulk state, keyed by geometry (docs/performance.md,
+// "The release lifecycle").
+var (
+	tagPool   = cache.NewArrayPool[int32]()
+	arrayPool = cache.NewPool[int, tagArrays]()
+)
 
 var _ llc.Cache = (*Cache)(nil)
 
 // New builds the ideal cache over mem.
 func New(cfg Config, mem *memory.Store) *Cache {
 	idBits := uint(bits.Len(uint(cfg.TagEntries - 1)))
+	arrays, ok := arrayPool.Get(cfg.TagEntries)
+	if ok {
+		clear(arrays.lines)
+		clear(arrays.state)
+		clear(arrays.valid)
+		clear(arrays.queued)
+		arrays.words.reset()
+	} else {
+		arrays = tagArrays{
+			lines:  make([]line.Line, cfg.TagEntries),
+			state:  make([]tagState, cfg.TagEntries),
+			valid:  make([]uint64, (cfg.TagEntries+63)/64),
+			queued: make([]uint64, (cfg.TagEntries+63)/64),
+		}
+	}
 	return &Cache{
 		cfg: cfg,
-		tags: cache.New[int32](cache.Config{
+		tags: tagPool.New(cache.Config{
 			Entries: cfg.TagEntries, Ways: cfg.TagWays, Policy: "plru",
 		}),
-		lines:  make([]line.Line, cfg.TagEntries),
-		state:  make([]tagState, cfg.TagEntries),
-		valid:  make([]uint64, (cfg.TagEntries+63)/64),
-		mem:    mem,
-		rng:    xrand.New(cfg.Seed),
-		idBits: idBits,
-		idMask: 1<<idBits - 1,
+		tagArrays: arrays,
+		mem:       mem,
+		rng:       xrand.New(cfg.Seed),
+		idBits:    idBits,
+		idMask:    1<<idBits - 1,
 		// At most maxCandidates+1 visits, one more per later word once
 		// the scan has broken off, and the random probes.
-		queue:  make([]int, 0, maxCandidates+line.WordsPerLine+randomProbes),
-		queued: make([]uint64, (cfg.TagEntries+63)/64),
+		queue: make([]int, 0, maxCandidates+line.WordsPerLine+randomProbes),
 	}
 }
 
@@ -367,14 +393,16 @@ func (c *Cache) Footprint() llc.Footprint {
 
 // Release implements llc.Cache: the ideal model keeps no post-run extras,
 // so the snapshot carries only the common statistics. The tag array, the
-// line and search state, and the candidate index are freed; the cache
-// must not be used afterwards.
+// line and search state, and the candidate index are parked for the next
+// cache of the same geometry; the cache must not be used afterwards.
 func (c *Cache) Release() llc.StatsSnapshot {
 	if c.tags == nil {
 		panic("ideal: Release called twice")
 	}
+	tagPool.Put(c.tags)
+	arrayPool.Put(c.cfg.TagEntries, c.tagArrays)
 	c.tags = nil
-	c.lines, c.state, c.valid, c.queued, c.queue = nil, nil, nil, nil, nil
-	c.words = wordTable{}
+	c.tagArrays = tagArrays{}
+	c.queue = nil
 	return llc.StatsSnapshot{Design: c.Name(), Stats: c.stats}
 }

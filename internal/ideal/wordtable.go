@@ -41,6 +41,15 @@ type wordSlot struct {
 // zeroed allocation up front.
 const wordTableMinBits = 10
 
+// reset empties the table for a recycled cache, keeping its grown slot
+// count and arena capacity. Lookups never depend on the slot count, so a
+// reset table answers every query as a fresh one does.
+func (t *wordTable) reset() {
+	clear(t.slots)
+	t.refs = t.refs[:0]
+	t.used = 0
+}
+
 // home returns the first slot of w's probe sequence: the top bits of a
 // multiply after folding the high half down, so words that differ only
 // in their high bits (floating-point exponents, pointer tags) still

@@ -1,71 +1,63 @@
 // Package plru implements the replacement-policy state machines used by
 // the cache models: tree-based pseudo-LRU (what the paper uses for the
 // LLC tag array and the base cache) and true LRU (used for L1/L2 per
-// Table 1).
+// Table 1). The state lives in flat arrays owned by the caller — one
+// uint64 of tree bits per set, or one recency order of ways per set — and
+// these functions update it, so a cache holds no per-set objects and a
+// cleared array is the fresh state.
 package plru
 
-// Policy selects a victim way within a set and is notified on each touch.
-// Implementations are per-set.
-type Policy interface {
-	// Touch marks way as most recently used.
-	Touch(way int)
-	// Victim returns the way to evict next without modifying state.
-	Victim() int
-	// Ways returns the associativity this policy was built for.
-	Ways() int
-}
+import "fmt"
 
-// Tree is a tree-based pseudo-LRU policy over a power-of-two number of
-// ways. Each internal node of a binary tree holds one bit that points
-// toward the less recently used half; following the bits from the root
-// yields the pseudo-LRU victim.
-type Tree struct {
-	bits uint64 // node i's bit at position i, root at 1 (heap layout)
-	ways int
-}
-
-// NewTree returns a tree PLRU for the given associativity, which must be a
-// power of two between 1 and 64.
-func NewTree(ways int) *Tree {
-	if ways <= 0 || ways > 64 || ways&(ways-1) != 0 {
-		panic("plru: tree PLRU requires power-of-two ways in [1,64]")
+// Check reports whether policy ("lru" or "plru") can manage sets of the
+// given associativity: tree PLRU needs a power of two between 1 and 64,
+// and the uint8 recency order of LRU at most 256 ways.
+func Check(policy string, ways int) error {
+	switch policy {
+	case "plru":
+		if ways <= 0 || ways > 64 || ways&(ways-1) != 0 {
+			return fmt.Errorf("plru: tree PLRU requires power-of-two ways in [1,64], got %d", ways)
+		}
+	case "lru":
+		if ways <= 0 || ways > 256 {
+			return fmt.Errorf("plru: LRU requires ways in [1,256], got %d", ways)
+		}
+	default:
+		return fmt.Errorf("plru: unknown policy %q", policy)
 	}
-	return &Tree{ways: ways}
+	return nil
 }
 
-// Ways returns the associativity.
-func (t *Tree) Ways() int { return t.ways }
-
-// Touch marks way as most recently used: every node on the root-to-leaf
-// path is pointed away from the touched leaf.
-func (t *Tree) Touch(way int) {
-	if way < 0 || way >= t.ways {
+// TreeTouch marks way as most recently used in a set's tree bits: every
+// node on the root-to-leaf path is pointed away from the touched leaf.
+// Node i's bit sits at position i, root at 1 (heap layout); a set bit
+// means the victim lies in the right half. Zero bits are the fresh state.
+func TreeTouch(bits *uint64, ways, way int) {
+	if uint(way) >= uint(ways) {
 		panic("plru: Touch way out of range")
 	}
 	node := 1
-	for span := t.ways; span > 1; span /= 2 {
+	for span := ways; span > 1; span /= 2 {
 		half := span / 2
 		if way < half {
-			// Touched left: point node right (bit=1 means "victim right"?
-			// we define bit=0 -> victim left, so set bit to 1).
-			t.bits |= 1 << uint(node)
+			*bits |= 1 << uint(node)
 			node = node * 2
 		} else {
-			t.bits &^= 1 << uint(node)
+			*bits &^= 1 << uint(node)
 			node = node*2 + 1
 			way -= half
 		}
 	}
 }
 
-// Victim walks the tree toward the pseudo-least-recently-used leaf.
-func (t *Tree) Victim() int {
+// TreeVictim walks a set's tree bits toward the pseudo-least-recently-
+// used leaf.
+func TreeVictim(bits uint64, ways int) int {
 	node := 1
 	way := 0
-	for span := t.ways; span > 1; span /= 2 {
+	for span := ways; span > 1; span /= 2 {
 		half := span / 2
-		if t.bits&(1<<uint(node)) == 0 {
-			// bit=0: victim on the left.
+		if bits&(1<<uint(node)) == 0 {
 			node = node * 2
 		} else {
 			node = node*2 + 1
@@ -75,53 +67,26 @@ func (t *Tree) Victim() int {
 	return way
 }
 
-// LRU is an exact least-recently-used policy using a recency ordering.
-type LRU struct {
-	order []int // order[0] is MRU, order[len-1] is LRU
-	pos   []int // pos[way] = index in order
+// InitLRU writes the fresh recency order of one set: order[0] is the
+// most recently used way, so way len(order)-1 is the first victim.
+func InitLRU(order []uint8) {
+	for i := range order {
+		order[i] = uint8(i)
+	}
 }
 
-// NewLRU returns an exact LRU policy for the given associativity.
-func NewLRU(ways int) *LRU {
-	if ways <= 0 {
-		panic("plru: non-positive ways")
-	}
-	l := &LRU{order: make([]int, ways), pos: make([]int, ways)}
-	for i := 0; i < ways; i++ {
-		l.order[i] = i
-		l.pos[i] = i
-	}
-	return l
-}
-
-// Ways returns the associativity.
-func (l *LRU) Ways() int { return len(l.order) }
-
-// Touch moves way to the MRU position.
-func (l *LRU) Touch(way int) {
-	if way < 0 || way >= len(l.order) {
+// LRUTouch moves way to the front of a set's recency order.
+func LRUTouch(order []uint8, way int) {
+	if uint(way) >= uint(len(order)) {
 		panic("plru: Touch way out of range")
 	}
-	p := l.pos[way]
-	copy(l.order[1:p+1], l.order[:p])
-	l.order[0] = way
-	for i := 0; i <= p; i++ {
-		l.pos[l.order[i]] = i
+	p := 0
+	for int(order[p]) != way {
+		p++
 	}
+	copy(order[1:p+1], order[:p])
+	order[0] = uint8(way)
 }
 
-// Victim returns the LRU way.
-func (l *LRU) Victim() int { return l.order[len(l.order)-1] }
-
-// NewPolicy constructs a policy by name: "lru" or "plru". Unknown names
-// panic; the set of policies is closed within this repository.
-func NewPolicy(kind string, ways int) Policy {
-	switch kind {
-	case "lru":
-		return NewLRU(ways)
-	case "plru":
-		return NewTree(ways)
-	default:
-		panic("plru: unknown policy " + kind)
-	}
-}
+// LRUVictim returns the least recently used way of a set.
+func LRUVictim(order []uint8) int { return int(order[len(order)-1]) }

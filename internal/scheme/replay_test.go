@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/dram"
 	"repro/internal/line"
 	"repro/internal/llc"
@@ -84,6 +85,99 @@ func newReplayInstance(t *testing.T, design string) replayInstance {
 	return replayInstance{c: c, st: st}
 }
 
+// fillFunc stages a read event's line in a store before the read.
+type fillFunc func(st *memory.Store, addr line.Addr, data line.Line)
+
+func poke(st *memory.Store, addr line.Addr, data line.Line)  { st.Poke(addr, data) }
+func stage(st *memory.Store, addr line.Addr, data line.Line) { st.Stage(addr, data) }
+
+// footprintEvery is the event interval at which lockstep compares
+// footprints and checks invariants.
+const footprintEvery = 2048
+
+// lockstep replays rec into a and b side by side, filling each read
+// through its side's fill function. It fails on the first read whose
+// data or hit flag differs, the first write whose result differs, and
+// any footprint that differs (compared every footprintEvery events and at
+// the end), and checks both designs' invariants where they have them. It
+// returns the number of reads that returned other data than their event.
+func lockstep(t *testing.T, where string, rec *sim.Recorded, a, b replayInstance, fillA, fillB fillFunc) int {
+	t.Helper()
+	overridden := 0
+	for i := range rec.Events {
+		ev := &rec.Events[i]
+		if ev.Kind == sim.EventWrite {
+			if x, y := a.c.Write(ev.Addr, ev.Data), b.c.Write(ev.Addr, ev.Data); x != y {
+				t.Fatalf("%s event %d: write hit %v vs %v", where, i, x, y)
+			}
+		} else {
+			fillA(a.st, ev.Addr, ev.Data)
+			fillB(b.st, ev.Addr, ev.Data)
+			ad, ah := a.c.Read(ev.Addr)
+			bd, bh := b.c.Read(ev.Addr)
+			if ad != bd || ah != bh {
+				t.Fatalf("%s event %d: reads (hit %v) and (hit %v) return different data", where, i, ah, bh)
+			}
+			if bd != ev.Data {
+				overridden++
+			}
+		}
+		if (i+1)%footprintEvery == 0 || i == len(rec.Events)-1 {
+			if x, y := a.c.Footprint(), b.c.Footprint(); x != y {
+				t.Fatalf("%s event %d: footprint %+v vs %+v", where, i, x, y)
+			}
+			checkInvariants(t, fmt.Sprintf("%s event %d", where, i), a.c, b.c)
+		}
+	}
+	return overridden
+}
+
+// checkInvariants runs CheckInvariants on each cache whose design has
+// one.
+func checkInvariants(t *testing.T, where string, cs ...llc.Cache) {
+	t.Helper()
+	for _, c := range cs {
+		if ic, ok := c.(interface{ CheckInvariants() error }); ok {
+			if err := ic.CheckInvariants(); err != nil {
+				t.Fatalf("%s: %v", where, err)
+			}
+		}
+	}
+}
+
+// releaseAndCompare fails unless a and b agree on cache statistics,
+// store statistics, modelled DRAM cycles and release snapshots (their
+// extras through the registered codec's Equal). It releases both.
+func releaseAndCompare(t *testing.T, where string, a, b replayInstance) {
+	t.Helper()
+	if x, y := a.c.Stats(), b.c.Stats(); x != y {
+		t.Fatalf("%s: cache stats %+v vs %+v", where, x, y)
+	}
+	if x, y := a.st.Stats(), b.st.Stats(); x != y {
+		t.Fatalf("%s: store stats %+v vs %+v", where, x, y)
+	}
+	ac, _ := a.st.DemandCycles()
+	bc, _ := b.st.DemandCycles()
+	if ac != bc {
+		t.Fatalf("%s: DRAM cycles %v vs %v", where, ac, bc)
+	}
+	as, bs := a.c.Release(), b.c.Release()
+	if as.Design != bs.Design || as.Stats != bs.Stats {
+		t.Fatalf("%s: release snapshots differ: %+v vs %+v", where, as, bs)
+	}
+	if (as.Extra == nil) != (bs.Extra == nil) {
+		t.Fatalf("%s: one release snapshot has no Extra", where)
+	}
+	if as.Extra != nil {
+		codec, ok := scheme.CodecFor(as.Extra)
+		if !ok || !codec.Equal(as.Extra, bs.Extra) {
+			t.Fatalf("%s: release snapshot extras differ", where)
+		}
+	}
+	a.st.Release()
+	b.st.Release()
+}
+
 // TestEverySchemeReplaysExactly: for every registered design, staging
 // each read event's fill with Store.Stage (what sim.Replay does) is
 // indistinguishable from writing it into the page image with Poke. Two
@@ -99,58 +193,14 @@ func TestEverySchemeReplaysExactly(t *testing.T) {
 			rec, where, recorded := sr.rec, design+"/"+sr.name, sr.recorded
 			poked := newReplayInstance(t, design)
 			staged := newReplayInstance(t, design)
-			overridden := 0 // reads returning other data than the staged value
-			for i := range rec.Events {
-				ev := &rec.Events[i]
-				if ev.Kind == sim.EventWrite {
-					if p, s := poked.c.Write(ev.Addr, ev.Data), staged.c.Write(ev.Addr, ev.Data); p != s {
-						t.Fatalf("%s event %d: write hit %v (Poke) vs %v (Stage)", where, i, p, s)
-					}
-					continue
-				}
-				poked.st.Poke(ev.Addr, ev.Data)
-				staged.st.Stage(ev.Addr, ev.Data)
-				pd, ph := poked.c.Read(ev.Addr)
-				sd, sh := staged.c.Read(ev.Addr)
-				if pd != sd || ph != sh {
-					t.Fatalf("%s event %d: reads (hit %v, Poke) and (hit %v, Stage) return different data", where, i, ph, sh)
-				}
-				if sd != ev.Data {
-					overridden++
-				}
-			}
+			overridden := lockstep(t, where+" (Poke vs Stage)", rec, poked, staged, poke, stage)
 			if recorded && overridden > 0 {
 				t.Fatalf("%s: %d reads returned other data than the recording", where, overridden)
 			}
 			if !recorded && design == "Thesaurus" && overridden == 0 {
 				t.Fatalf("%s: the read did not drain a writeback of its own line", where)
 			}
-			if p, s := poked.c.Stats(), staged.c.Stats(); p != s {
-				t.Fatalf("%s: cache stats %+v (Poke) vs %+v (Stage)", where, p, s)
-			}
-			if p, s := poked.st.Stats(), staged.st.Stats(); p != s {
-				t.Fatalf("%s: store stats %+v (Poke) vs %+v (Stage)", where, p, s)
-			}
-			pc, _ := poked.st.DemandCycles()
-			sc, _ := staged.st.DemandCycles()
-			if pc != sc {
-				t.Fatalf("%s: DRAM cycles %v (Poke) vs %v (Stage)", where, pc, sc)
-			}
-			ps, ss := poked.c.Release(), staged.c.Release()
-			if ps.Design != ss.Design || ps.Stats != ss.Stats {
-				t.Fatalf("%s: release snapshots differ: %+v vs %+v", where, ps, ss)
-			}
-			if (ps.Extra == nil) != (ss.Extra == nil) {
-				t.Fatalf("%s: one release snapshot has no Extra", where)
-			}
-			if ps.Extra != nil {
-				codec, ok := scheme.CodecFor(ps.Extra)
-				if !ok || !codec.Equal(ps.Extra, ss.Extra) {
-					t.Fatalf("%s: release snapshot extras differ", where)
-				}
-			}
-			poked.st.Release()
-			staged.st.Release()
+			releaseAndCompare(t, where+" (Poke vs Stage)", poked, staged)
 
 			if !recorded {
 				continue // its read carries a stale value by construction
@@ -164,5 +214,34 @@ func TestEverySchemeReplaysExactly(t *testing.T) {
 			verified.c.Release()
 			verified.st.Release()
 		}
+	}
+}
+
+// TestRecycledSchemesMatchFresh: for every registered design, a cache
+// built from the arrays a released cache parked behaves exactly like one
+// built from fresh allocations. One instance replays xz and is released,
+// so the next build of the design reuses its arrays; then the pools are
+// drained, so the build after that allocates. The recycled and the fresh
+// instance replay the write-heavy omnetpp recording in lockstep, and
+// every read, write, footprint, statistic and release snapshot must
+// agree.
+func TestRecycledSchemesMatchFresh(t *testing.T) {
+	recs := exactnessRecordings(t)
+	dirty, writes := recs[1], recs[2] // xz; omnetpp at WriteFraction 0.6
+	for _, design := range scheme.Names() {
+		where := design + "/" + writes.name + " (recycled vs fresh)"
+		used := newReplayInstance(t, design)
+		if _, err := sim.Replay(used.c, dirty.rec, used.st, sim.DefaultSystem(), sim.DefaultReplayOptions()); err != nil {
+			t.Fatalf("%s: %v", where, err)
+		}
+		used.c.Release()
+		used.st.Release()
+		recycled := newReplayInstance(t, design)
+		cache.DrainPools()
+		fresh := newReplayInstance(t, design)
+		if overridden := lockstep(t, where, writes.rec, recycled, fresh, stage, stage); overridden > 0 {
+			t.Fatalf("%s: %d reads returned other data than the recording", where, overridden)
+		}
+		releaseAndCompare(t, where, recycled, fresh)
 	}
 }

@@ -182,7 +182,7 @@ type BaseCache struct {
 	sets    int
 	ways    int
 	entries []baseCacheEntry
-	policy  []plru.Policy
+	tree    []uint64 // pseudo-LRU tree bits, one word per set
 
 	// ReadPath counts critical-path lookups (servicing reads of
 	// base-only/base+diff lines); InsertPath counts off-critical-path
@@ -197,16 +197,15 @@ type BaseCache struct {
 
 // NewBaseCache builds a base cache with the given geometry.
 func NewBaseCache(sets, ways int) *BaseCache {
-	bc := &BaseCache{
+	if err := plru.Check("plru", ways); err != nil {
+		panic(err)
+	}
+	return &BaseCache{
 		sets:    sets,
 		ways:    ways,
 		entries: make([]baseCacheEntry, sets*ways),
-		policy:  make([]plru.Policy, sets),
+		tree:    make([]uint64, sets),
 	}
-	for i := range bc.policy {
-		bc.policy[i] = plru.NewTree(ways)
-	}
-	return bc
 }
 
 // Entries returns the total entry count (the Fig. 20 sweep variable).
@@ -237,7 +236,7 @@ func (bc *BaseCache) lookup(fp lsh.Fingerprint) bool {
 	for w := 0; w < bc.ways; w++ {
 		e := &bc.entries[base+w]
 		if e.valid && e.fp == fp {
-			bc.policy[set].Touch(w)
+			plru.TreeTouch(&bc.tree[set], bc.ways, w)
 			return true
 		}
 	}
@@ -258,11 +257,11 @@ func (bc *BaseCache) fill(fp lsh.Fingerprint, promote bool) {
 		}
 	}
 	if victim < 0 {
-		victim = bc.policy[set].Victim()
+		victim = plru.TreeVictim(bc.tree[set], bc.ways)
 	}
 	bc.entries[base+victim] = baseCacheEntry{valid: true, fp: fp}
 	if promote {
-		bc.policy[set].Touch(victim)
+		plru.TreeTouch(&bc.tree[set], bc.ways, victim)
 	}
 }
 

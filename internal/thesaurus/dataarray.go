@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"repro/internal/cache"
 	"repro/internal/diffenc"
 	"repro/internal/line"
 )
@@ -47,9 +48,8 @@ type dataSet struct {
 
 // DataArray is the decoupled, segment-granular LLC data array of §5.2.2.
 type DataArray struct {
-	sets        []dataSet
-	segsPerSet  int
-	totalEvents uint64 // entries evicted to make space (stat)
+	sets       []dataSet
+	segsPerSet int
 
 	// planScratch/candScratch back VictimPlan so the steady-state
 	// allocation path stays allocation-free. A VictimPlan result is valid
@@ -61,11 +61,22 @@ type DataArray struct {
 // victimCand is one eviction candidate considered by VictimPlan.
 type victimCand struct{ idx, segs int }
 
+// dataGeom keys dataPool by a data array's geometry.
+type dataGeom struct{ sets, segsPerSet int }
+
+// dataPool parks released data arrays for the next cache of the same
+// geometry (docs/performance.md, "The release lifecycle").
+var dataPool = cache.NewPool[dataGeom, *DataArray]()
+
 // NewDataArray builds an array of numSets sets with segsPerSet segments
-// each.
+// each, reusing a released array of that geometry when one is parked.
 func NewDataArray(numSets, segsPerSet int) *DataArray {
 	if numSets <= 0 || segsPerSet <= 0 || segsPerSet > 64 {
 		panic("thesaurus: invalid data array geometry")
+	}
+	if d, ok := dataPool.Get(dataGeom{numSets, segsPerSet}); ok {
+		d.reset()
+		return d
 	}
 	d := &DataArray{sets: make([]dataSet, numSets), segsPerSet: segsPerSet}
 	// Pre-size every startmap from one flat slab. Each live entry spans ≥2
@@ -89,6 +100,26 @@ func NewDataArray(numSets, segsPerSet int) *DataArray {
 		d.sets[i].slots = slab[i*maxSlots : i*maxSlots : (i+1)*maxSlots]
 	}
 	return d
+}
+
+// reset empties every set in O(sets). The slots beyond each startmap's
+// length keep their stale contents and their delta buffers: Insert
+// reslices into them and overwrites state, size, tag pointer and the
+// encoding (CopyFrom writes every field its format reads), exactly as it
+// fills a fresh slab's zero slots.
+func (d *DataArray) reset() {
+	for i := range d.sets {
+		set := &d.sets[i]
+		set.slots = set.slots[:0]
+		set.usedSegs = 0
+		set.tombs = 0
+	}
+}
+
+// Release parks the array for the next NewDataArray of the same
+// geometry. The caller must not touch the array afterwards.
+func (d *DataArray) Release() {
+	dataPool.Put(dataGeom{len(d.sets), d.segsPerSet}, d)
 }
 
 // NumSets returns the set count.

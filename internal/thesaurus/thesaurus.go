@@ -272,6 +272,10 @@ type WriteBufferStats struct {
 
 var _ llc.Cache = (*Cache)(nil)
 
+// tagPool parks released tag arrays for the next cache of the same
+// geometry (docs/performance.md, "The release lifecycle").
+var tagPool = cache.NewArrayPool[tagPayload]()
+
 // New builds a Thesaurus LLC over mem.
 func New(cfg Config, mem *memory.Store) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
@@ -284,7 +288,7 @@ func New(cfg Config, mem *memory.Store) (*Cache, error) {
 	c := &Cache{
 		cfg:    cfg,
 		hasher: hasher,
-		tags: cache.New[tagPayload](cache.Config{
+		tags: tagPool.New(cache.Config{
 			Entries: cfg.TagEntries, Ways: cfg.TagWays, Policy: "plru",
 		}),
 		data:   NewDataArray(cfg.DataSets, cfg.SegmentsPerSet),
@@ -902,10 +906,10 @@ func (s *Snapshot) Clone() llc.ExtraSnapshot {
 }
 
 // Release implements llc.Cache: it extracts the immutable statistics
-// snapshot and frees the cache's bulk storage — the tag array, the
-// data-array slabs, and the base table, which returns to the per-size
-// pool for the next cache of the same geometry. Nothing on the cache may
-// be used afterwards; only the returned snapshot survives.
+// snapshot and parks the cache's bulk storage — the tag array, the data
+// array and the base table — in their pools for the next cache of the
+// same geometry. Nothing on the cache may be used afterwards; only the
+// returned snapshot survives.
 func (c *Cache) Release() llc.StatsSnapshot {
 	if c.table == nil {
 		panic("thesaurus: Release called twice")
@@ -930,6 +934,8 @@ func (c *Cache) Release() llc.StatsSnapshot {
 		copy(snap.DiffSeries, s)
 	}
 	c.table.Release()
+	tagPool.Put(c.tags)
+	c.data.Release()
 	c.table = nil
 	c.tags = nil
 	c.data = nil

@@ -40,11 +40,15 @@ type Cache struct {
 
 var _ llc.Cache = (*Cache)(nil)
 
+// tagPool parks released tag arrays for the next cache of the same
+// geometry (docs/performance.md, "The release lifecycle").
+var tagPool = cache.NewArrayPool[line.Line]()
+
 // New builds a conventional LLC named name over mem.
 func New(name string, cfg Config, mem *memory.Store) *Cache {
 	return &Cache{
 		name: name,
-		tags: cache.New[line.Line](cache.LineConfig(cfg.SizeBytes, cfg.Ways, cfg.Policy)),
+		tags: tagPool.New(cache.LineConfig(cfg.SizeBytes, cfg.Ways, cfg.Policy)),
 		mem:  mem,
 		cfg:  cfg,
 	}
@@ -159,7 +163,8 @@ func (c *Cache) KeepLines() { c.keepLines = true }
 
 // Release implements llc.Cache: it extracts the snapshot (with the
 // resident lines in ascending address order if KeepLines was called) and
-// frees the tag array. The cache must not be used afterwards.
+// parks the tag array for the next cache of the same geometry. The cache
+// must not be used afterwards.
 func (c *Cache) Release() llc.StatsSnapshot {
 	if c.tags == nil {
 		panic("uncomp: cache released twice")
@@ -180,6 +185,7 @@ func (c *Cache) Release() llc.StatsSnapshot {
 			snap.Lines[i] = pairs[i].data
 		}
 	}
+	tagPool.Put(c.tags)
 	c.tags = nil
 	return llc.StatsSnapshot{Design: c.name, Stats: c.stats, Extra: snap}
 }
