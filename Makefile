@@ -54,9 +54,13 @@ lint-fix-check:
 # fills staged with Store.Stage match fills written with Poke read by
 # read, and sim.Replay with Verify on returns every recorded value. And
 # a design built from the arrays a released instance parked must replay
-# exactly like one built from fresh allocations.
+# exactly like one built from fresh allocations. Every design that
+# releases llc.Counters must report a non-empty view with unique names
+# after a write-heavy replay, and its decision histograms (BΔI kinds,
+# C-Pack patterns, DISH fills) must add up to its insertions plus its
+# write hits.
 registry-check:
-	$(GO) test -run 'TestRegistryOrderAndHarnessAgreement|TestEverySchemeIsComplete|TestEverySchemeReplaysExactly|TestRecycledSchemesMatchFresh' ./internal/scheme
+	$(GO) test -run 'TestRegistryOrderAndHarnessAgreement|TestEverySchemeIsComplete|TestEverySchemeReplaysExactly|TestRecycledSchemesMatchFresh|TestCounterSnapshotsAreConsistent' ./internal/scheme
 
 build:
 	$(GO) build ./...
@@ -67,7 +71,7 @@ test:
 # The worker pools live in harness (RunMatrix, ParMap) and are driven by
 # the experiments package; -race over their tests catches data races in
 # the parallel campaign paths — including the per-worker scratch arenas
-# the Thesaurus/BΔI caches carry, the singleflight run coalescing, and
+# the Thesaurus caches carry, the singleflight run coalescing, and
 # the release lifecycle's pools (docs/performance.md): the pooled base
 # tables, and the cache.Pool free lists every design parks its arrays in,
 # which concurrent workers share. Short trace lengths keep this a smoke

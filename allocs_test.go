@@ -11,12 +11,12 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/bdicache"
 	"repro/internal/diffenc"
 	"repro/internal/line"
 	"repro/internal/lsh"
 	"repro/internal/memory"
 	"repro/internal/scheme"
+	"repro/internal/segcache"
 	"repro/internal/thesaurus"
 )
 
@@ -101,25 +101,29 @@ func TestThesaurusUnchangedWriteHitAllocFree(t *testing.T) {
 	}
 }
 
+// TestBDICacheHitAllocFree: the read and write hit paths of every design
+// on the segmented layout (BDI, CPack, DISH) allocate nothing.
 func TestBDICacheHitAllocFree(t *testing.T) {
-	c := bdicache.MustNew(bdicache.DefaultConfig(), memory.NewStore())
-	for v := uint32(0); v < 2; v++ {
-		for i := 0; i < residentLines; i++ {
-			c.Write(addrOf(i), residentLine(i, v))
-		}
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		for i := 0; i < residentLines; i++ {
-			if _, hit := c.Read(addrOf(i)); !hit {
-				t.Fatal("steady-state read missed")
-			}
-			if !c.Write(addrOf(i), residentLine(i, 0)) {
-				t.Fatal("steady-state write missed")
+	for _, comp := range []segcache.Compressor{segcache.BDI, segcache.CPack, segcache.DISH} {
+		c := segcache.MustNew(segcache.DefaultConfig(), comp, memory.NewStore())
+		for v := uint32(0); v < 2; v++ {
+			for i := 0; i < residentLines; i++ {
+				c.Write(addrOf(i), residentLine(i, v))
 			}
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("BDI hit path allocates: %.2f allocs per %d accesses", allocs, 2*residentLines)
+		allocs := testing.AllocsPerRun(50, func() {
+			for i := 0; i < residentLines; i++ {
+				if _, hit := c.Read(addrOf(i)); !hit {
+					t.Fatal("steady-state read missed")
+				}
+				if !c.Write(addrOf(i), residentLine(i, 0)) {
+					t.Fatal("steady-state write missed")
+				}
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s hit path allocates: %.2f allocs per %d accesses", comp.Name, allocs, 2*residentLines)
+		}
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/artifact"
 	"repro/internal/bdi"
-	"repro/internal/bdicache"
 	"repro/internal/diffenc"
 	"repro/internal/harness"
 	"repro/internal/line"
@@ -257,7 +256,10 @@ func measureBench() ([]benchEntry, error) {
 		})
 	}
 	add("bdi_read_hit", classHotPath, line.Size, func(b *testing.B) {
-		c := bdicache.MustNew(bdicache.DefaultConfig(), memory.NewStore())
+		c, err := scheme.Build("BDI", memory.NewStore())
+		if err != nil {
+			b.Fatal(err)
+		}
 		for i := 0; i < benchResidentLines; i++ {
 			c.Write(line.Addr(i*line.Size), benchLine(i, 0))
 		}

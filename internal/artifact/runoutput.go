@@ -27,7 +27,9 @@ import (
 // v3: Baseline and 2x Baseline snapshots carry their resident lines only
 // when the run asked for them (keyed by LinesKey); a v2 entry under a
 // default run's key still holds them and would fail -cache-verify.
-const RunOutputVersion = 3
+// v4: Dedup, BDI, CPack and DISH release llc.Counters under one codec
+// (tag 7); their per-design tags 2, 3, 5 and 6 are retired.
+const RunOutputVersion = 4
 
 // RunOutput is a whole memoized run: the replay metrics, the released
 // cache's statistics snapshot, and the Fig. 16 cluster-size fractions.

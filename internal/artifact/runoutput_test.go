@@ -10,11 +10,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/bdi"
-	"repro/internal/bdicache"
-	"repro/internal/cpack"
-	"repro/internal/dedupcache"
-	"repro/internal/dish"
 	"repro/internal/line"
 	"repro/internal/llc"
 	"repro/internal/sim"
@@ -27,7 +22,7 @@ import (
 
 // synthRunOutput builds a run snapshot with every field populated and the
 // Extra union varied by seed, so the round-trip tests cover every
-// registered codec arm including nil-vs-empty slice and map edge shapes.
+// registered codec arm including nil-vs-empty slice edge shapes.
 func synthRunOutput(seed uint64) *RunOutput {
 	rng := xrand.New(seed)
 	r := &RunOutput{
@@ -66,21 +61,10 @@ func synthRunOutput(seed uint64) *RunOutput {
 		r.Snap.Extra = &uncomp.Snapshot{Lines: lines}
 	case 2: // uncomp with nil lines (released empty)
 		r.Snap.Extra = &uncomp.Snapshot{}
-	case 3:
-		x := &bdicache.Snapshot{Extra: bdicache.ExtraStats{
-			Insertions: rng.Uint64n(1 << 30), Compressed: rng.Uint64n(1 << 29),
-			SpaceEvictions: rng.Uint64n(1 << 20),
-			ByKind:         map[bdi.Kind]uint64{},
-		}}
-		for k := 0; k < rng.Intn(9); k++ {
-			x.Extra.ByKind[bdi.Kind(k)] = rng.Uint64n(1 << 28)
-		}
-		r.Snap.Extra = x
-	case 4:
-		r.Snap.Extra = &dedupcache.Snapshot{Extra: dedupcache.ExtraStats{
-			Insertions: rng.Uint64n(1 << 30), Deduped: rng.Uint64n(1 << 29),
-			FalseMatches: rng.Uint64n(1 << 10), ListEvictions: rng.Uint64n(1 << 20),
-		}}
+	case 3: // counters released as a nil slice
+		r.Snap.Extra = llc.Counters(nil)
+	case 4: // counters released empty
+		r.Snap.Extra = llc.Counters{}
 	case 5:
 		cfg := thesaurus.DefaultConfig()
 		cfg.DiffSeriesWindow = 512
@@ -115,23 +99,19 @@ func synthRunOutput(seed uint64) *RunOutput {
 			}
 		}
 		r.Snap.Extra = x
-	case 6:
-		x := &cpack.Snapshot{Extra: cpack.ExtraStats{
-			Insertions: rng.Uint64n(1 << 30), Compressed: rng.Uint64n(1 << 29),
-			SpaceEvictions: rng.Uint64n(1 << 20),
-		}}
-		for i := range x.Extra.ByPattern {
-			x.Extra.ByPattern[i] = rng.Uint64n(1 << 28)
+	case 6: // many counters
+		x := make(llc.Counters, 64+rng.Intn(64))
+		for i := range x {
+			x[i] = llc.Counter{Name: fmt.Sprintf("counter_%d", i), Value: rng.Uint64n(1 << 40)}
 		}
 		r.Snap.Extra = x
-	case 7:
-		r.Snap.Extra = &dish.Snapshot{Extra: dish.ExtraStats{
-			Insertions:   rng.Uint64n(1 << 30),
-			Scheme1Fills: rng.Uint64n(1 << 29), Scheme2Fills: rng.Uint64n(1 << 29),
-			UncompressedFills: rng.Uint64n(1 << 28),
-			OTFSelections:     rng.Uint64n(1 << 20),
-			SpaceEvictions:    rng.Uint64n(1 << 20),
-		}}
+	case 7: // a segmented design's counters, one at the uvarint maximum
+		r.Snap.Extra = llc.Counters{
+			{Name: "insertions", Value: rng.Uint64n(1 << 30)},
+			{Name: "compressed", Value: rng.Uint64n(1 << 29)},
+			{Name: "space_evictions", Value: rng.Uint64n(1 << 20)},
+			{Name: "otf_selections", Value: math.MaxUint64},
+		}
 	}
 	return r
 }
@@ -221,37 +201,67 @@ func TestRunOutputRejectsBitFlips(t *testing.T) {
 
 // A run section written under a different RunOutputVersion must decode as
 // version skew — the cache treats that as a silent miss, never an error —
-// even though the container version still matches.
+// even though the container version still matches. That holds for an
+// entry of the previous version (v3, before the counter snapshots) and of
+// a future one.
 func TestRunOutputSectionVersionSkew(t *testing.T) {
 	r := synthRunOutput(7)
-	// A run-only artifact's section starts right after the header with
-	// its sub-version uvarint; bump it and fix the checksum — exactly
-	// the bytes a future RunOutputVersion would write.
-	fwd := Encode(nil, &File{Run: r})
-	fwd[headerLen] = RunOutputVersion + 1
-	patchCRC(fwd)
-	if _, err := Decode(fwd); !errors.Is(err, ErrVersionSkew) {
-		t.Fatalf("future run section: got %v, want ErrVersionSkew", err)
+	for _, v := range []byte{3, RunOutputVersion + 1} {
+		// A run-only artifact's section starts right after the header
+		// with its sub-version uvarint; rewrite it and fix the checksum —
+		// exactly the bytes that version would write.
+		skew := Encode(nil, &File{Run: r})
+		skew[headerLen] = v
+		patchCRC(skew)
+		if _, err := Decode(skew); !errors.Is(err, ErrVersionSkew) {
+			t.Fatalf("v%d run section: got %v, want ErrVersionSkew", v, err)
+		}
+
+		dir := t.TempDir()
+		c, err := Open(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.StoreRunOutput("skewkey", r)
+		if err := os.WriteFile(c.path("skewkey"), skew, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := c.LoadRunOutput("skewkey"); ok {
+			t.Fatalf("v%d run artifact loaded as a hit", v)
+		}
+		st := c.Stats()
+		if st.Corrupt != 0 {
+			t.Fatalf("v%d: version skew counted as corruption: %+v", v, st)
+		}
+		if st.Misses != 1 {
+			t.Fatalf("v%d: want exactly one miss, got %+v", v, st)
+		}
+	}
+}
+
+// A counter snapshot longer than the codec's cap, or whose name runs past
+// the end of the section, is corruption even under a valid checksum.
+func TestRunOutputCounterEdgesCorrupt(t *testing.T) {
+	r := synthRunOutput(0)
+	r.Snap.Extra = make(llc.Counters, 1<<10+1) // the scheme codec's cap is 1<<10
+
+	if _, err := Decode(Encode(nil, &File{Run: r})); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("over-cap counter count: got %v, want ErrCorrupt", err)
 	}
 
-	dir := t.TempDir()
-	c, err := Open(dir, 0)
-	if err != nil {
-		t.Fatal(err)
+	const name = "truncated_name"
+	r.Snap.Extra = llc.Counters{{Name: name, Value: 1}}
+	data := Encode(nil, &File{Run: r})
+	at := bytes.Index(data, []byte(name))
+	if at < 1 || data[at-1] != byte(len(name)) {
+		t.Fatal("counter name not found in the encoding")
 	}
-	c.StoreRunOutput("futurekey", r)
-	if err := os.WriteFile(c.path("futurekey"), fwd, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := c.LoadRunOutput("futurekey"); ok {
-		t.Fatal("version-skewed run artifact loaded as a hit")
-	}
-	st := c.Stats()
-	if st.Corrupt != 0 {
-		t.Fatalf("version skew counted as corruption: %+v", st)
-	}
-	if st.Misses != 1 {
-		t.Fatalf("want exactly one miss, got %+v", st)
+	// Only the value and the four cluster fractions follow the name, so
+	// this length runs past the end of the section.
+	data[at-1] = 0x7f
+	patchCRC(data)
+	if _, err := Decode(data); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("truncated counter name: got %v, want ErrCorrupt", err)
 	}
 }
 

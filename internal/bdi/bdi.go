@@ -133,7 +133,7 @@ var deltaKinds = [...]Kind{KindB8D1, KindB8D2, KindB8D4, KindB4D1, KindB4D2, Kin
 //
 // Compress allocates the delta slice of the winning encoding; hot paths
 // with a reusable Encoded should call CompressInto, and callers that only
-// need the compressed size should call CompressedSize (allocation-free).
+// need the kind and size should call Classify (allocation-free).
 func Compress(l *line.Line) Encoded {
 	var e Encoded
 	CompressInto(&e, l)
@@ -147,38 +147,18 @@ func Compress(l *line.Line) Encoded {
 func CompressInto(dst *Encoded, l *line.Line) {
 	deltas := dst.Deltas[:0]
 	*dst = Encoded{Deltas: deltas}
-	if l.IsZero() {
+	switch k, _ := Classify(l); k {
+	case KindZeros:
 		dst.Kind = KindZeros
-		return
-	}
-	w := l.Words()
-	rep := true
-	for _, v := range w[1:] {
-		if v != w[0] {
-			rep = false
-			break
-		}
-	}
-	if rep {
+	case KindRep:
 		dst.Kind = KindRep
-		dst.Base = w[0]
-		return
-	}
-	// Pick the winner by size first (feasibility checks allocate nothing),
-	// then materialize only the winning encoding's deltas.
-	bestKind := KindUncompressed
-	bestSize := line.Size
-	for _, k := range deltaKinds {
-		if s := geometries[k].sizeBytes; s < bestSize && tryFits(l, k) {
-			bestKind, bestSize = k, s
-		}
-	}
-	if bestKind == KindUncompressed {
+		dst.Base = l.Word(0)
+	case KindUncompressed:
 		dst.Kind = KindUncompressed
 		dst.Raw = *l
-		return
+	default:
+		fillEncode(dst, l, k)
 	}
-	fillEncode(dst, l, bestKind)
 }
 
 // fillEncode materializes the (known-feasible) encoding k of l into *dst,
@@ -354,15 +334,16 @@ func Decompress(e Encoded) (line.Line, error) {
 	return out, nil
 }
 
-// CompressedSize returns the smallest BΔI size of l in bytes and whether
-// that is smaller than a raw line. It runs the feasibility scans only —
-// no delta slice is ever built — so the cache models can consult it on
-// their hot paths allocation-free.
+// Classify returns the kind and size in bytes of l's smallest BΔI
+// encoding: all zeros, one repeated word, or the smallest feasible
+// base+delta geometry, else uncompressed (64 bytes). It runs the
+// feasibility scans only — no delta slice is ever built — so the cache
+// models consult it on their hot paths allocation-free.
 //
 //thesaurus:hotpath
-func CompressedSize(l *line.Line) (int, bool) {
+func Classify(l *line.Line) (Kind, int) {
 	if l.IsZero() {
-		return geometries[KindZeros].sizeBytes, true
+		return KindZeros, geometries[KindZeros].sizeBytes
 	}
 	w := l.Words()
 	rep := true
@@ -373,13 +354,22 @@ func CompressedSize(l *line.Line) (int, bool) {
 		}
 	}
 	if rep {
-		return geometries[KindRep].sizeBytes, true
+		return KindRep, geometries[KindRep].sizeBytes
 	}
-	bestSize := line.Size
+	best, bestSize := KindUncompressed, line.Size
 	for _, k := range deltaKinds {
 		if s := geometries[k].sizeBytes; s < bestSize && tryFits(l, k) {
-			bestSize = s
+			best, bestSize = k, s
 		}
 	}
-	return bestSize, bestSize < line.Size
+	return best, bestSize
+}
+
+// CompressedSize returns the smallest BΔI size of l in bytes and whether
+// that is smaller than a raw line (Classify without the kind).
+//
+//thesaurus:hotpath
+func CompressedSize(l *line.Line) (int, bool) {
+	_, size := Classify(l)
+	return size, size < line.Size
 }

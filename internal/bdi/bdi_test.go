@@ -6,6 +6,8 @@ import (
 	"testing/quick"
 
 	"repro/internal/line"
+	"repro/internal/sim"
+	"repro/internal/workload"
 	"repro/internal/xrand"
 )
 
@@ -264,6 +266,44 @@ func TestTryFitsNarrowMatchesScalar(t *testing.T) {
 		back, err := Decompress(e)
 		if err != nil || back != l {
 			t.Fatalf("trial %d: round trip failed (%v): %v", trial, e.Kind, err)
+		}
+	}
+}
+
+// TestRecordedLinesRoundTrip: every line the LLC sees in several
+// profiles' recordings, read fills and writebacks alike, survives
+// CompressInto → Decompress, and Classify agrees with the encoding's kind
+// and size. The segmented cache models charge Classify's size and keep
+// the exact bytes, so this is the round trip their hits do not run.
+func TestRecordedLinesRoundTrip(t *testing.T) {
+	var e Encoded
+	var seen [len(geometries)]int
+	for _, name := range []string{"mcf", "x264", "wrf", "fotonik3d", "gcc"} {
+		p, err := workload.ProfileByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := p.Generate(20_000)
+		rec := sim.Record(g.Stream, sim.DefaultSystem(), g.Image)
+		for i := range rec.Events {
+			l := &rec.Events[i].Data
+			CompressInto(&e, l)
+			got, err := Decompress(e)
+			if err != nil || got != *l {
+				t.Fatalf("%s event %d: %v round trip failed (%v)", name, i, e.Kind, err)
+			}
+			if k, size := Classify(l); k != e.Kind || size != e.SizeBytes() {
+				t.Fatalf("%s event %d: Classify says %v/%dB, CompressInto %v/%dB",
+					name, i, k, size, e.Kind, e.SizeBytes())
+			}
+			seen[e.Kind]++
+		}
+	}
+	// No profile writes lines of one repeated word; every other kind
+	// must have been exercised.
+	for k, n := range seen {
+		if n == 0 && Kind(k) != KindRep {
+			t.Errorf("no recorded line encodes as %v", Kind(k))
 		}
 	}
 }

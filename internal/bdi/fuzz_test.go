@@ -6,8 +6,9 @@ import (
 	"repro/internal/line"
 )
 
-// FuzzCompressDecompress: arbitrary lines must round-trip and never
-// expand beyond a raw line.
+// FuzzCompressDecompress: arbitrary lines must round-trip, never expand
+// beyond a raw line, and Classify must pick the kind and size Compress
+// encodes.
 func FuzzCompressDecompress(f *testing.F) {
 	f.Add(make([]byte, line.Size))
 	seed := make([]byte, line.Size)
@@ -30,6 +31,9 @@ func FuzzCompressDecompress(f *testing.F) {
 		}
 		if got != l {
 			t.Fatalf("round trip mismatch (kind %v)", e.Kind)
+		}
+		if k, size := Classify(&l); k != e.Kind || size != e.SizeBytes() {
+			t.Fatalf("Classify says %v/%dB, Compress %v/%dB", k, size, e.Kind, e.SizeBytes())
 		}
 	})
 }

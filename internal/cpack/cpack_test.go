@@ -4,29 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/line"
-	"repro/internal/memory"
 	"repro/internal/xrand"
 )
-
-func smallConfig() Config {
-	return Config{Sets: 8, TagWays: 16, DataWays: 8}
-}
-
-func TestConfigValidation(t *testing.T) {
-	if err := DefaultConfig().Validate(); err != nil {
-		t.Fatal(err)
-	}
-	for _, bad := range []Config{
-		{Sets: 0, TagWays: 16, DataWays: 8},
-		{Sets: 8, TagWays: 0, DataWays: 8},
-		{Sets: 8, TagWays: 12, DataWays: 8}, // not a power of two
-		{Sets: 8, TagWays: 16, DataWays: 0},
-	} {
-		if bad.Validate() == nil {
-			t.Errorf("bad config %+v accepted", bad)
-		}
-	}
-}
 
 // TestCompressWordPatterns pins the per-word pattern classification
 // against the C-Pack algorithm: zero patterns bypass the dictionary,
@@ -101,124 +80,5 @@ func TestCompressLineHistogram(t *testing.T) {
 	}
 	if total != uint64(wordsPerLine) {
 		t.Fatalf("histogram total %d, want %d", total, wordsPerLine)
-	}
-}
-
-func TestReadWriteRoundTrip(t *testing.T) {
-	mem := memory.NewStore()
-	c := MustNew(smallConfig(), mem)
-	rng := xrand.New(1)
-	ref := map[line.Addr]line.Line{}
-	for i := 0; i < 8000; i++ {
-		addr := line.Addr(rng.Intn(256)) * line.Size
-		if rng.Bool(0.4) {
-			var l line.Line
-			switch rng.Intn(3) {
-			case 0: // dictionary-friendly: few distinct words
-				a, b := uint32(rng.Uint32()), uint32(rng.Uint32())
-				for j := 0; j < 8; j++ {
-					l.SetWord(j, uint64(a)<<32|uint64(b))
-				}
-			case 1: // random
-				for j := 0; j < 8; j++ {
-					l.SetWord(j, rng.Uint64())
-				}
-			case 2: // zero-ish
-			}
-			c.Write(addr, l)
-			ref[addr] = l
-			mem.Poke(addr, l)
-		} else {
-			got, _ := c.Read(addr)
-			want, ok := ref[addr]
-			if !ok {
-				want = mem.Peek(addr)
-			}
-			if got != want {
-				t.Fatalf("step %d: wrong data", i)
-			}
-		}
-		if i%1000 == 0 {
-			if err := c.CheckInvariants(); err != nil {
-				t.Fatalf("step %d: %v", i, err)
-			}
-		}
-	}
-	if err := c.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestDoubledTagsExploitCompression: compressible content lets more lines
-// reside than the data ways alone would admit.
-func TestDoubledTagsExploitCompression(t *testing.T) {
-	mem := memory.NewStore()
-	c := MustNew(Config{Sets: 1, TagWays: 16, DataWays: 8}, mem)
-	for i := 0; i < 14; i++ {
-		var l line.Line
-		l.SetWord(0, uint64(i)) // near-zero content: compresses hard
-		c.Write(line.Addr(i)*line.Size, l)
-	}
-	fp := c.Footprint()
-	if fp.ResidentLines <= 8 {
-		t.Fatalf("only %d residents; doubled tags unused", fp.ResidentLines)
-	}
-	if err := c.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestSpaceEvictions: refilling a full set with incompressible content
-// must force space evictions beyond the tag victim.
-func TestSpaceEvictions(t *testing.T) {
-	mem := memory.NewStore()
-	c := MustNew(Config{Sets: 1, TagWays: 16, DataWays: 8}, mem)
-	rng := xrand.New(3)
-	for i := 0; i < 32; i++ {
-		var l line.Line
-		for j := 0; j < 8; j++ {
-			l.SetWord(j, rng.Uint64()|0x0101010101010101)
-		}
-		c.Write(line.Addr(i)*line.Size, l)
-	}
-	if c.Extra().SpaceEvictions == 0 {
-		t.Fatal("no space evictions under incompressible refill")
-	}
-	if err := c.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSnapshotRelease(t *testing.T) {
-	mem := memory.NewStore()
-	c := MustNew(smallConfig(), mem)
-	var l line.Line
-	l.SetWord(0, 42)
-	c.Write(0, l)
-	snap := c.Release()
-	if snap.Design != "CPack" {
-		t.Fatalf("design %q", snap.Design)
-	}
-	x, ok := snap.Extra.(*Snapshot)
-	if !ok || x.Extra.Insertions != 1 {
-		t.Fatalf("bad extra snapshot %+v", snap.Extra)
-	}
-	cp := x.Clone().(*Snapshot)
-	cp.Extra.Insertions = 99
-	if x.Extra.Insertions != 1 {
-		t.Fatal("Clone shares state")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("second Release did not panic")
-		}
-	}()
-	c.Release()
-}
-
-func TestDecompressionCycles(t *testing.T) {
-	c := MustNew(smallConfig(), memory.NewStore())
-	if c.DecompressionCycles() <= 1 {
-		t.Fatal("C-Pack decompression should cost more than BΔI's single cycle")
 	}
 }

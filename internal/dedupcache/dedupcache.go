@@ -398,21 +398,9 @@ func (c *Cache) Footprint() llc.Footprint {
 	}
 }
 
-// Snapshot is the Dedup-specific release snapshot.
-type Snapshot struct {
-	Extra ExtraStats
-}
-
-// Clone implements llc.ExtraSnapshot (ExtraStats is a pure value type,
-// so a shallow copy is a deep copy).
-func (s *Snapshot) Clone() llc.ExtraSnapshot {
-	cp := *s
-	return &cp
-}
-
-// Release implements llc.Cache: it extracts the statistics snapshot and
-// parks the tag, data, free-list and hash arrays for the next cache of
-// the same geometry. The cache must not be used afterwards.
+// Release implements llc.Cache: it extracts the counters and parks the
+// tag, data, free-list and hash arrays for the next cache of the same
+// geometry. The cache must not be used afterwards.
 func (c *Cache) Release() llc.StatsSnapshot {
 	if c.tags == nil {
 		panic("dedupcache: Release called twice")
@@ -421,7 +409,12 @@ func (c *Cache) Release() llc.StatsSnapshot {
 	arrayPool.Put(dataGeom{c.cfg.DataEntries, c.cfg.HashEntries}, c.dataArrays)
 	c.tags = nil
 	c.dataArrays = dataArrays{}
-	return llc.StatsSnapshot{Design: c.Name(), Stats: c.stats, Extra: &Snapshot{Extra: c.extra}}
+	return llc.StatsSnapshot{Design: c.Name(), Stats: c.stats, Extra: llc.Counters{
+		{Name: "insertions", Value: c.extra.Insertions},
+		{Name: "deduped", Value: c.extra.Deduped},
+		{Name: "false_matches", Value: c.extra.FalseMatches},
+		{Name: "list_evictions", Value: c.extra.ListEvictions},
+	}}
 }
 
 // CheckInvariants validates refcounts and list structure; used by tests.

@@ -4,7 +4,11 @@
 // are design-agnostic.
 package llc
 
-import "repro/internal/line"
+import (
+	"slices"
+
+	"repro/internal/line"
+)
 
 // Cache is a last-level cache holding data (possibly compressed), backed
 // by a memory.Store it fills from and writes back to.
@@ -57,6 +61,19 @@ type ExtraSnapshot interface {
 	// receiver.
 	Clone() ExtraSnapshot
 }
+
+// Counter is one named event count of a design.
+type Counter struct {
+	Name  string
+	Value uint64
+}
+
+// Counters is the release snapshot of a design whose own statistics are
+// only event counts, in the design's stable order.
+type Counters []Counter
+
+// Clone implements ExtraSnapshot.
+func (c Counters) Clone() ExtraSnapshot { return slices.Clone(c) }
 
 // Clone returns a deep copy of the snapshot (Extra included).
 func (s StatsSnapshot) Clone() StatsSnapshot {

@@ -8,19 +8,16 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
+	"strings"
 
-	"repro/internal/bdi"
-	"repro/internal/bdicache"
-	"repro/internal/cpack"
 	"repro/internal/dedupcache"
 	"repro/internal/diffenc"
-	"repro/internal/dish"
 	"repro/internal/ideal"
 	"repro/internal/line"
 	"repro/internal/llc"
 	"repro/internal/lsh"
 	"repro/internal/memory"
+	"repro/internal/segcache"
 	"repro/internal/stats"
 	"repro/internal/thesaurus"
 	"repro/internal/uncomp"
@@ -29,22 +26,24 @@ import (
 // Wire tags of the built-in codecs. Tag 0 is the generic nil-Extra tag
 // written by the artifact codec itself; these continue the numbering the
 // pre-registry codec used, and new tags require an
-// artifact.RunOutputVersion bump.
+// artifact.RunOutputVersion bump. Tags 2, 3, 5 and 6 are retired: they
+// held the BDI, Dedup, CPack and DISH snapshots before those designs
+// released llc.Counters (RunOutputVersion 4).
 const (
 	tagUncomp    = 1
-	tagBDI       = 2
-	tagDedup     = 3
 	tagThesaurus = 4
-	tagCPack     = 5
-	tagDISH      = 6
+	tagCounters  = 7
 )
 
 // Decode-size bounds, mirroring the artifact codec's limits: a line pool
-// larger than maxLinePool (2^30 lines = 64GiB) or a diff series longer
-// than maxDiffSeries (the recording event bound) is corruption, not data.
+// larger than maxLinePool (2^30 lines = 64GiB), a diff series longer
+// than maxDiffSeries (the recording event bound) or a counter snapshot
+// longer than maxCounters (far above any design's dozen) is corruption,
+// not data.
 const (
 	maxLinePool   = 1 << 30
 	maxDiffSeries = 1 << 32
+	maxCounters   = 1 << 10
 )
 
 // Canonical append helpers shared by the codec hooks; they mirror the
@@ -124,108 +123,6 @@ var uncompCodec = &ExtraCodec{
 			}
 		}
 		return true
-	},
-}
-
-var bdiCodec = &ExtraCodec{
-	Tag: tagBDI,
-	Matches: func(x llc.ExtraSnapshot) bool {
-		_, ok := x.(*bdicache.Snapshot)
-		return ok
-	},
-	Encode: func(dst []byte, x llc.ExtraSnapshot) []byte {
-		s := x.(*bdicache.Snapshot)
-		dst = appendU(dst, s.Extra.Insertions)
-		dst = appendU(dst, s.Extra.Compressed)
-		dst = appendU(dst, s.Extra.SpaceEvictions)
-		dst = appendBool(dst, s.Extra.ByKind != nil)
-		kinds := make([]int, 0, len(s.Extra.ByKind))
-		for k := range s.Extra.ByKind {
-			kinds = append(kinds, int(k))
-		}
-		sort.Ints(kinds)
-		dst = appendU(dst, uint64(len(kinds)))
-		for _, k := range kinds {
-			dst = appendU(dst, uint64(k))
-			dst = appendU(dst, s.Extra.ByKind[bdi.Kind(k)])
-		}
-		return dst
-	},
-	Decode: func(d Decoder) llc.ExtraSnapshot {
-		x := &bdicache.Snapshot{}
-		x.Extra.Insertions = d.Uvarint("bdi insertions")
-		x.Extra.Compressed = d.Uvarint("bdi compressed")
-		x.Extra.SpaceEvictions = d.Uvarint("bdi space evictions")
-		present := d.Bool("bdi bykind presence")
-		n := d.Count("bdi kind count", 256)
-		if d.Err() == nil && !present && n != 0 {
-			d.Fail("absent bdi histogram with %d kinds", n)
-		}
-		if present && d.Err() == nil {
-			x.Extra.ByKind = make(map[bdi.Kind]uint64, n)
-			prev := -1
-			for i := 0; i < n; i++ {
-				k := int(d.Uvarint("bdi kind"))
-				c := d.Uvarint("bdi kind count")
-				if d.Err() != nil {
-					return x
-				}
-				// Strictly ascending kinds keep the encoding canonical
-				// (decode∘encode identity) and the map keys unique; the
-				// range bound is the Kind representation (uint8), not the
-				// current enum, so new kinds don't invalidate old files.
-				if k <= prev || k > 0xff {
-					d.Fail("bdi kind %d out of order or range", k)
-					return x
-				}
-				prev = k
-				x.Extra.ByKind[bdi.Kind(k)] = c
-			}
-		}
-		return x
-	},
-	Equal: func(a, b llc.ExtraSnapshot) bool {
-		x, y := a.(*bdicache.Snapshot), b.(*bdicache.Snapshot)
-		if x.Extra.Insertions != y.Extra.Insertions ||
-			x.Extra.Compressed != y.Extra.Compressed ||
-			x.Extra.SpaceEvictions != y.Extra.SpaceEvictions ||
-			(x.Extra.ByKind == nil) != (y.Extra.ByKind == nil) ||
-			len(x.Extra.ByKind) != len(y.Extra.ByKind) {
-			return false
-		}
-		for k, v := range x.Extra.ByKind {
-			if y.Extra.ByKind[k] != v {
-				return false
-			}
-		}
-		return true
-	},
-}
-
-var dedupCodec = &ExtraCodec{
-	Tag: tagDedup,
-	Matches: func(x llc.ExtraSnapshot) bool {
-		_, ok := x.(*dedupcache.Snapshot)
-		return ok
-	},
-	Encode: func(dst []byte, x llc.ExtraSnapshot) []byte {
-		s := x.(*dedupcache.Snapshot)
-		dst = appendU(dst, s.Extra.Insertions)
-		dst = appendU(dst, s.Extra.Deduped)
-		dst = appendU(dst, s.Extra.FalseMatches)
-		return appendU(dst, s.Extra.ListEvictions)
-	},
-	Decode: func(d Decoder) llc.ExtraSnapshot {
-		x := &dedupcache.Snapshot{}
-		x.Extra.Insertions = d.Uvarint("dedup insertions")
-		x.Extra.Deduped = d.Uvarint("dedup deduped")
-		x.Extra.FalseMatches = d.Uvarint("dedup false matches")
-		x.Extra.ListEvictions = d.Uvarint("dedup list evictions")
-		return x
-	},
-	Equal: func(a, b llc.ExtraSnapshot) bool {
-		x, y := a.(*dedupcache.Snapshot), b.(*dedupcache.Snapshot)
-		return x.Extra == y.Extra
 	},
 }
 
@@ -373,71 +270,50 @@ var thesaurusCodec = &ExtraCodec{
 	},
 }
 
-var cpackCodec = &ExtraCodec{
-	Tag: tagCPack,
+// countersCodec persists llc.Counters, the snapshot of every design whose
+// own statistics are only event counts: a count, then each counter's
+// name and value.
+var countersCodec = &ExtraCodec{
+	Tag: tagCounters,
 	Matches: func(x llc.ExtraSnapshot) bool {
-		_, ok := x.(*cpack.Snapshot)
+		_, ok := x.(llc.Counters)
 		return ok
 	},
 	Encode: func(dst []byte, x llc.ExtraSnapshot) []byte {
-		s := x.(*cpack.Snapshot)
-		dst = appendU(dst, s.Extra.Insertions)
-		dst = appendU(dst, s.Extra.Compressed)
-		dst = appendU(dst, s.Extra.SpaceEvictions)
-		dst = appendU(dst, uint64(len(s.Extra.ByPattern)))
-		for _, v := range s.Extra.ByPattern {
-			dst = appendU(dst, v)
+		cs := x.(llc.Counters)
+		dst = appendU(dst, uint64(len(cs)))
+		for _, c := range cs {
+			dst = appendU(dst, uint64(len(c.Name)))
+			dst = append(dst, c.Name...)
+			dst = appendU(dst, c.Value)
 		}
 		return dst
 	},
 	Decode: func(d Decoder) llc.ExtraSnapshot {
-		x := &cpack.Snapshot{}
-		x.Extra.Insertions = d.Uvarint("cpack insertions")
-		x.Extra.Compressed = d.Uvarint("cpack compressed")
-		x.Extra.SpaceEvictions = d.Uvarint("cpack space evictions")
-		if n := d.Count("cpack pattern count", uint64(len(x.Extra.ByPattern))); d.Err() == nil && n != len(x.Extra.ByPattern) {
-			d.Fail("cpack pattern count %d, codec has %d", n, cpack.NumPatterns)
+		n := d.Count("counter count", maxCounters)
+		cs := make(llc.Counters, 0, n)
+		for i := 0; i < n && d.Err() == nil; i++ {
+			cs = append(cs, llc.Counter{Name: d.Str("counter name"), Value: d.Uvarint("counter value")})
 		}
-		for i := range x.Extra.ByPattern {
-			x.Extra.ByPattern[i] = d.Uvarint("cpack pattern counter")
-		}
-		return x
+		return cs
 	},
 	Equal: func(a, b llc.ExtraSnapshot) bool {
-		x, y := a.(*cpack.Snapshot), b.(*cpack.Snapshot)
-		return x.Extra == y.Extra
+		return slices.Equal(a.(llc.Counters), b.(llc.Counters))
 	},
 }
 
-var dishCodec = &ExtraCodec{
-	Tag: tagDISH,
-	Matches: func(x llc.ExtraSnapshot) bool {
-		_, ok := x.(*dish.Snapshot)
-		return ok
-	},
-	Encode: func(dst []byte, x llc.ExtraSnapshot) []byte {
-		s := x.(*dish.Snapshot)
-		dst = appendU(dst, s.Extra.Insertions)
-		dst = appendU(dst, s.Extra.Scheme1Fills)
-		dst = appendU(dst, s.Extra.Scheme2Fills)
-		dst = appendU(dst, s.Extra.UncompressedFills)
-		dst = appendU(dst, s.Extra.OTFSelections)
-		return appendU(dst, s.Extra.SpaceEvictions)
-	},
-	Decode: func(d Decoder) llc.ExtraSnapshot {
-		x := &dish.Snapshot{}
-		x.Extra.Insertions = d.Uvarint("dish insertions")
-		x.Extra.Scheme1Fills = d.Uvarint("dish scheme1 fills")
-		x.Extra.Scheme2Fills = d.Uvarint("dish scheme2 fills")
-		x.Extra.UncompressedFills = d.Uvarint("dish uncompressed fills")
-		x.Extra.OTFSelections = d.Uvarint("dish otf selections")
-		x.Extra.SpaceEvictions = d.Uvarint("dish space evictions")
-		return x
-	},
-	Equal: func(a, b llc.ExtraSnapshot) bool {
-		x, y := a.(*dish.Snapshot), b.(*dish.Snapshot)
-		return x.Extra == y.Extra
-	},
+// summarizeCounters is the Summary of every design that releases
+// llc.Counters: its counters as name=value pairs.
+func summarizeCounters(x llc.ExtraSnapshot) string {
+	cs, _ := x.(llc.Counters)
+	if len(cs) == 0 {
+		return ""
+	}
+	parts := make([]string, len(cs))
+	for i, c := range cs {
+		parts[i] = fmt.Sprintf("%s=%d", c.Name, c.Value)
+	}
+	return "  " + strings.Join(parts, " ")
 }
 
 func init() {
@@ -458,24 +334,15 @@ func init() {
 		Build: func(mem *memory.Store) (llc.Cache, error) {
 			return dedupcache.New(dedupcache.DefaultConfig(), mem)
 		},
-		Codec: dedupCodec,
+		Codec: countersCodec,
 		AppendConfigKey: func(dst []byte) []byte {
 			cfg := dedupcache.DefaultConfig()
 			return keyU64(dst, uint64(cfg.TagEntries), uint64(cfg.TagWays),
 				uint64(cfg.DataEntries), uint64(cfg.HashEntries))
 		},
+		Summary: summarizeCounters,
 	})
-	Register(Scheme{
-		Name: "BDI",
-		Build: func(mem *memory.Store) (llc.Cache, error) {
-			return bdicache.New(bdicache.DefaultConfig(), mem)
-		},
-		Codec: bdiCodec,
-		AppendConfigKey: func(dst []byte) []byte {
-			cfg := bdicache.DefaultConfig()
-			return keyU64(dst, uint64(cfg.Sets), uint64(cfg.TagWays), uint64(cfg.DataWays))
-		},
-	})
+	registerSegmented(segcache.BDI)
 	Register(Scheme{
 		Name: "Thesaurus",
 		Build: func(mem *memory.Store) (llc.Cache, error) {
@@ -524,43 +391,23 @@ func init() {
 			return keyString(dst, cfg.Policy)
 		},
 	})
+	registerSegmented(segcache.CPack)
+	registerSegmented(segcache.DISH)
+}
+
+// registerSegmented registers a design on the segmented layout at the
+// default geometry.
+func registerSegmented(comp segcache.Compressor) {
 	Register(Scheme{
-		Name: "CPack",
+		Name: comp.Name,
 		Build: func(mem *memory.Store) (llc.Cache, error) {
-			return cpack.New(cpack.DefaultConfig(), mem)
+			return segcache.New(segcache.DefaultConfig(), comp, mem)
 		},
-		Codec: cpackCodec,
+		Codec: countersCodec,
 		AppendConfigKey: func(dst []byte) []byte {
-			cfg := cpack.DefaultConfig()
+			cfg := segcache.DefaultConfig()
 			return keyU64(dst, uint64(cfg.Sets), uint64(cfg.TagWays), uint64(cfg.DataWays))
 		},
-		Summary: func(x llc.ExtraSnapshot) string {
-			s, ok := x.(*cpack.Snapshot)
-			if !ok {
-				return ""
-			}
-			e := s.Extra
-			return fmt.Sprintf("  pat[zzzz,zzzx,mmmm,mmmx,mmxx,xxxx]=%v", e.ByPattern)
-		},
-	})
-	Register(Scheme{
-		Name: "DISH",
-		Build: func(mem *memory.Store) (llc.Cache, error) {
-			return dish.New(dish.DefaultConfig(), mem)
-		},
-		Codec: dishCodec,
-		AppendConfigKey: func(dst []byte) []byte {
-			cfg := dish.DefaultConfig()
-			return keyU64(dst, uint64(cfg.Sets), uint64(cfg.TagWays), uint64(cfg.DataWays))
-		},
-		Summary: func(x llc.ExtraSnapshot) string {
-			s, ok := x.(*dish.Snapshot)
-			if !ok {
-				return ""
-			}
-			e := s.Extra
-			return fmt.Sprintf("  fills[cpack,bdi,raw]=%d/%d/%d otf=%d",
-				e.Scheme1Fills, e.Scheme2Fills, e.UncompressedFills, e.OTFSelections)
-		},
+		Summary: summarizeCounters,
 	})
 }

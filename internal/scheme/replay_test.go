@@ -2,6 +2,7 @@ package scheme_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/cache"
@@ -19,25 +20,25 @@ import (
 // drains its write buffer inside many reads.
 func exactnessRecordings(t *testing.T) []stream {
 	t.Helper()
+	return []stream{record(t, "mcf", 0), record(t, "xz", 0), record(t, "omnetpp", 0.6)}
+}
+
+// record records 15,000 accesses of profile, at writeFrac writes unless
+// writeFrac is 0 (the profile's own mix).
+func record(t *testing.T, profile string, writeFrac float64) stream {
+	t.Helper()
 	const accesses = 15_000
-	var recs []stream
-	for _, v := range []struct {
-		profile   string
-		writeFrac float64 // 0: the profile's own mix
-	}{{"mcf", 0}, {"xz", 0}, {"omnetpp", 0.6}} {
-		p, err := workload.ProfileByName(v.profile)
-		if err != nil {
-			t.Fatal(err)
-		}
-		name := v.profile
-		if v.writeFrac > 0 {
-			p.Pattern.WriteFraction = v.writeFrac
-			name = fmt.Sprintf("%s-w%g", v.profile, v.writeFrac)
-		}
-		g := p.Generate(accesses)
-		recs = append(recs, stream{name: name, rec: sim.Record(g.Stream, sim.DefaultSystem(), g.Image), recorded: true})
+	p, err := workload.ProfileByName(profile)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return recs
+	name := profile
+	if writeFrac > 0 {
+		p.Pattern.WriteFraction = writeFrac
+		name = fmt.Sprintf("%s-w%g", profile, writeFrac)
+	}
+	g := p.Generate(accesses)
+	return stream{name: name, rec: sim.Record(g.Stream, sim.DefaultSystem(), g.Image), recorded: true}
 }
 
 // stream is one event stream the test replays; recorded marks a real
@@ -243,5 +244,72 @@ func TestRecycledSchemesMatchFresh(t *testing.T) {
 			t.Fatalf("%s: %d reads returned other data than the recording", where, overridden)
 		}
 		releaseAndCompare(t, where, recycled, fresh)
+	}
+}
+
+// decisionCounters names, per design, the counters that partition its
+// compression decisions (one per fill and one per write hit), and how
+// many counts each decision adds.
+var decisionCounters = map[string]struct {
+	match func(name string) bool
+	per   uint64
+}{
+	"BDI":   {func(n string) bool { return strings.HasPrefix(n, "kind_") }, 1},
+	"CPack": {func(n string) bool { return strings.HasPrefix(n, "pat_") }, 16}, // one per 32-bit word
+	"DISH":  {func(n string) bool { return strings.HasSuffix(n, "_fills") }, 1},
+}
+
+// TestCounterSnapshotsAreConsistent: every design that releases
+// llc.Counters reports a non-empty view with unique names after the
+// write-heavy omnetpp recording, compresses no more lines than it
+// inserts, and its decision histograms add up to its insertions plus its
+// write hits.
+func TestCounterSnapshotsAreConsistent(t *testing.T) {
+	writes := record(t, "omnetpp", 0.6)
+	histograms := 0
+	for _, design := range scheme.Names() {
+		inst := newReplayInstance(t, design)
+		if _, err := sim.Replay(inst.c, writes.rec, inst.st, sim.DefaultSystem(), sim.DefaultReplayOptions()); err != nil {
+			t.Fatalf("%s: %v", design, err)
+		}
+		snap := inst.c.Release()
+		inst.st.Release()
+		cs, ok := snap.Extra.(llc.Counters)
+		if !ok {
+			continue
+		}
+		if len(cs) == 0 {
+			t.Errorf("%s: empty counter view", design)
+			continue
+		}
+		byName := map[string]uint64{}
+		for _, c := range cs {
+			if _, dup := byName[c.Name]; dup {
+				t.Errorf("%s: counter %q repeats", design, c.Name)
+			}
+			byName[c.Name] = c.Value
+		}
+		ins, hasIns := byName["insertions"]
+		if comp, ok := byName["compressed"]; ok && (!hasIns || comp > ins) {
+			t.Errorf("%s: compressed %d exceeds insertions %d", design, comp, ins)
+		}
+		dc, ok := decisionCounters[design]
+		if !ok {
+			continue
+		}
+		histograms++
+		var sum uint64
+		for _, c := range cs {
+			if dc.match(c.Name) {
+				sum += c.Value
+			}
+		}
+		if want := dc.per * (ins + snap.Stats.WriteHits); sum != want || want == 0 {
+			t.Errorf("%s: decision counters sum to %d, want %d × (%d insertions + %d write hits)",
+				design, sum, dc.per, ins, snap.Stats.WriteHits)
+		}
+	}
+	if histograms != len(decisionCounters) {
+		t.Fatalf("checked %d decision histograms, want %d", histograms, len(decisionCounters))
 	}
 }

@@ -47,8 +47,8 @@ type Decoder interface {
 // section. Encodings must be canonical — decode∘encode is the identity
 // on accepted payloads (the codec fuzz contract) — and every counter a
 // uvarint, every float a fixed 8-byte bit pattern, every bool one strict
-// byte. Designs sharing a snapshot type (Baseline and 2x Baseline) share
-// one codec value.
+// byte. Designs sharing a snapshot type share one codec value: Baseline
+// and 2x Baseline, and every design that releases llc.Counters.
 type ExtraCodec struct {
 	// Tag is the snapshot's unique wire tag. Tag 0 is reserved for a nil
 	// Extra; adding a tag requires an artifact.RunOutputVersion bump

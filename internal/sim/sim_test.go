@@ -4,13 +4,13 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/bdicache"
 	"repro/internal/dedupcache"
 	"repro/internal/dram"
 	"repro/internal/ideal"
 	"repro/internal/line"
 	"repro/internal/llc"
 	"repro/internal/memory"
+	"repro/internal/segcache"
 	"repro/internal/thesaurus"
 	"repro/internal/trace"
 	"repro/internal/uncomp"
@@ -126,7 +126,7 @@ func TestReplayAllDesignsVerified(t *testing.T) {
 			return uncomp.New("conv", uncomp.Config{SizeBytes: 64 << 10, Ways: 8, Policy: "plru"}, m), nil
 		},
 		"bdi": func(m *memory.Store) (llc.Cache, error) {
-			return bdicache.New(bdicache.Config{Sets: 128, TagWays: 16, DataWays: 8}, m)
+			return segcache.New(segcache.Config{Sets: 128, TagWays: 16, DataWays: 8}, segcache.BDI, m)
 		},
 		"dedup": func(m *memory.Store) (llc.Cache, error) {
 			return dedupcache.New(dedupcache.Config{TagEntries: 2048, TagWays: 8, DataEntries: 700, HashEntries: 512}, m)

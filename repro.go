@@ -32,7 +32,6 @@ package repro
 
 import (
 	"repro/internal/bdi"
-	"repro/internal/bdicache"
 	"repro/internal/dedupcache"
 	"repro/internal/diffenc"
 	"repro/internal/dram"
@@ -41,6 +40,7 @@ import (
 	"repro/internal/llc"
 	"repro/internal/lsh"
 	"repro/internal/memory"
+	"repro/internal/segcache"
 	"repro/internal/sim"
 	"repro/internal/thesaurus"
 	"repro/internal/trace"
@@ -166,7 +166,9 @@ func NewConventional(name string, sizeBytes int, mem *Memory) LLC {
 }
 
 // NewBDICache builds the BΔI-compressed baseline LLC (Table 2 geometry).
-func NewBDICache(mem *Memory) (LLC, error) { return bdicache.New(bdicache.DefaultConfig(), mem) }
+func NewBDICache(mem *Memory) (LLC, error) {
+	return segcache.New(segcache.DefaultConfig(), segcache.BDI, mem)
+}
 
 // NewDedupCache builds the Dedup baseline LLC (Table 2 geometry).
 func NewDedupCache(mem *Memory) (LLC, error) { return dedupcache.New(dedupcache.DefaultConfig(), mem) }
