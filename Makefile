@@ -213,8 +213,8 @@ bench-json:
 
 # Re-measure the hot paths and fail if any kernel or hot-path row regresses
 # more than 15% ns/op (or grows allocs at all) against the committed
-# snapshot. Each run is also appended to results/bench_history.jsonl so the
-# performance trajectory accumulates machine-readably.
+# snapshot. Each run is also appended to results/bench_history.jsonl
+# (beside the snapshot) so the performance trajectory accumulates
+# machine-readably.
 bench-diff:
-	$(GO) run ./cmd/thesaurus -benchdiff BENCH_hotpath.json \
-		-benchhistory results/bench_history.jsonl
+	$(GO) run ./cmd/thesaurus -benchdiff BENCH_hotpath.json

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"time"
@@ -25,7 +26,6 @@ type benchHistoryRecord struct {
 	GOMAXPROCS  int          `json:"gomaxprocs"`
 	Baseline    string       `json:"baseline"`
 	Regressions int          `json:"regressions"`
-	Note        string       `json:"note,omitempty"`
 	Benchmarks  []benchEntry `json:"benchmarks"`
 }
 
@@ -39,10 +39,9 @@ func gatedClass(class string) bool {
 // runBenchDiff re-measures the hot-path benchmark suite and compares it
 // against the committed baseline document. Gated rows fail the run when
 // ns/op grows beyond benchDiffTolerance or allocs/op grows at all; every
-// row is printed with its delta. When historyPath is non-empty the fresh
-// measurement is appended there as one JSONL record (note is free-form
-// context, e.g. the quick-campaign wall time).
-func runBenchDiff(baselinePath, historyPath, note string) error {
+// row is printed with its delta. The fresh measurement is appended as
+// one JSONL record to results/bench_history.jsonl beside the baseline.
+func runBenchDiff(baselinePath string) error {
 	raw, err := os.ReadFile(baselinePath)
 	if err != nil {
 		return fmt.Errorf("bench-diff: %w", err)
@@ -103,20 +102,18 @@ func runBenchDiff(baselinePath, historyPath, note string) error {
 		}
 	}
 
-	if historyPath != "" {
-		if err := appendBenchHistory(historyPath, benchHistoryRecord{
-			When:        time.Now().UTC().Format(time.RFC3339),
-			GoVersion:   runtime.Version(),
-			GOMAXPROCS:  runtime.GOMAXPROCS(0),
-			Baseline:    baselinePath,
-			Regressions: len(regressions),
-			Note:        note,
-			Benchmarks:  entries,
-		}); err != nil {
-			return err
-		}
-		fmt.Printf("history: appended to %s\n", historyPath)
+	historyPath := filepath.Join(filepath.Dir(baselinePath), "results", "bench_history.jsonl")
+	if err := appendBenchHistory(historyPath, benchHistoryRecord{
+		When:        time.Now().UTC().Format(time.RFC3339),
+		GoVersion:   runtime.Version(),
+		GOMAXPROCS:  runtime.GOMAXPROCS(0),
+		Baseline:    baselinePath,
+		Regressions: len(regressions),
+		Benchmarks:  entries,
+	}); err != nil {
+		return err
 	}
+	fmt.Printf("history: appended to %s\n", historyPath)
 	if len(regressions) > 0 {
 		return fmt.Errorf("bench-diff: %d regression(s) vs %s:\n  %s",
 			len(regressions), baselinePath, strings.Join(regressions, "\n  "))

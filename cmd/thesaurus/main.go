@@ -6,8 +6,9 @@
 //
 //	thesaurus [flags] <experiment> [experiment ...]
 //
-// Experiments: fig1 fig2 fig5 fig13 fig14 fig15 fig16 fig17 fig18 fig19
-// fig20 table1 table2 table3 table4 summary ablate all
+// Experiments: table1-table4, fig1 fig2 fig5 fig13-fig20, summary,
+// ablate and its single sweeps (ablate-*), and all; run thesaurus with no
+// arguments for the exact list.
 //
 // Flags:
 //
@@ -17,6 +18,8 @@
 //	-workers N    bound experiment concurrency (0 = GOMAXPROCS, 1 = serial)
 //	-json         emit one machine-readable JSON document instead of text reports
 //	-benchjson f  run the hot-path benchmarks and write BENCH_hotpath.json to f
+//	-benchdiff f  re-measure them against baseline f, fail on a regression, and
+//	              append the measurement to results/bench_history.jsonl beside f
 //	-cpuprofile f write a pprof CPU profile of the whole campaign to f
 //	-memprofile f write a pprof heap profile at exit to f
 //	-cache-dir d       on-disk artifact cache directory (default: user cache dir)
@@ -106,8 +109,6 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit one JSON document instead of text reports")
 	benchjson := flag.String("benchjson", "", "run hot-path benchmarks and write JSON to file (\"-\" = stdout)")
 	benchdiff := flag.String("benchdiff", "", "re-measure hot-path benchmarks and fail on regression vs this baseline JSON")
-	benchhistory := flag.String("benchhistory", "", "with -benchdiff: append the fresh measurement to this JSONL file")
-	benchnote := flag.String("benchnote", "", "with -benchhistory: free-form context recorded with the measurement")
 	cpuprofile := flag.String("cpuprofile", "", "write pprof CPU profile to file")
 	memprofile := flag.String("memprofile", "", "write pprof heap profile to file")
 	cacheDir := flag.String("cache-dir", "", "artifact cache directory (default: user cache dir)")
@@ -130,7 +131,7 @@ func main() {
 		return
 	}
 	if *benchdiff != "" {
-		if err := runBenchDiff(*benchdiff, *benchhistory, *benchnote); err != nil {
+		if err := runBenchDiff(*benchdiff); err != nil {
 			fail(err)
 		}
 		return
@@ -168,13 +169,12 @@ func main() {
 	args := flag.Args()
 	if len(args) == 0 {
 		fmt.Fprintln(os.Stderr, "usage: thesaurus [flags] <experiment> [...]")
-		fmt.Fprintln(os.Stderr, "experiments: fig1 fig2 fig5 fig13 fig14 fig15 fig16 fig17 fig18 fig19 fig20")
-		fmt.Fprintln(os.Stderr, "             table1 table2 table3 table4 summary ablate all")
+		fmt.Fprintln(os.Stderr, "experiments:", strings.Join(experiments.Campaign, " "))
+		fmt.Fprintln(os.Stderr, "            ", "summary", strings.Join(experiments.Ablations, " "), "all")
 		os.Exit(2)
 	}
 	if len(args) == 1 && args[0] == "all" {
-		args = []string{"table1", "table2", "fig1", "fig2", "fig5", "fig13", "table3", "fig14",
-			"table4", "fig15", "fig16", "fig17", "fig18", "fig19", "fig20", "ablate"}
+		args = experiments.Campaign
 	}
 
 	wa := workerArgs{
@@ -229,7 +229,7 @@ func main() {
 	campaign := time.Now()
 	for _, exp := range args {
 		t0 := time.Now()
-		out, err := run(exp, opt)
+		out, err := experiments.Report(exp, opt)
 		if err != nil {
 			fail(err)
 		}
@@ -258,98 +258,6 @@ func main() {
 			fail(err)
 		}
 	}
-}
-
-func run(exp string, opt experiments.Options) (string, error) {
-	switch exp {
-	case "summary":
-		r, err := experiments.Fig13(opt)
-		if err != nil {
-			return "", err
-		}
-		var b strings.Builder
-		fmt.Fprintf(&b, "\nHeadline comparison (geomeans over %d benchmarks)\n", len(r.Profiles))
-		fmt.Fprintf(&b, "%-14s %12s %12s %12s\n", "design", "compression", "MPKI (S)", "IPC (S)")
-		for _, d := range r.Designs {
-			fmt.Fprintf(&b, "%-14s %11.2fx %12.3f %12.3f\n",
-				d, r.GeomeanCR[d], r.GeomeanMPKIS[d], r.GeomeanIPCS[d])
-		}
-		return b.String(), nil
-	case "table1":
-		return experiments.Table1Report(), nil
-	case "table2":
-		return experiments.Table2Report(), nil
-	case "table3":
-		return experiments.Table3Report(), nil
-	case "table4":
-		return experiments.Table4Report(), nil
-	case "fig1":
-		r, err := experiments.Fig1(opt)
-		return reportOf(r, err)
-	case "fig2":
-		r, err := experiments.Fig2("mcf", opt)
-		return reportOf(r, err)
-	case "fig5":
-		r, err := experiments.Fig5(opt)
-		return reportOf(r, err)
-	case "fig13":
-		r, err := experiments.Fig13(opt)
-		return reportOf(r, err)
-	case "fig14":
-		r, err := experiments.Fig14(opt)
-		return reportOf(r, err)
-	case "fig15":
-		r, err := experiments.Fig15(opt)
-		return reportOf(r, err)
-	case "fig16":
-		r, err := experiments.Fig16(opt)
-		return reportOf(r, err)
-	case "fig17":
-		r, err := experiments.Fig17(opt)
-		return reportOf(r, err)
-	case "fig18":
-		r, err := experiments.Fig18(opt)
-		return reportOf(r, err)
-	case "fig19":
-		o := opt
-		o.Profiles = nil // Fig. 19 uses its own default selection
-		if len(opt.Profiles) > 0 {
-			o.Profiles = opt.Profiles
-		}
-		r, err := experiments.Fig19(o)
-		return reportOf(r, err)
-	case "fig20":
-		r, err := experiments.Fig20(opt)
-		return reportOf(r, err)
-	case "ablate":
-		var b strings.Builder
-		for _, f := range []func(experiments.Options) (*experiments.AblationResult, error){
-			experiments.AblateVictimCandidates,
-			experiments.AblateLSHBits,
-			experiments.AblateLSHSparsity,
-			experiments.AblateAdaptive,
-			experiments.AblateBaseCachePriority,
-		} {
-			r, err := f(opt)
-			if err != nil {
-				return "", err
-			}
-			b.WriteString(r.Report())
-		}
-		return b.String(), nil
-	default:
-		return "", fmt.Errorf("unknown experiment %q", exp)
-	}
-}
-
-// reporter is any experiment result that renders itself.
-type reporter interface{ Report() string }
-
-func reportOf(r reporter, err error) (string, error) {
-	if err != nil {
-		return "", err
-	}
-	return r.Report(), nil
 }
 
 func fail(err error) {

@@ -11,16 +11,14 @@
 //
 // Flags:
 //
-//	-json         emit machine-readable JSON on stdout (diagnostics, or
-//	              the per-function escape report with -escapes)
+//	-json         emit the analyzer diagnostics as JSON on stdout
 //	-allow file   allowlist of audited exceptions (default: <module>/lint.allow if present)
 //	-analyzers csv run only the named analyzers
 //	-list         print the suite and exit
 //	-fix          apply machine-applicable suggested fixes in place, then re-lint
 //	-prune-allow  rewrite the allowlist dropping entries that suppress nothing
-//	-escapes      check compiler-proven escapes on hot-path functions against the budget
-//	-budget file  escape budget file (default <module>/alloc.budget)
-//	-write-budget regenerate the escape budget from the current tree
+//	-escapes      check compiler-proven escapes on hot-path functions against <module>/alloc.budget
+//	-write-budget regenerate <module>/alloc.budget from the current tree
 //
 // -escapes mode replaces the analyzer run: it scans for
 // //thesaurus:hotpath functions, rebuilds their packages with
@@ -49,9 +47,8 @@ func main() {
 	list := flag.Bool("list", false, "list analyzers and exit")
 	fix := flag.Bool("fix", false, "apply machine-applicable suggested fixes in place, then re-lint")
 	pruneAllow := flag.Bool("prune-allow", false, "rewrite the allowlist dropping entries that suppress nothing")
-	escapes := flag.Bool("escapes", false, "diff compiler-proven hot-path escapes against the budget")
-	budgetFlag := flag.String("budget", "", "escape budget file (default <module>/alloc.budget)")
-	writeBudget := flag.Bool("write-budget", false, "regenerate the escape budget from the current tree")
+	escapes := flag.Bool("escapes", false, "diff compiler-proven hot-path escapes against <module>/alloc.budget")
+	writeBudget := flag.Bool("write-budget", false, "regenerate <module>/alloc.budget from the current tree")
 	flag.Parse()
 
 	if *list {
@@ -71,11 +68,7 @@ func main() {
 	}
 
 	if *escapes || *writeBudget {
-		budgetPath := *budgetFlag
-		if budgetPath == "" {
-			budgetPath = filepath.Join(moduleDir, "alloc.budget")
-		}
-		runEscapes(moduleDir, budgetPath, *writeBudget, *jsonOut)
+		runEscapes(moduleDir, filepath.Join(moduleDir, "alloc.budget"), *writeBudget)
 		return
 	}
 
@@ -247,10 +240,8 @@ func targetDirs(moduleDir, cwd string, args []string) ([]string, error) {
 
 // runEscapes is -escapes/-write-budget mode: scan for hot-path pragmas,
 // ask the compiler which sites escape, and diff (or regenerate) the
-// committed budget. With jsonOut, the per-function report goes to stdout
-// as JSON (lint.EscapeRow) and the human-readable failures stay on
-// stderr; the exit status is the same either way.
-func runEscapes(moduleDir, budgetPath string, write, jsonOut bool) {
+// committed budget.
+func runEscapes(moduleDir, budgetPath string, write bool) {
 	funcs, err := lint.ScanHotFuncs(moduleDir)
 	if err != nil {
 		fatal(err)
@@ -275,17 +266,6 @@ func runEscapes(moduleDir, budgetPath string, write, jsonOut bool) {
 	budget, err := lint.ParseBudget(budgetPath)
 	if err != nil {
 		fatal(fmt.Errorf("%v (run `thesauruslint -escapes -write-budget` to create)", err))
-	}
-	if jsonOut {
-		rows := lint.BuildEscapeReport(funcs, attributed, budget)
-		if rows == nil {
-			rows = []lint.EscapeRow{}
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rows); err != nil {
-			fatal(err)
-		}
 	}
 	failures := lint.DiffBudget(budget, attributed)
 	for _, f := range failures {

@@ -12,9 +12,8 @@
 //
 // With -artifact, the trace is filtered through the private L1/L2 levels
 // and written as a recording artifact (internal/artifact codec: the
-// L1/L2-filtered LLC event stream plus the memory image, which holds
-// only the lines the trace touched — see workload.Profile.Generate), directly
-// loadable by the experiment harness. With -cache-dir, the same artifact
+// L1/L2-filtered LLC event stream), directly loadable by the experiment
+// harness. With -cache-dir, the same artifact
 // is stored into an artifact cache under its canonical content key, so a
 // later thesaurus/calibrate run starts warm.
 package main
@@ -34,7 +33,7 @@ func main() {
 	profile := flag.String("profile", "mcf", "workload profile name")
 	n := flag.Int("n", 1_000_000, "number of accesses to generate")
 	out := flag.String("o", "", "output file (default <profile>.trace)")
-	artifactOut := flag.String("artifact", "", "write a recording artifact (recorded events + the memory image lines the trace touched) to this file")
+	artifactOut := flag.String("artifact", "", "write a recording artifact (the L1/L2-filtered LLC events) to this file")
 	cacheDir := flag.String("cache-dir", "", "store the recording into this artifact cache under its canonical key")
 	list := flag.Bool("list", false, "list available profiles and exit")
 	flag.Parse()
@@ -61,14 +60,13 @@ func main() {
 		// mutates the image as stores retire).
 		gen := p.Generate(*n)
 		rec := sim.Record(gen.Stream, sim.DefaultSystem(), gen.Image)
-		af := &artifact.File{Recorded: rec, Image: gen.Image}
 		if *artifactOut != "" {
-			data := artifact.Encode(nil, af)
+			data := artifact.Encode(nil, &artifact.File{Recorded: rec})
 			if err := os.WriteFile(*artifactOut, data, 0o644); err != nil {
 				fail(err)
 			}
-			fmt.Printf("wrote artifact: %d LLC events, %d-line image, %.1fMB to %s\n",
-				len(rec.Events), gen.Image.Populated(), float64(len(data))/(1<<20), *artifactOut)
+			fmt.Printf("wrote artifact: %d LLC events, %.1fMB to %s\n",
+				len(rec.Events), float64(len(data))/(1<<20), *artifactOut)
 		}
 		if *cacheDir != "" {
 			c, err := artifact.Open(*cacheDir, 0)

@@ -1,23 +1,21 @@
 // Package artifact implements the persistent, content-addressed on-disk
-// cache for recordings (ISSUE 5). A recording — sim.Recorded plus
-// optionally the paged memory image it was produced from — is a pure
-// function of (profile parameters, SystemConfig geometry, trace length,
-// codec version), so it is stored under a SHA-256 of exactly those inputs
-// and loaded instead of re-simulated on every later run.
+// cache for recordings. A recording (sim.Recorded) is a pure function of
+// (profile parameters, SystemConfig geometry, trace length, codec
+// version), so it is stored under a SHA-256 of exactly those inputs and
+// loaded instead of re-simulated on every later run.
 //
 // The file format is a compact versioned binary codec:
 //
 //	header   16B: magic "THSA", u32 version, u32 section bitmask, u32 reserved
-//	payload  sections in bitmask order (recorded, then image)
+//	payload  sections in bitmask order (recorded, then run output)
 //	footer   16B: u64 payload length, u32 CRC-32C(header+payload), u32 magic
 //
 // The recorded section deduplicates line contents through a first-seen
 // pool (replayed traces revisit the same lines constantly), delta-encodes
 // event addresses with zigzag varints, and stores counters as uvarints.
-// The image section reuses memory.Store's canonical page encoding (sorted
-// 4KiB pages, raw line bytes). Everything is checksummed; any decode
-// failure surfaces as ErrCorrupt so callers regenerate, and a version
-// mismatch is ErrVersionSkew — a miss, never an error.
+// Everything is checksummed; any decode failure surfaces as ErrCorrupt so
+// callers regenerate, and a version mismatch is ErrVersionSkew — a miss,
+// never an error.
 package artifact
 
 import (
@@ -28,7 +26,6 @@ import (
 	"slices"
 
 	"repro/internal/line"
-	"repro/internal/memory"
 	"repro/internal/sim"
 )
 
@@ -44,8 +41,9 @@ const (
 	headerLen   = 16
 	footerLen   = 16
 
+	// Bit 1 is retired (a memory-image section); a file that sets it
+	// decodes as corrupt.
 	sectionRecorded = 1 << 0
-	sectionImage    = 1 << 1
 	sectionRun      = 1 << 2
 
 	// maxEvents / maxPool bound decode-time allocations to what a
@@ -69,10 +67,6 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // File is the decoded form of one artifact.
 type File struct {
 	Recorded *sim.Recorded
-	// Image is the memory image the recording was taken from (present
-	// only when the writer included it, e.g. cmd/tracegen artifacts).
-	// Its pages are backed by the decode slab: see memory.Store.Release.
-	Image *memory.Store
 	// Run is a whole memoized replay result (ISSUE 8). The section
 	// carries its own sub-version (RunOutputVersion) on top of the
 	// container version, because its encoding mirrors snapshot struct
@@ -86,9 +80,6 @@ func Encode(dst []byte, f *File) []byte {
 	if f.Recorded != nil {
 		sections |= sectionRecorded
 	}
-	if f.Image != nil {
-		sections |= sectionImage
-	}
 	if f.Run != nil {
 		sections |= sectionRun
 	}
@@ -99,9 +90,6 @@ func Encode(dst []byte, f *File) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, 0)
 	if f.Recorded != nil {
 		dst = appendRecorded(dst, f.Recorded)
-	}
-	if f.Image != nil {
-		dst = f.Image.AppendPages(dst)
 	}
 	if f.Run != nil {
 		dst = appendRunOutput(dst, f.Run)
@@ -142,7 +130,7 @@ func Decode(data []byte) (*File, error) {
 		return nil, fmt.Errorf("%w: file version %d, codec version %d", ErrVersionSkew, v, Version)
 	}
 	sections := binary.LittleEndian.Uint32(data[8:])
-	if sections&^uint32(sectionRecorded|sectionImage|sectionRun) != 0 {
+	if sections&^uint32(sectionRecorded|sectionRun) != 0 {
 		return nil, fmt.Errorf("%w: unknown section bits %#x", ErrCorrupt, sections)
 	}
 	payload := data[headerLen : len(data)-footerLen]
@@ -152,13 +140,6 @@ func Decode(data []byte) (*File, error) {
 		if f.Recorded, payload, err = decodeRecorded(payload); err != nil {
 			return nil, err
 		}
-	}
-	if sections&sectionImage != 0 {
-		s := memory.NewStore()
-		if payload, err = s.LoadPages(payload); err != nil {
-			return nil, fmt.Errorf("%w: image: %v", ErrCorrupt, err)
-		}
-		f.Image = s
 	}
 	if sections&sectionRun != 0 {
 		if f.Run, payload, err = decodeRunOutput(payload); err != nil {

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/line"
-	"repro/internal/memory"
 	"repro/internal/sim"
 	"repro/internal/workload"
 	"repro/internal/xrand"
@@ -61,19 +60,6 @@ func synthRecorded(seed uint64, n int) *sim.Recorded {
 	return r
 }
 
-func synthImage(seed uint64, n int) *memory.Store {
-	rng := xrand.New(seed)
-	s := memory.NewStore()
-	addr := line.Addr(0x4000)
-	for i := 0; i < n; i++ {
-		var l line.Line
-		l[0], l[1] = byte(i), byte(i>>8)
-		s.Poke(addr, l)
-		addr += line.Addr(line.Size * (1 + rng.Intn(100)))
-	}
-	return s
-}
-
 func TestCodecRoundtrip(t *testing.T) {
 	cases := []struct {
 		name string
@@ -81,9 +67,6 @@ func TestCodecRoundtrip(t *testing.T) {
 	}{
 		{"empty recorded", File{Recorded: &sim.Recorded{}}},
 		{"recorded only", File{Recorded: synthRecorded(1, 500)}},
-		{"recorded+image", File{Recorded: synthRecorded(2, 200), Image: synthImage(3, 300)}},
-		{"image only", File{Image: synthImage(4, 50)}},
-		{"empty image", File{Image: memory.NewStore()}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -97,12 +80,6 @@ func TestCodecRoundtrip(t *testing.T) {
 			}
 			if got.Recorded != nil && !RecordedEqual(got.Recorded, c.f.Recorded) {
 				t.Fatal("decoded recording differs")
-			}
-			if (got.Image == nil) != (c.f.Image == nil) {
-				t.Fatal("image presence changed")
-			}
-			if got.Image != nil && !memory.PagesEqual(got.Image, c.f.Image) {
-				t.Fatal("decoded image differs")
 			}
 			// Canonical: re-encoding the decoded file is byte-identical.
 			if string(Encode(nil, got)) != string(enc) {
@@ -121,7 +98,7 @@ func TestCodecRoundtripRealRecording(t *testing.T) {
 	}
 	g := p.Generate(20000)
 	rec := sim.Record(g.Stream, sim.DefaultSystem(), g.Image)
-	enc := Encode(nil, &File{Recorded: rec, Image: g.Image})
+	enc := Encode(nil, &File{Recorded: rec})
 	got, err := Decode(enc)
 	if err != nil {
 		t.Fatal(err)
@@ -129,13 +106,10 @@ func TestCodecRoundtripRealRecording(t *testing.T) {
 	if !RecordedEqual(got.Recorded, rec) {
 		t.Fatal("decoded recording differs from sim.Record output")
 	}
-	if !memory.PagesEqual(got.Image, g.Image) {
-		t.Fatal("decoded image differs from generated image")
-	}
 }
 
 func TestDecodeRejectsTruncation(t *testing.T) {
-	enc := Encode(nil, &File{Recorded: synthRecorded(5, 300), Image: synthImage(6, 40)})
+	enc := Encode(nil, &File{Recorded: synthRecorded(5, 300)})
 	for cut := 0; cut < len(enc); cut += 131 {
 		if _, err := Decode(enc[:cut]); err == nil {
 			t.Fatalf("truncation to %d bytes accepted", cut)

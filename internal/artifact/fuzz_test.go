@@ -3,8 +3,6 @@ package artifact
 import (
 	"bytes"
 	"testing"
-
-	"repro/internal/memory"
 )
 
 // FuzzRecordedCodecRoundtrip feeds arbitrary bytes to the decoder: it must
@@ -14,8 +12,7 @@ import (
 func FuzzRecordedCodecRoundtrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(Encode(nil, &File{Recorded: synthRecorded(1, 40)}))
-	f.Add(Encode(nil, &File{Recorded: synthRecorded(2, 7), Image: synthImage(3, 9)}))
-	f.Add(Encode(nil, &File{Image: synthImage(4, 1)}))
+	f.Add(Encode(nil, &File{Recorded: synthRecorded(2, 7)}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		decoded, err := Decode(data)
 		if err != nil {
@@ -29,15 +26,11 @@ func FuzzRecordedCodecRoundtrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoding of accepted input rejected: %v", err)
 		}
-		if (round.Recorded == nil) != (decoded.Recorded == nil) ||
-			(round.Image == nil) != (decoded.Image == nil) {
+		if (round.Recorded == nil) != (decoded.Recorded == nil) {
 			t.Fatal("section presence changed across roundtrip")
 		}
 		if round.Recorded != nil && !RecordedEqual(round.Recorded, decoded.Recorded) {
 			t.Fatal("recording changed across roundtrip")
-		}
-		if round.Image != nil && !memory.PagesEqual(round.Image, decoded.Image) {
-			t.Fatal("image changed across roundtrip")
 		}
 	})
 }

@@ -33,12 +33,18 @@ const RunOutputVersion = 4
 
 // RunOutput is a whole memoized run: the replay metrics, the released
 // cache's statistics snapshot, and the Fig. 16 cluster-size fractions.
-// It mirrors harness.RunOutput field for field (the harness converts at
-// the cache boundary; artifact cannot import harness).
+// harness.RunOutput is this type.
 type RunOutput struct {
 	Res          sim.Result
 	Snap         llc.StatsSnapshot
 	ClusterFracs [4]float64
+}
+
+// Clone returns a deep copy sharing no mutable state with o.
+func (o *RunOutput) Clone() *RunOutput {
+	cp := *o
+	cp.Snap = o.Snap.Clone()
+	return &cp
 }
 
 // extraNil is the wire tag of a snapshot with no design-specific Extra.

@@ -67,8 +67,8 @@ func (s Stats) AvgLatency() float64 {
 	return s.Cycles / float64(s.Accesses())
 }
 
-// Model is an open-page DRAM timing model. It implements the
-// memory.LatencyModel interface.
+// Model is an open-page DRAM timing model; memory.Store prices its
+// demand accesses with one (AttachLatencyModel).
 type Model struct {
 	cfg     Config
 	openRow []int64 // per bank; -1 = closed

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/line"
-	"repro/internal/memory"
 	"repro/internal/xrand"
 )
 
@@ -56,29 +55,6 @@ func TestRandomTrafficNearFlatConstant(t *testing.T) {
 	// Random traffic should land near the default model's flat 186 cycles.
 	if avg := s.AvgLatency(); avg < 150 || avg > 230 {
 		t.Fatalf("random average latency %.1f cycles", avg)
-	}
-}
-
-func TestStoreIntegration(t *testing.T) {
-	st := memory.NewStore()
-	m := New(DDR3_1066())
-	st.AttachLatencyModel(m)
-	if _, ok := st.DemandCycles(); !ok {
-		t.Fatal("model not attached")
-	}
-	st.Read(0, memory.Fill)
-	st.Write(64, line.Line{}, memory.Writeback)
-	st.Read(0, memory.BaseTable) // base-table traffic is not priced
-	cyc, _ := st.DemandCycles()
-	if cyc <= 0 {
-		t.Fatal("no demand cycles accumulated")
-	}
-	if m.Stats().Accesses() != 2 {
-		t.Fatalf("model saw %d accesses, want 2", m.Stats().Accesses())
-	}
-	st.ResetStats()
-	if cyc, _ := st.DemandCycles(); cyc != 0 {
-		t.Fatal("reset did not clear demand cycles")
 	}
 }
 

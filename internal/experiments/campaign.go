@@ -4,13 +4,21 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"strings"
 )
 
+// Campaign is the experiment list the CLI's "all" runs, in report order.
+var Campaign = []string{"table1", "table2", "fig1", "fig2", "fig5", "fig13", "table3", "fig14",
+	"table4", "fig15", "fig16", "fig17", "fig18", "fig19", "fig20", "ablate"}
+
+// Ablations are the sweeps the composite name "ablate" runs, in report
+// order.
+var Ablations = []string{"ablate-victims", "ablate-bits", "ablate-sparsity", "ablate-adaptive", "ablate-basecache"}
+
 // RunExperiment dispatches an experiment by its campaign name and
-// returns the raw result value. It is the single dispatch point shared
-// by cmd/thesaurus's -json mode and the determinism tests; the text
-// front-end keeps its own switch because several experiments render
-// composite reports.
+// returns the raw result value. It is the single dispatch point: the
+// text reports (Report) and the JSON campaign (CampaignJSON) both render
+// what it returns.
 func RunExperiment(name string, opt Options) (any, error) {
 	switch name {
 	case "table1":
@@ -58,6 +66,42 @@ func RunExperiment(name string, opt Options) (any, error) {
 	}
 }
 
+// Report runs the named experiment and renders its text report: a
+// table's text or the result's Report(). Two names render composites:
+// "summary" is Fig. 13's headline table, and "ablate" is every sweep in
+// Ablations.
+func Report(name string, opt Options) (string, error) {
+	switch name {
+	case "summary":
+		r, err := Fig13(opt)
+		if err != nil {
+			return "", err
+		}
+		return r.Headline(), nil
+	case "ablate":
+		var b strings.Builder
+		for _, sub := range Ablations {
+			rep, err := Report(sub, opt)
+			if err != nil {
+				return "", err
+			}
+			b.WriteString(rep)
+		}
+		return b.String(), nil
+	}
+	r, err := RunExperiment(name, opt)
+	if err != nil {
+		return "", err
+	}
+	switch r := r.(type) {
+	case string:
+		return r, nil
+	case interface{ Report() string }:
+		return r.Report(), nil
+	}
+	return "", fmt.Errorf("experiment %q has no text report", name)
+}
+
 // campaignEntry is one experiment in a JSON campaign document.
 type campaignEntry struct {
 	Experiment string `json:"experiment"`
@@ -76,8 +120,7 @@ func CampaignJSON(names []string, opt Options) ([]byte, error) {
 	for _, name := range names {
 		if name == "ablate" {
 			// The composite CLI name expands to the individual sweeps.
-			for _, sub := range []string{"ablate-victims", "ablate-bits", "ablate-sparsity",
-				"ablate-adaptive", "ablate-basecache"} {
+			for _, sub := range Ablations {
 				r, err := RunExperiment(sub, opt)
 				if err != nil {
 					return nil, err

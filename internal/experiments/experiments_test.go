@@ -243,30 +243,38 @@ func TestFig20SweepMonotone(t *testing.T) {
 
 func TestAblations(t *testing.T) {
 	opt := Options{Accesses: 50_000, Profiles: []string{"mcf"}}
-	ablations := []struct {
-		name string
-		f    func(Options) (*AblationResult, error)
-	}{
-		{"victims", AblateVictimCandidates},
-		{"bits", AblateLSHBits},
-		{"sparsity", AblateLSHSparsity},
-	}
-	for _, a := range ablations {
-		r, err := a.f(opt)
+	for _, name := range []string{"ablate-victims", "ablate-bits", "ablate-sparsity"} {
+		res, err := RunExperiment(name, opt)
 		if err != nil {
-			t.Fatalf("%s: %v", a.name, err)
+			t.Fatalf("%s: %v", name, err)
 		}
+		r := res.(*AblationResult)
 		if len(r.Points) < 3 {
-			t.Fatalf("%s: %d points", a.name, len(r.Points))
+			t.Fatalf("%s: %d points", name, len(r.Points))
 		}
 		for _, p := range r.Points {
 			if p.GeomeanCR <= 0 || p.GeomeanNM <= 0 {
-				t.Fatalf("%s: degenerate point %+v", a.name, p)
+				t.Fatalf("%s: degenerate point %+v", name, p)
 			}
 		}
-		if !strings.Contains(r.Report(), "Ablation") {
-			t.Fatal("report")
+		rep, err := Report(name, opt)
+		if err != nil {
+			t.Fatalf("%s report: %v", name, err)
 		}
+		if !strings.Contains(rep, "Ablation") || rep != r.Report() {
+			t.Fatalf("%s: Report does not render the sweep's result:\n%s", name, rep)
+		}
+	}
+}
+
+// TestReportUnknownExperiment: a name no experiment answers to fails in
+// text mode and in JSON mode alike.
+func TestReportUnknownExperiment(t *testing.T) {
+	if _, err := Report("fig99", tinyOpt()); err == nil {
+		t.Error("Report accepted an unknown experiment")
+	}
+	if _, err := CampaignJSON([]string{"fig99"}, tinyOpt()); err == nil {
+		t.Error("CampaignJSON accepted an unknown experiment")
 	}
 }
 
@@ -278,62 +286,21 @@ func TestParallelReportsMatchSerial(t *testing.T) {
 	serial.Workers = 1
 	parallel := tinyOpt()
 	parallel.Workers = 4
-	type experiment struct {
-		name string
-		run  func(Options) (string, error)
-	}
-	experiments := []experiment{
-		{"fig1", func(o Options) (string, error) {
-			r, err := Fig1(o)
-			if err != nil {
-				return "", err
-			}
-			return r.Report(), nil
-		}},
-		{"fig5", func(o Options) (string, error) {
-			r, err := Fig5(o)
-			if err != nil {
-				return "", err
-			}
-			return r.Report(), nil
-		}},
-		// fig13 runs every design per profile, so its workers drive the
-		// Thesaurus/BΔI/Dedup scratch-arena encode paths concurrently —
-		// under -race this pins the one-scratch-per-cache ownership rule
-		// (docs/performance.md).
-		{"fig13", func(o Options) (string, error) {
-			r, err := Fig13(o)
-			if err != nil {
-				return "", err
-			}
-			return r.Report(), nil
-		}},
-		{"fig20", func(o Options) (string, error) {
-			r, err := Fig20(o)
-			if err != nil {
-				return "", err
-			}
-			return r.Report(), nil
-		}},
-		{"ablate-victims", func(o Options) (string, error) {
-			r, err := AblateVictimCandidates(o)
-			if err != nil {
-				return "", err
-			}
-			return r.Report(), nil
-		}},
-	}
-	for _, e := range experiments {
-		want, err := e.run(serial)
+	// fig13 runs every design per profile, so its workers drive the
+	// Thesaurus/BΔI/Dedup scratch-arena encode paths concurrently — under
+	// -race this pins the one-scratch-per-cache ownership rule
+	// (docs/performance.md).
+	for _, name := range []string{"fig1", "fig5", "fig13", "fig20", "ablate-victims"} {
+		want, err := Report(name, serial)
 		if err != nil {
-			t.Fatalf("%s serial: %v", e.name, err)
+			t.Fatalf("%s serial: %v", name, err)
 		}
-		got, err := e.run(parallel)
+		got, err := Report(name, parallel)
 		if err != nil {
-			t.Fatalf("%s parallel: %v", e.name, err)
+			t.Fatalf("%s parallel: %v", name, err)
 		}
 		if got != want {
-			t.Errorf("%s: parallel report differs from serial\nserial:\n%s\nparallel:\n%s", e.name, want, got)
+			t.Errorf("%s: parallel report differs from serial\nserial:\n%s\nparallel:\n%s", name, want, got)
 		}
 	}
 }

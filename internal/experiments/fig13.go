@@ -159,6 +159,19 @@ func Fig13(opt Options) (*Fig13Result, error) {
 	return res, nil
 }
 
+// Headline renders the summary experiment: each design's geomean
+// compression, and its MPKI and IPC over the sensitive benchmarks.
+func (r *Fig13Result) Headline() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "\nHeadline comparison (geomeans over %d benchmarks)\n", len(r.Profiles))
+	fmt.Fprintf(&b, "%-14s %12s %12s %12s\n", "design", "compression", "MPKI (S)", "IPC (S)")
+	for _, d := range r.Designs {
+		fmt.Fprintf(&b, "%-14s %11.2fx %12.3f %12.3f\n",
+			d, r.GeomeanCR[d], r.GeomeanMPKIS[d], r.GeomeanIPCS[d])
+	}
+	return b.String()
+}
+
 // Report renders Figures 13a-c.
 func (r *Fig13Result) Report() string {
 	var b strings.Builder

@@ -146,14 +146,10 @@ func runOrLoad(profile, design string, opt RunOptions, sample, lines bool) (*Run
 	if lines {
 		key = artifact.LinesKey(key)
 	}
-	compute := func() (*artifact.RunOutput, error) {
-		out, err := runOnce(profile, design, opt, sample, lines)
-		if err != nil {
-			return nil, err
-		}
-		return &artifact.RunOutput{Res: out.Res, Snap: out.Snap, ClusterFracs: out.ClusterFracs}, nil
+	compute := func() (*RunOutput, error) {
+		return runOnce(profile, design, opt, sample, lines)
 	}
-	art, hit, err := c.LoadOrRunOutput(key, compute)
+	out, hit, err := c.LoadOrRunOutput(key, compute)
 	if err != nil {
 		return nil, err
 	}
@@ -162,11 +158,11 @@ func runOrLoad(profile, design string, opt RunOptions, sample, lines bool) (*Run
 		if err != nil {
 			return nil, err
 		}
-		if !artifact.RunOutputEqual(art, fresh) {
+		if !artifact.RunOutputEqual(out, fresh) {
 			return nil, fmt.Errorf(
 				"harness: artifact verify failed for %s/%s/%d: cached run diverges from recomputation (stale content key?)",
 				profile, design, opt.Accesses)
 		}
 	}
-	return &RunOutput{Res: art.Res, Snap: art.Snap, ClusterFracs: art.ClusterFracs}, nil
+	return out, nil
 }

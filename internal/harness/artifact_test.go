@@ -134,10 +134,6 @@ func forgetRun(profile, design string, opt RunOptions) {
 	runCache.Delete(runKey(profile, design, opt, true))
 }
 
-func toArtifactRun(o *RunOutput) *artifact.RunOutput {
-	return &artifact.RunOutput{Res: o.Res, Snap: o.Snap, ClusterFracs: o.ClusterFracs}
-}
-
 // TestRunCacheServesWarmRun: with the artifact cache installed, a run
 // whose memo entry is gone (fresh process) is served from disk without
 // replaying, and the served output equals the computed one.
@@ -171,7 +167,7 @@ func TestRunCacheServesWarmRun(t *testing.T) {
 	if delta := replays.Load() - before; delta != 0 {
 		t.Fatalf("warm run replayed %d times, want 0 (run-level cache not consulted)", delta)
 	}
-	if !artifact.RunOutputEqual(toArtifactRun(cold), toArtifactRun(warm)) {
+	if !artifact.RunOutputEqual(cold, warm) {
 		t.Fatal("warm run output differs from cold")
 	}
 
@@ -189,7 +185,7 @@ func TestRunCacheServesWarmRun(t *testing.T) {
 	if delta := replays.Load() - before; delta != 1 {
 		t.Fatalf("run-cache-off warm rerun replayed %d times, want 1", delta)
 	}
-	if !artifact.RunOutputEqual(toArtifactRun(cold), toArtifactRun(rerun)) {
+	if !artifact.RunOutputEqual(cold, rerun) {
 		t.Fatal("run-cache-off rerun output differs")
 	}
 }
@@ -228,7 +224,7 @@ func TestRunCacheServesCustomConfigs(t *testing.T) {
 	if delta := replays.Load() - before; delta != 0 {
 		t.Fatalf("repeated custom run replayed %d times, want 0 (disk-served)", delta)
 	}
-	if !artifact.RunOutputEqual(toArtifactRun(cold), toArtifactRun(warm)) {
+	if !artifact.RunOutputEqual(cold, warm) {
 		t.Fatal("disk-served custom run differs from computed one")
 	}
 }
@@ -261,7 +257,7 @@ func TestRunCacheVerifyDetectsDivergence(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := artifact.RunOutputKey(p, sim.DefaultSystem(), design, opt.Accesses, opt.Replay, false, nil)
-	c.StoreRunOutput(key, toArtifactRun(wrong))
+	c.StoreRunOutput(key, wrong)
 
 	if _, err := Run(prof, design, opt); err == nil || !strings.Contains(err.Error(), "verify failed") {
 		t.Fatalf("planted run divergence not detected: err = %v", err)
@@ -341,7 +337,7 @@ func TestRunWithLinesAcrossPaths(t *testing.T) {
 		if delta := replays.Load() - before; delta != step.replays {
 			t.Fatalf("%s: %d replays, want %d", step.what, delta, step.replays)
 		}
-		if !artifact.RunOutputEqual(toArtifactRun(ref), toArtifactRun(got)) {
+		if !artifact.RunOutputEqual(ref, got) {
 			t.Fatalf("%s: line snapshot differs from the uncached run", step.what)
 		}
 	}
@@ -408,7 +404,7 @@ func TestDefaultRunContentKeyNamesCampaignCells(t *testing.T) {
 		if err != nil || f.Run == nil {
 			t.Fatalf("%s: stored artifact does not decode to a run: %v", d, err)
 		}
-		if !artifact.RunOutputEqual(f.Run, toArtifactRun(matrix[RunKey{prof, d}])) {
+		if !artifact.RunOutputEqual(f.Run, matrix[RunKey{prof, d}]) {
 			t.Fatalf("%s: artifact under DefaultRunContentKey is not the cell's run", d)
 		}
 	}

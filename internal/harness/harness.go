@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/artifact"
 	"repro/internal/llc"
 	"repro/internal/memory"
 	"repro/internal/scheme"
@@ -127,21 +128,11 @@ func DefaultRunOptions() RunOptions {
 // RunOutput bundles a completed design × benchmark run: the metrics, the
 // released cache's statistics snapshot (for design-specific statistics),
 // and, for Thesaurus, the time-averaged base-table cluster-size
-// distribution (Fig. 16). Every Run call returns its own deep copy, so a
-// caller may mutate its view without corrupting the memoized master or
-// other callers.
-type RunOutput struct {
-	Res          sim.Result
-	Snap         llc.StatsSnapshot
-	ClusterFracs [4]float64
-}
-
-// clone returns a deep copy sharing no mutable state with o.
-func (o *RunOutput) clone() *RunOutput {
-	cp := *o
-	cp.Snap = o.Snap.Clone()
-	return &cp
-}
+// distribution (Fig. 16). It is the run-level artifact's type, so a run
+// loads from and stores to disk as is. Every Run call returns its own
+// deep copy, so a caller may mutate its view without corrupting the
+// memoized master or other callers.
+type RunOutput = artifact.RunOutput
 
 // runCache memoizes completed runs so the per-figure experiments can
 // share them (the whole evaluation reuses one Thesaurus run per profile).
@@ -214,7 +205,7 @@ func run(profile, design string, opt RunOptions, lines bool) (*RunOutput, error)
 	}
 	// Hand each caller an isolated deep copy; the master in runCache stays
 	// immutable no matter what callers do with their view.
-	return out.clone(), nil
+	return out.Clone(), nil
 }
 
 // hasLineSnapshot reports whether design is built on uncomp.Cache, whose

@@ -4,16 +4,14 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
 // AllocGate is the static allocation budget for the zero-allocation hot
 // path (docs/static-analysis.md). Functions annotated //thesaurus:hotpath
 // are roots; the analyzer computes the call-graph closure of every root —
-// following calls across module-internal packages and resolving interface
-// method calls to every implementing type in the unit's import closure —
-// and flags allocation constructs anywhere inside it:
+// following direct calls across module-internal packages — and flags
+// allocation constructs anywhere inside it:
 //
 //   - make, new, &T{…}, slice and map composite literals (plain value
 //     struct/array literals are stack-resident and allowed)
@@ -28,19 +26,14 @@ import (
 //   - string↔[]byte conversions, defer inside a loop, go statements, and
 //     map iteration
 //
+// The closure is a static call graph: every call in it must name its
+// callee. A call through a function value or an interface method is a
+// finding of its own, and the walk does not continue past it.
+//
 // Descent stops at functions annotated //thesaurus:allocok <reason> — the
 // sanctioned allocation boundaries (cold pool refills, amortized growth).
 // Arguments of panic calls are exempt: a dying process may format its
-// last words. Calls through function values are followed
-// flow-insensitively: the callee set is every function bound to the
-// called identifier by an assignment or declaration anywhere in the
-// callee's unit — including bindings through struct fields, slice/array
-// composite literals, and index assignments (xs[i] = f; a call through
-// xs[j] follows every function ever stored in xs) — and denylisted
-// functions reached that way are flagged at the call site. Function
-// values carried through maps and channels remain untracked; the
-// compiler-proven escape budget (alloc.budget, thesauruslint -escapes)
-// backstops those.
+// last words.
 //
 // Findings are worded identically from whichever analysis unit reaches a
 // construct, so the runner's global dedup collapses multi-root reports.
@@ -61,11 +54,12 @@ func runAllocGate(pass *Pass) {
 		return
 	}
 	w := &allocWalker{
-		pass:    pass,
-		byPkg:   map[*types.Package]*allocUnit{},
+		pass: pass,
+		byPkg: map[*types.Package]*allocUnit{
+			pass.Pkg: {pkg: pass.Pkg, files: pass.Files, info: pass.Info},
+		},
 		visited: map[*types.Func]bool{},
 	}
-	w.buildUniverse()
 
 	// Roots: pragma-marked declarations in this unit's non-test files, in
 	// source order (deterministic BFS ⇒ deterministic findings).
@@ -93,15 +87,13 @@ func runAllocGate(pass *Pass) {
 	}
 }
 
-// allocUnit is one package's syntax+types view inside the walker's
-// universe: the current analysis unit plus every module-internal package
-// it transitively imports.
+// allocUnit is one package's syntax+types view: the current analysis
+// unit, or a module-internal package the closure walk reached.
 type allocUnit struct {
-	pkg      *types.Package
-	files    []*ast.File
-	info     *types.Info
-	decls    map[types.Object]*ast.FuncDecl
-	bindings map[types.Object][]*types.Func
+	pkg   *types.Package
+	files []*ast.File
+	info  *types.Info
+	decls map[types.Object]*ast.FuncDecl
 }
 
 // declIndex maps the unit's function objects to their declarations.
@@ -122,183 +114,10 @@ func (u *allocUnit) declIndex() map[types.Object]*ast.FuncDecl {
 	return u.decls
 }
 
-// funcBindings maps variable objects — locals, package-level vars, and
-// struct fields — to the functions assigned to them anywhere in the
-// unit, flow-insensitively and in source order. Struct fields are keyed
-// by the field's *types.Var, so every instance of a type shares one
-// binding set (an assignment through any value of the type counts for
-// all of them); a slice or array of functions is keyed on the container
-// variable, so every element written anywhere — composite literal or
-// index assignment — counts for a call through any element. It is the
-// callee set for calls through function values: an over-approximation
-// (every binding counts, whichever one is live), which is the sound
-// direction for an allocation gate.
-func (u *allocUnit) funcBindings() map[types.Object][]*types.Func {
-	if u.bindings != nil {
-		return u.bindings
-	}
-	u.bindings = map[types.Object][]*types.Func{}
-	var bindObj func(obj types.Object, rhs ast.Expr)
-	bindObj = func(obj types.Object, rhs ast.Expr) {
-		if _, ok := obj.(*types.Var); !ok {
-			return
-		}
-		// A slice/array literal on the right binds each element's function
-		// to the container object ({0: f} indexed elements included);
-		// whichever element a later call indexes, its callee is in the set.
-		if lit, ok := ast.Unparen(rhs).(*ast.CompositeLit); ok {
-			switch u.info.TypeOf(lit).Underlying().(type) {
-			case *types.Slice, *types.Array:
-				for _, elt := range lit.Elts {
-					if kv, ok := elt.(*ast.KeyValueExpr); ok {
-						elt = kv.Value
-					}
-					bindObj(obj, elt)
-				}
-			}
-			return
-		}
-		fn := funcDenoted(u.info, rhs)
-		if fn == nil {
-			return
-		}
-		for _, have := range u.bindings[obj] {
-			if have == fn {
-				return
-			}
-		}
-		u.bindings[obj] = append(u.bindings[obj], fn)
-	}
-	var bind func(lhs, rhs ast.Expr)
-	bind = func(lhs, rhs ast.Expr) {
-		switch x := ast.Unparen(lhs).(type) {
-		case *ast.Ident:
-			if x.Name != "_" {
-				bindObj(objectOf(u.info, x), rhs)
-			}
-		case *ast.SelectorExpr:
-			// Field assignment (s.fn = ...): key on the field object.
-			bindObj(objectOf(u.info, x.Sel), rhs)
-		case *ast.IndexExpr:
-			// Index assignment (xs[i] = f): key on the container, same
-			// over-approximation as a composite-literal element.
-			bind(x.X, rhs)
-		}
-	}
-	for _, f := range u.files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch x := n.(type) {
-			case *ast.AssignStmt:
-				if len(x.Lhs) == len(x.Rhs) {
-					for i := range x.Lhs {
-						bind(x.Lhs[i], x.Rhs[i])
-					}
-				}
-			case *ast.ValueSpec:
-				if len(x.Names) == len(x.Values) {
-					for i := range x.Names {
-						bind(x.Names[i], x.Values[i])
-					}
-				}
-			case *ast.CompositeLit:
-				// Struct literals bind fields too: T{fn: f} keys on the
-				// field object (recorded in Uses for keyed literals),
-				// positional T{f} resolves the field by index.
-				st, ok := structTypeOf(u.info, x)
-				if !ok {
-					return true
-				}
-				for i, elt := range x.Elts {
-					if kv, ok := elt.(*ast.KeyValueExpr); ok {
-						if key, ok := kv.Key.(*ast.Ident); ok {
-							bindObj(objectOf(u.info, key), kv.Value)
-						}
-						continue
-					}
-					if i < st.NumFields() {
-						bindObj(st.Field(i), elt)
-					}
-				}
-			}
-			return true
-		})
-	}
-	return u.bindings
-}
-
-// structTypeOf resolves a composite literal's type to its struct
-// underlying, through pointers and named types.
-func structTypeOf(info *types.Info, lit *ast.CompositeLit) (*types.Struct, bool) {
-	t := info.TypeOf(lit)
-	if t == nil {
-		return nil, false
-	}
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	st, ok := t.Underlying().(*types.Struct)
-	return st, ok
-}
-
-// funcDenoted resolves an expression that names a function — an ident or
-// a method/package selector used as a value — to its *types.Func.
-func funcDenoted(info *types.Info, e ast.Expr) *types.Func {
-	switch x := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		if fn, ok := objectOf(info, x).(*types.Func); ok {
-			return origin(fn)
-		}
-	case *ast.SelectorExpr:
-		if fn, ok := objectOf(info, x.Sel).(*types.Func); ok {
-			return origin(fn)
-		}
-	}
-	return nil
-}
-
 type allocWalker struct {
 	pass    *Pass
-	units   []*allocUnit // current unit first, then imports sorted by path
 	byPkg   map[*types.Package]*allocUnit
 	visited map[*types.Func]bool
-}
-
-// buildUniverse assembles the packages the closure walk can see: the
-// current unit and, through the loader, every module-internal package in
-// its transitive imports (already typechecked as a side effect of loading
-// the unit, so this costs no extra parsing).
-func (w *allocWalker) buildUniverse() {
-	cur := &allocUnit{pkg: w.pass.Pkg, files: w.pass.Files, info: w.pass.Info}
-	w.units = append(w.units, cur)
-	w.byPkg[cur.pkg] = cur
-	if w.pass.loader == nil {
-		return
-	}
-	seen := map[string]bool{}
-	var paths []string
-	var visit func(p *types.Package)
-	visit = func(p *types.Package) {
-		for _, imp := range p.Imports() {
-			path := imp.Path()
-			if seen[path] || !w.moduleInternal(path) {
-				continue
-			}
-			seen[path] = true
-			paths = append(paths, path)
-			visit(imp)
-		}
-	}
-	visit(w.pass.Pkg)
-	sort.Strings(paths)
-	for _, p := range paths {
-		if mu := w.pass.loader.moduleUnit(p); mu != nil {
-			if _, ok := w.byPkg[mu.Pkg]; !ok {
-				u := &allocUnit{pkg: mu.Pkg, files: mu.Files, info: mu.Info}
-				w.units = append(w.units, u)
-				w.byPkg[mu.Pkg] = u
-			}
-		}
-	}
 }
 
 func (w *allocWalker) moduleInternal(path string) bool {
@@ -315,8 +134,9 @@ func origin(fn *types.Func) *types.Func {
 	return fn
 }
 
-// declOf resolves a function to its declaring unit and syntax, or nils
-// when the body is outside the universe (stdlib, assembly, fixtures).
+// declOf resolves a function to its declaring unit and syntax, loading a
+// module-internal package on first use, or nils when the body is out of
+// reach (stdlib, assembly, fixtures).
 func (w *allocWalker) declOf(fn *types.Func) (*allocUnit, *ast.FuncDecl) {
 	pkg := fn.Pkg()
 	if pkg == nil {
@@ -332,7 +152,6 @@ func (w *allocWalker) declOf(fn *types.Func) (*allocUnit, *ast.FuncDecl) {
 			return nil, nil
 		}
 		u = &allocUnit{pkg: mu.Pkg, files: mu.Files, info: mu.Info}
-		w.units = append(w.units, u)
 		w.byPkg[mu.Pkg] = u
 	}
 	return u, u.declIndex()[fn]
@@ -502,78 +321,30 @@ func (w *allocWalker) checkCall(u *allocUnit, call *ast.CallExpr, stack []ast.No
 		return true
 	}
 	fn := calleeFunc(u.info, call)
-	if fn == nil {
-		// Call through a function value: the callee is not syntactically
-		// known, so follow every function bound to the identifier anywhere
-		// in the unit. Arguments are checked against the value's static
-		// signature either way.
-		denied := false
-		for _, bound := range w.boundCallees(u, call.Fun) {
-			if w.denyCall(call.Pos(), bound, label) {
-				denied = true
-				continue
-			}
-			if pkg := bound.Pkg(); pkg != nil &&
-				(w.pass.loader != nil && w.moduleInternal(pkg.Path()) || w.byPkg[pkg] != nil) {
-				*callees = append(*callees, bound)
-			}
+	indirect := "function value"
+	if fn != nil {
+		indirect = ""
+		if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+			indirect = "interface method"
 		}
-		if !denied {
-			if ft := u.info.TypeOf(call.Fun); ft != nil {
-				if sig, ok := ft.Underlying().(*types.Signature); ok {
-					w.boxingArgs(u, call, sig, label)
-				}
-			}
-		}
+	}
+	if indirect != "" {
+		w.pass.Reportf(call.Pos(),
+			"call through %s %s in hot-path function %s: the allocation gate cannot see its callee; call a function or method directly",
+			indirect, exprText(call.Fun), label)
 		return true
 	}
-	sig, _ := fn.Type().(*types.Signature)
-	if sig != nil && sig.Recv() != nil && types.IsInterface(sig.Recv().Type()) {
-		// Interface method call: class-hierarchy analysis over the
-		// universe stands in for the unknowable dynamic type.
+	if w.denyCall(call.Pos(), fn, label) {
+		return true
+	}
+	// The call's own signature instantiates a generic callee's parameters.
+	if sig, ok := u.info.TypeOf(call.Fun).(*types.Signature); ok {
 		w.boxingArgs(u, call, sig, label)
-		*callees = append(*callees, w.implementations(sig.Recv().Type(), fn.Name())...)
-		return true
 	}
-	if pkg := fn.Pkg(); pkg != nil {
-		if w.denyCall(call.Pos(), fn, label) {
-			return true
-		}
-		if sig != nil {
-			w.boxingArgs(u, call, sig, label)
-		}
-		if w.pass.loader != nil && w.moduleInternal(pkg.Path()) || w.byPkg[pkg] != nil {
-			*callees = append(*callees, fn)
-		}
+	if pkg := fn.Pkg(); pkg != nil && (w.pass.loader != nil && w.moduleInternal(pkg.Path()) || w.byPkg[pkg] != nil) {
+		*callees = append(*callees, fn)
 	}
 	return true
-}
-
-// boundCallees resolves a call through a function value to the functions
-// assigned to the called identifier — or, for a call through a struct
-// field (s.fn(...)) or a slice/array element (xs[i](...)), to the
-// functions bound to that field or container anywhere in the unit, by
-// assignment, index assignment, or composite literal.
-func (w *allocWalker) boundCallees(u *allocUnit, fun ast.Expr) []*types.Func {
-	var obj types.Object
-	switch x := ast.Unparen(fun).(type) {
-	case *ast.Ident:
-		obj = objectOf(u.info, x)
-	case *ast.SelectorExpr:
-		obj = objectOf(u.info, x.Sel)
-	case *ast.IndexExpr:
-		// Element call: the callee set is the container's. A generic
-		// instantiation f[T](...) also parses as an IndexExpr, but its
-		// operand resolves to a *types.Func, which the Var filter in the
-		// recursive call rejects (calleeFunc already handled it anyway).
-		return w.boundCallees(u, x.X)
-	default:
-		return nil
-	}
-	if _, ok := obj.(*types.Var); !ok {
-		return nil
-	}
-	return u.funcBindings()[obj]
 }
 
 // denyCall reports fn if it lives in a denylisted standard-library
@@ -649,50 +420,6 @@ func (w *allocWalker) boxingArgs(u *allocUnit, call *ast.CallExpr, sig *types.Si
 			"argument boxes a %s into an interface parameter in hot-path function %s; pass a pointer or keep the call monomorphic",
 			typeLabel(at), label)
 	}
-}
-
-// implementations resolves an interface method to the concrete methods of
-// every implementing type visible in the universe, in deterministic
-// (unit, declaration-name) order.
-func (w *allocWalker) implementations(recv types.Type, name string) []*types.Func {
-	iface, _ := recv.Underlying().(*types.Interface)
-	if iface == nil {
-		return nil
-	}
-	var out []*types.Func
-	seen := map[*types.Func]bool{}
-	for _, u := range w.units {
-		scope := u.pkg.Scope()
-		names := scope.Names() // already sorted
-		for _, n := range names {
-			tn, ok := scope.Lookup(n).(*types.TypeName)
-			if !ok || tn.IsAlias() {
-				continue
-			}
-			T := tn.Type()
-			if types.IsInterface(T) {
-				continue
-			}
-			var impl types.Type
-			switch {
-			case types.Implements(T, iface):
-				impl = T
-			case types.Implements(types.NewPointer(T), iface):
-				impl = types.NewPointer(T)
-			default:
-				continue
-			}
-			obj, _, _ := types.LookupFieldOrMethod(impl, true, u.pkg, name)
-			if m, ok := obj.(*types.Func); ok {
-				m = origin(m)
-				if !seen[m] {
-					seen[m] = true
-					out = append(out, m)
-				}
-			}
-		}
-	}
-	return out
 }
 
 // appendAssignedBack reports whether the append call's result is stored
@@ -801,14 +528,19 @@ func typeLabel(t types.Type) string {
 	return types.TypeString(t, func(*types.Package) string { return "" })
 }
 
-// exprText renders a short source-ish form of simple receiver
-// expressions for method-value findings.
+// exprText renders a short source-ish form of the simple expressions
+// findings name: method-value receivers and indirect callees (r, s.fn,
+// fs[0], m[k]).
 func exprText(e ast.Expr) string {
 	switch x := ast.Unparen(e).(type) {
 	case *ast.Ident:
 		return x.Name
+	case *ast.BasicLit:
+		return x.Value
 	case *ast.SelectorExpr:
 		return exprText(x.X) + "." + x.Sel.Name
+	case *ast.IndexExpr:
+		return exprText(x.X) + "[" + exprText(x.Index) + "]"
 	}
 	return "expr"
 }

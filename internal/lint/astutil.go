@@ -90,9 +90,17 @@ func declaredWithin(obj types.Object, lo, hi token.Pos) bool {
 
 // calleeFunc resolves a call expression to the *types.Func it invokes,
 // or nil for calls through function values, built-ins, and conversions.
+// An explicit instantiation f[T](…) invokes f.
 func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
+	fun := ast.Unparen(call.Fun)
+	switch x := fun.(type) {
+	case *ast.IndexExpr:
+		fun = x.X
+	case *ast.IndexListExpr:
+		fun = x.X
+	}
 	var id *ast.Ident
-	switch fe := ast.Unparen(call.Fun).(type) {
+	switch fe := ast.Unparen(fun).(type) {
 	case *ast.Ident:
 		id = fe
 	case *ast.SelectorExpr:

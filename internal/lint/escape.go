@@ -42,10 +42,10 @@ type HotFunc struct {
 
 // EscapeSite is one compiler-reported heap allocation.
 type EscapeSite struct {
-	File string `json:"file"` // module-relative
-	Line int    `json:"line"`
-	Col  int    `json:"col"`
-	Msg  string `json:"msg"`
+	File string // module-relative
+	Line int
+	Col  int
+	Msg  string
 }
 
 func (s EscapeSite) String() string {
@@ -320,81 +320,6 @@ func DiffBudget(budget map[string]int, attributed map[string][]EscapeSite) []str
 			"budget entry %s has no //thesaurus:hotpath function; delete it or restore the pragma", k))
 	}
 	return failures
-}
-
-// EscapeRow is one hot function's escape accounting in the
-// machine-readable report (`thesauruslint -escapes -json`).
-type EscapeRow struct {
-	// Function is the budget key, "<pkgpath>.<label>".
-	Function  string `json:"function"`
-	File      string `json:"file,omitempty"`
-	StartLine int    `json:"start_line,omitempty"`
-	EndLine   int    `json:"end_line,omitempty"`
-	// Budget is the committed allowance; null when the function is
-	// missing from the budget file.
-	Budget  *int         `json:"budget"`
-	Escapes []EscapeSite `json:"escapes"`
-	// Status mirrors DiffBudget's verdicts: "ok" (counts match), "over"
-	// (compiler proves more sites than budgeted), "stale" (budget allows
-	// more than reality: ratchet it down), "unbudgeted" (hot function
-	// absent from the budget), "orphaned" (budget entry whose function
-	// lost its pragma; only Function and Budget are set).
-	Status string `json:"status"`
-}
-
-// BuildEscapeReport assembles the -escapes -json rows: one per hot
-// function in budget-key order, then one per orphaned budget entry. A
-// report where every status is "ok" is exactly a passing DiffBudget.
-func BuildEscapeReport(funcs []HotFunc, attributed map[string][]EscapeSite, budget map[string]int) []EscapeRow {
-	byKey := map[string]HotFunc{}
-	for _, f := range funcs {
-		// Duplicate labels in one package keep the first declaration, the
-		// same ordering ScanHotFuncs emits.
-		if _, ok := byKey[f.Key]; !ok {
-			byKey[f.Key] = f
-		}
-	}
-	keys := make([]string, 0, len(attributed))
-	for k := range attributed {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var rows []EscapeRow
-	for _, k := range keys {
-		sites := attributed[k]
-		if sites == nil {
-			sites = []EscapeSite{}
-		}
-		row := EscapeRow{Function: k, Escapes: sites, Status: "unbudgeted"}
-		if f, ok := byKey[k]; ok {
-			row.File, row.StartLine, row.EndLine = f.File, f.StartLine, f.EndLine
-		}
-		if want, ok := budget[k]; ok {
-			w := want
-			row.Budget = &w
-			switch {
-			case len(sites) > want:
-				row.Status = "over"
-			case len(sites) < want:
-				row.Status = "stale"
-			default:
-				row.Status = "ok"
-			}
-		}
-		rows = append(rows, row)
-	}
-	var orphaned []string
-	for k := range budget {
-		if _, ok := attributed[k]; !ok {
-			orphaned = append(orphaned, k)
-		}
-	}
-	sort.Strings(orphaned)
-	for _, k := range orphaned {
-		w := budget[k]
-		rows = append(rows, EscapeRow{Function: k, Budget: &w, Escapes: []EscapeSite{}, Status: "orphaned"})
-	}
-	return rows
 }
 
 // readModulePath extracts the module path from go.mod, mirroring

@@ -129,70 +129,6 @@ func TestDiffBudget(t *testing.T) {
 	}
 }
 
-// TestBuildEscapeReport mirrors TestDiffBudget on the machine-readable
-// path: the same fixture must yield one row per hot function in key
-// order, an orphaned row per dead budget entry, and a status vocabulary
-// where all-"ok" is exactly a passing DiffBudget.
-func TestBuildEscapeReport(t *testing.T) {
-	funcs := []HotFunc{
-		{Key: "m/p.Grew", File: "p/p.go", StartLine: 4, EndLine: 7, Dir: "p"},
-		{Key: "m/p.Shrank", File: "p/p.go", StartLine: 10, EndLine: 12, Dir: "p"},
-		{Key: "m/p.Steady", File: "p/p.go", StartLine: 8, EndLine: 9, Dir: "p"},
-		{Key: "m/p.Unknown", File: "p/p.go", StartLine: 14, EndLine: 16, Dir: "p"},
-	}
-	grewSite := EscapeSite{File: "p/p.go", Line: 5, Col: 2, Msg: "x escapes to heap"}
-	attributed := map[string][]EscapeSite{
-		"m/p.Grew":    {grewSite},
-		"m/p.Shrank":  nil,
-		"m/p.Unknown": nil,
-		"m/p.Steady":  {{File: "p/p.go", Line: 9, Col: 2, Msg: "y escapes to heap"}},
-	}
-	budget := map[string]int{
-		"m/p.Grew":     0,
-		"m/p.Shrank":   2,
-		"m/p.Steady":   1,
-		"m/p.Vanished": 0,
-	}
-	rows := BuildEscapeReport(funcs, attributed, budget)
-	wantStatus := map[string]string{
-		"m/p.Grew":     "over",
-		"m/p.Shrank":   "stale",
-		"m/p.Steady":   "ok",
-		"m/p.Unknown":  "unbudgeted",
-		"m/p.Vanished": "orphaned",
-	}
-	if len(rows) != len(wantStatus) {
-		t.Fatalf("got %d rows, want %d: %+v", len(rows), len(wantStatus), rows)
-	}
-	order := []string{"m/p.Grew", "m/p.Shrank", "m/p.Steady", "m/p.Unknown", "m/p.Vanished"}
-	for i, r := range rows {
-		if r.Function != order[i] {
-			t.Errorf("rows[%d] = %s, want %s (key order, orphans last)", i, r.Function, order[i])
-		}
-		if r.Status != wantStatus[r.Function] {
-			t.Errorf("%s: status %q, want %q", r.Function, r.Status, wantStatus[r.Function])
-		}
-		if r.Escapes == nil {
-			t.Errorf("%s: Escapes is nil; must encode as [] not null", r.Function)
-		}
-	}
-	grew := rows[0]
-	if grew.Budget == nil || *grew.Budget != 0 || len(grew.Escapes) != 1 || grew.Escapes[0] != grewSite {
-		t.Errorf("over row carries wrong evidence: %+v", grew)
-	}
-	if grew.File != "p/p.go" || grew.StartLine != 4 || grew.EndLine != 7 {
-		t.Errorf("over row lost its declaration span: %+v", grew)
-	}
-	unknown := rows[3]
-	if unknown.Budget != nil {
-		t.Errorf("unbudgeted row must have null budget, got %d", *unknown.Budget)
-	}
-	orphan := rows[4]
-	if orphan.Budget == nil || *orphan.Budget != 0 || orphan.File != "" {
-		t.Errorf("orphaned row should carry only the budget entry: %+v", orphan)
-	}
-}
-
 // TestScanHotFuncs runs the syntax-only scan on a synthetic module and
 // checks keys, spans, and that test files and non-pragma functions are
 // ignored.

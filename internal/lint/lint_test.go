@@ -86,8 +86,10 @@ func TestFixtureGolden(t *testing.T) {
 
 // TestFixtureAllocGolden pins the hot-path allocation gate on its
 // dedicated fixture: every construct class allocgate knows, the
-// interprocedural cases (pragma on a method, reachable only via an
-// interface, allocok boundary), and the full hotpath-pragma grammar.
+// interprocedural cases (pragma on a method, helpers reached by a plain
+// call and by an explicit instantiation, an allocok boundary), a call
+// through each kind of function value and through an interface method,
+// and the full hotpath-pragma grammar.
 // Only the two hot-path analyzers may fire there — any other analyzer's
 // finding means the fixture (or an analyzer) overreached.
 func TestFixtureAllocGolden(t *testing.T) {

@@ -99,24 +99,19 @@ func pointerArg(c *counter) int {
 	return consume(c)
 }
 
-// decoder is the reachable-via-interface case: the closure walk resolves
-// d.decode to every implementing type in the universe.
+// decoder is the interface case: a call through it names no callee.
 type decoder interface{ decode(n int) int }
-
-type rawDec struct{}
-
-func (rawDec) decode(n int) int { return n }
 
 type heapDec struct{}
 
-// Reached only through the decoder interface (allocgate: make inside).
+// The walk never reaches heapDec.decode, so its make goes unflagged: the
+// gate reports the interface call instead of guessing its callee.
 func (heapDec) decode(n int) int {
 	buf := make([]byte, n)
 	return len(buf)
 }
 
-// The interface call itself is clean; the findings land in the
-// implementations.
+// A call through an interface method (allocgate: the call itself).
 //
 //thesaurus:hotpath
 func viaInterface(d decoder, n int) int {
@@ -136,6 +131,21 @@ func chainHelper(n int) *int {
 //thesaurus:hotpath
 func hotChain(n int) int {
 	return *chainHelper(n)
+}
+
+// pick is reached through an explicit instantiation, which names its
+// callee like any direct call (allocgate: new here).
+func pick[T any](v T) *T {
+	p := new(T)
+	*p = v
+	return p
+}
+
+// The root of the instantiation (clean itself).
+//
+//thesaurus:hotpath
+func hotGeneric(n int) int {
+	return *pick[int](n)
 }
 
 // ring is the pragma-on-method case.
@@ -177,7 +187,8 @@ func (r *ring) Drain() []int {
 }
 
 // Closure and scheduling constructs (allocgate: method value, function
-// literal, go statement, map iteration, defer in loop).
+// literal, go statement, map iteration, defer in loop, and the calls
+// through the function values f and g).
 //
 //thesaurus:hotpath
 func closures(r *ring, m map[int]int) int {
@@ -230,114 +241,20 @@ func implicitBoxes(c *counter, ch chan any) any {
 	return c.n
 }
 
-// valueAlloc is reached only through function values (allocgate: make
-// inside, labelled with valueAlloc, found from both the local and the
-// package-level binding).
-func valueAlloc(n int) int {
-	buf := make([]byte, n)
-	return len(buf)
-}
-
 func passthrough(n int) int { return n }
 
-// hook is a package-level function-value binding; the walk follows it
-// from any call site in the unit (the closure dedup keeps valueAlloc's
-// finding single even though two bindings reach it).
-var hook = valueAlloc
+// hook is a package-level function value.
+var hook = passthrough
 
-// Calls through function values are followed to every function bound to
-// the identifier, flow-insensitively (the conditional rebind still
-// counts). The calls themselves are clean; the finding lands inside
-// valueAlloc.
+// hooks carries a function value in a struct field.
+type hooks struct{ fn func(int) int }
+
+// Calls through function values name no callee, whatever the value holds
+// (allocgate: a local, a package variable, a struct field, a slice
+// element and a map entry).
 //
 //thesaurus:hotpath
-func viaFuncValue(n int) int {
+func viaFuncValues(n, k int, h hooks, fs []func(int) int, m map[int]func(int) int) int {
 	f := passthrough
-	if n > 0 {
-		f = valueAlloc
-	}
-	return f(n) + hook(n)
-}
-
-// A denylisted function reached through a binding is flagged at the call
-// site (allocgate: fmt.Sprintf via the format variable).
-//
-//thesaurus:hotpath
-func viaDeniedValue(n int) string {
-	format := fmt.Sprintf
-	return format("%d", n)
-}
-
-// hooks carries function values in struct fields. Bindings key on the
-// field object, so an assignment or composite literal anywhere in the
-// unit counts for every instance of the type.
-type hooks struct {
-	fn   func(int) int
-	deny func(string, ...any) string
-}
-
-// literalAlloc is reached only through composite-literal field bindings
-// (allocgate: make inside, found from the keyed pkgHooks literal and the
-// positional literal in viaPositionalField).
-func literalAlloc(n int) int {
-	buf := make([]int, n)
-	return len(buf)
-}
-
-// The package-level keyed literal binds literalAlloc to the fn field.
-var pkgHooks = hooks{fn: literalAlloc}
-
-// Calls through struct fields follow every function bound to the field —
-// here passthrough (assignment below) and valueAlloc (the pkgHooks
-// literal). The denylisted fmt.Sprintf carried through the deny field is
-// flagged at the call site (allocgate: fmt.Sprintf via field).
-//
-//thesaurus:hotpath
-func viaFieldValue(n int) int {
-	h := hooks{}
-	h.fn = passthrough
-	h.deny = fmt.Sprintf
-	_ = h.deny("%d", n)
-	return h.fn(n) + pkgHooks.fn(n)
-}
-
-// Positional struct literals bind fields by index: the h.fn call below
-// resolves literalAlloc through the unkeyed literal.
-//
-//thesaurus:hotpath
-func viaPositionalField(n int) int {
-	h := hooks{literalAlloc, nil}
-	return h.fn(n)
-}
-
-// sliceAlloc is reached only through slice/array element bindings
-// (allocgate: make inside, found through the literal elements and the
-// index assignments below; the closure dedup keeps the finding single).
-func sliceAlloc(n int) int {
-	buf := make([]byte, n)
-	return len(buf)
-}
-
-// pipeline is a package-level slice-of-functions binding: every element
-// of the literal — positional or indexed — joins the container's callee
-// set.
-var pipeline = []func(int) int{passthrough, 1: sliceAlloc}
-
-// Calls through slice and array elements follow every function bound to
-// the container, by composite literal or index assignment, whichever
-// index the call site uses. The denylisted fmt.Sprintf stored by index
-// assignment is flagged at the call site (allocgate: fmt.Sprintf via
-// element).
-//
-//thesaurus:hotpath
-func viaElementValue(n int) int {
-	var stages [2]func(int) int
-	stages[0] = passthrough
-	stages[1] = sliceAlloc
-	local := []func(int) int{passthrough}
-	local[0] = sliceAlloc
-	var deniers [1]func(string, ...any) string
-	deniers[0] = fmt.Sprintf
-	_ = deniers[0]("%d", n)
-	return stages[0](n) + local[0](n) + pipeline[n%2](n)
+	return f(n) + hook(n) + h.fn(n) + fs[0](n) + m[k](n)
 }

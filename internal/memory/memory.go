@@ -9,13 +9,11 @@
 package memory
 
 import (
-	"encoding/binary"
-	"fmt"
 	"math/bits"
-	"slices"
 	"sort"
 	"sync"
 
+	"repro/internal/dram"
 	"repro/internal/line"
 )
 
@@ -54,13 +52,6 @@ func (s Stats) Demand() uint64 {
 	return s.Counts[Fill] + s.Counts[Writeback]
 }
 
-// LatencyModel prices individual DRAM accesses (see package dram). A nil
-// model means the simulator's flat memory latency applies.
-type LatencyModel interface {
-	// Access returns the latency in core cycles of one line access.
-	Access(addr line.Addr) float64
-}
-
 // pageLines is the store's internal page size in cachelines (4 KiB
 // pages). Content is kept as a map of pages rather than a map of lines:
 // program images (workload streams, sim.Record) and replay writebacks
@@ -70,16 +61,12 @@ const pageLines = 64
 
 // page holds one aligned run of lines plus a presence bitmap (a line
 // reads as zero until first written, as freshly mapped pages do).
-// owned marks pages allocated by this package's pool; pages decoded from
-// an external artifact slab are not owned and must never be recycled
-// (docs/performance.md, "Ownership rules").
 type page struct {
 	present uint64
-	owned   bool
 	lines   [pageLines]line.Line
 }
 
-// pagePool recycles owned pages across stores. A store materializes one
+// pagePool recycles pages across stores. A store materializes one
 // ~4KiB page per 64 lines it is written — a replay's writebacks, a
 // workload's program image — and drops them all at Release; the pool
 // turns that churn into reuse. A mutex-guarded stack (not a
@@ -94,7 +81,7 @@ var pagePool struct {
 // replay's working set).
 const pagePoolCap = 8192
 
-// getPage returns a zeroed, owned page from the pool or the heap.
+// getPage returns a zeroed page from the pool or the heap.
 //
 //thesaurus:allocok cold pool refill: a first-touch page allocates once, then recycles through the freelist
 func getPage() *page {
@@ -106,15 +93,15 @@ func getPage() *page {
 		return p
 	}
 	pagePool.mu.Unlock()
-	return &page{owned: true}
+	return &page{}
 }
 
-// putPages recycles owned pages. Each page is zeroed before it is
-// offered so a recycled page is indistinguishable from a fresh one.
-// Only the present lines need clearing: set is the only writer of an
-// owned page's lines and always marks the line present, so every other
-// line is still zero. Replays populate a few lines per page, so this
-// touches a fraction of the 4 KiB a whole-page clear would.
+// putPages recycles pages. Each page is zeroed before it is offered so
+// a recycled page is indistinguishable from a fresh one. Only the
+// present lines need clearing: set is the only writer of a page's lines
+// and always marks the line present, so every other line is still zero.
+// Replays populate a few lines per page, so this touches a fraction of
+// the 4 KiB a whole-page clear would.
 func putPages(pages []*page) {
 	pagePool.mu.Lock()
 	for _, p := range pages {
@@ -150,7 +137,9 @@ type Store struct {
 	pages     map[uint64]*page
 	populated int
 	stats     Stats
-	latency   LatencyModel
+	// latency prices demand accesses; nil means the simulator's flat
+	// memory latency applies.
+	latency *dram.Model
 	// demandCycles accumulates modelled latency of demand traffic.
 	demandCycles float64
 	// The fill latch (Stage): while latched, latchAddr's line reads as
@@ -202,9 +191,9 @@ func (s *Store) set(addr line.Addr, data line.Line) {
 }
 
 // AttachLatencyModel prices subsequent demand accesses (fills and
-// writebacks) with m; the accumulated cycles are exposed via
-// DemandCycles.
-func (s *Store) AttachLatencyModel(m LatencyModel) { s.latency = m }
+// writebacks) with the DRAM model m; the accumulated cycles are exposed
+// via DemandCycles.
+func (s *Store) AttachLatencyModel(m *dram.Model) { s.latency = m }
 
 // DemandCycles returns the modelled total latency of demand accesses
 // since the last ResetStats, and whether a latency model is attached.
@@ -263,7 +252,7 @@ func (s *Store) Poke(addr line.Addr, data line.Line) {
 // as well as the page. sim.Replay stages each read event's fill value
 // here, so a design's miss path reads the program's current content
 // without the store materializing a page per working-set line; Populated
-// and AppendPages see only the page image.
+// and PagesEqual see only the page image.
 //
 //thesaurus:hotpath
 func (s *Store) Stage(addr line.Addr, data line.Line) {
@@ -295,13 +284,8 @@ func (s *Store) Reserve(n int) {
 // Release drops the content pages and the fill latch, keeping the access
 // statistics. Long experiment campaigns call this once a replay is
 // finished and only the counters are still needed; subsequent reads
-// observe zero lines.
-//
-// Pages this store allocated return to the package pool for the next
-// replay. Pages it does not own — the slab backing a store decoded from
-// an on-disk artifact (LoadPages) — are merely dropped: recycling them
-// would hand out storage whose lifetime belongs to the artifact slab
-// (or, in a future mmap-backed decode, to the mapping itself).
+// observe zero lines. The pages return to the package pool for the next
+// replay.
 func (s *Store) Release() {
 	// Collect in sorted page-index order so the pool's stack order (and
 	// therefore which physical page a later store receives) never depends
@@ -312,107 +296,15 @@ func (s *Store) Release() {
 		pis = append(pis, pi)
 	}
 	sort.Slice(pis, func(i, j int) bool { return pis[i] < pis[j] })
-	recycle := make([]*page, 0, len(pis))
-	for _, pi := range pis {
-		if p := s.pages[pi]; p.owned {
-			recycle = append(recycle, p)
-		}
+	recycle := make([]*page, len(pis))
+	for i, pi := range pis {
+		recycle[i] = s.pages[pi]
 	}
 	putPages(recycle)
 	s.pages = make(map[uint64]*page)
 	s.populated = 0
 	s.latched = false
 	s.latch = line.Line{}
-}
-
-// pageBytes is the raw payload size of one serialized page.
-const pageBytes = pageLines * line.Size
-
-// AppendPages serializes the store's content pages onto dst and returns
-// the extended slice. This is the memory.Store section of the artifact
-// codec (internal/artifact): a page-count uvarint, then each populated
-// page in ascending page-index order as a delta-encoded page index, the
-// 8-byte presence bitmap, and the raw 4KiB of line data. Statistics and
-// the latency model are deliberately not part of the image.
-func (s *Store) AppendPages(dst []byte) []byte {
-	pis := make([]uint64, 0, len(s.pages))
-	for pi := range s.pages {
-		pis = append(pis, pi)
-	}
-	sort.Slice(pis, func(i, j int) bool { return pis[i] < pis[j] })
-	dst = slices.Grow(dst, (1+len(pis))*binary.MaxVarintLen64+len(pis)*(8+pageBytes))
-	dst = binary.AppendUvarint(dst, uint64(len(pis)))
-	prev := uint64(0)
-	for _, pi := range pis {
-		// First page encodes its absolute index (prev starts at 0);
-		// strictly ascending order makes every later delta >= 1.
-		dst = binary.AppendUvarint(dst, pi-prev)
-		p := s.pages[pi]
-		dst = binary.LittleEndian.AppendUint64(dst, p.present)
-		for li := range p.lines {
-			dst = append(dst, p.lines[li][:]...)
-		}
-		prev = pi
-	}
-	return dst
-}
-
-// LoadPages decodes an AppendPages image into s, which must be empty,
-// and returns the unconsumed remainder of data. All decoded pages share
-// one slab owned by the decoded image, not by the page pool: a
-// subsequent Release drops them without recycling (see Release).
-func (s *Store) LoadPages(data []byte) (rest []byte, err error) {
-	if len(s.pages) != 0 {
-		return nil, fmt.Errorf("memory: LoadPages into non-empty store")
-	}
-	n, k := binary.Uvarint(data)
-	if k <= 0 {
-		return nil, fmt.Errorf("memory: corrupt page count")
-	}
-	data = data[k:]
-	const maxPages = 1 << 28 // 1TiB of pages: far beyond any real image
-	if n > maxPages {
-		return nil, fmt.Errorf("memory: implausible page count %d", n)
-	}
-	if uint64(len(data)) < n*(1+8+pageBytes) {
-		// Cheap lower bound (each page needs ≥ 1 varint byte + bitmap +
-		// payload) so a corrupt count cannot trigger a huge allocation.
-		return nil, fmt.Errorf("memory: truncated page section (%d pages, %d bytes)", n, len(data))
-	}
-	slab := make([]page, n)
-	pi := uint64(0)
-	for i := uint64(0); i < n; i++ {
-		delta, k := binary.Uvarint(data)
-		if k <= 0 {
-			return nil, fmt.Errorf("memory: corrupt page index at page %d", i)
-		}
-		data = data[k:]
-		if i == 0 {
-			pi = delta
-		} else {
-			if delta == 0 {
-				return nil, fmt.Errorf("memory: page indices not strictly ascending at page %d", i)
-			}
-			next := pi + delta
-			if next < pi {
-				return nil, fmt.Errorf("memory: page index overflow at page %d", i)
-			}
-			pi = next
-		}
-		if len(data) < 8+pageBytes {
-			return nil, fmt.Errorf("memory: truncated page %d", i)
-		}
-		p := &slab[i]
-		p.present = binary.LittleEndian.Uint64(data)
-		data = data[8:]
-		for li := range p.lines {
-			copy(p.lines[li][:], data[:line.Size])
-			data = data[line.Size:]
-		}
-		s.pages[pi] = p
-		s.populated += bits.OnesCount64(p.present)
-	}
-	return data, nil
 }
 
 // PagesEqual reports whether two stores hold identical content images

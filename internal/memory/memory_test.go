@@ -3,6 +3,7 @@ package memory
 import (
 	"testing"
 
+	"repro/internal/dram"
 	"repro/internal/line"
 )
 
@@ -78,7 +79,8 @@ func TestStageLatch(t *testing.T) {
 	var a, b, w, p, old line.Line
 	a[0], b[0], w[0], p[0], old[0] = 1, 2, 3, 4, 5
 	s.Poke(0x80, old)
-	image := string(s.AppendPages(nil))
+	ref := NewStore()
+	ref.Poke(0x80, old)
 
 	s.Stage(0x47, a) // unaligned: latches line 0x40
 	if got := s.Read(0x40, Fill); got != a {
@@ -87,7 +89,7 @@ func TestStageLatch(t *testing.T) {
 	if got := s.Peek(0x7F); got != a {
 		t.Fatal("Peek of the staged line missed the latch")
 	}
-	if s.Populated() != 1 || string(s.AppendPages(nil)) != image {
+	if s.Populated() != 1 || !PagesEqual(s, ref) {
 		t.Fatal("Stage changed the page image")
 	}
 	if got := s.Peek(0x80); got != old {
@@ -127,77 +129,13 @@ func TestStageLatch(t *testing.T) {
 	}
 }
 
-// fillStore populates n lines with distinct content, leaving partial
-// pages at both ends (base is deliberately mid-page).
+// fillStore populates n consecutive lines from base with distinct
+// content.
 func fillStore(s *Store, base line.Addr, n int) {
 	for i := 0; i < n; i++ {
 		var l line.Line
 		l[0], l[1], l[2] = byte(i), byte(i>>8), 0xA5
 		s.Poke(base+line.Addr(i*line.Size), l)
-	}
-}
-
-func TestPagesRoundtrip(t *testing.T) {
-	cases := []struct {
-		name string
-		fill func(s *Store)
-	}{
-		{"empty", func(s *Store) {}},
-		{"single line", func(s *Store) { fillStore(s, 0x40, 1) }},
-		{"partial pages", func(s *Store) { fillStore(s, 0x7C0, 100) }},
-		{"sparse pages", func(s *Store) {
-			fillStore(s, 0x1000, 3)
-			fillStore(s, 1<<33, 130)
-			fillStore(s, 1<<40, 64)
-		}},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			s := NewStore()
-			c.fill(s)
-			enc := s.AppendPages(nil)
-			d := NewStore()
-			rest, err := d.LoadPages(enc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(rest) != 0 {
-				t.Fatalf("%d unconsumed bytes", len(rest))
-			}
-			if !PagesEqual(s, d) {
-				t.Fatal("decoded store differs")
-			}
-			if d.Populated() != s.Populated() {
-				t.Fatalf("populated %d != %d", d.Populated(), s.Populated())
-			}
-			// Re-encoding the decoded image must be byte-identical: the
-			// encoding is canonical.
-			if string(d.AppendPages(nil)) != string(enc) {
-				t.Fatal("re-encoding differs")
-			}
-		})
-	}
-}
-
-func TestLoadPagesRejectsCorruptInput(t *testing.T) {
-	s := NewStore()
-	fillStore(s, 0x1000, 70)
-	enc := s.AppendPages(nil)
-	for cut := 0; cut < len(enc); cut += 97 {
-		if _, err := NewStore().LoadPages(enc[:cut]); err == nil {
-			t.Fatalf("truncation at %d accepted", cut)
-		}
-	}
-	// Non-ascending page indices: two pages with delta 0.
-	bad := []byte{2, 5}
-	bad = append(bad, make([]byte, 8+pageBytes)...)
-	bad = append(bad, 0) // delta 0: duplicate page index
-	bad = append(bad, make([]byte, 8+pageBytes)...)
-	if _, err := NewStore().LoadPages(bad); err == nil {
-		t.Fatal("duplicate page index accepted")
-	}
-	if _, err := s.LoadPages(enc); err == nil {
-		t.Fatal("LoadPages into populated store accepted")
 	}
 }
 
@@ -269,45 +207,11 @@ func TestRecycledSparsePageReadsZero(t *testing.T) {
 			t.Fatalf("line %d of the recycled page reads %v, want zero", slot, got)
 		}
 	}
-	// The image carries one page whose bitmap names only the new line.
-	d := NewStore()
-	if _, err := d.LoadPages(f.AppendPages(nil)); err != nil {
-		t.Fatal(err)
-	}
-	if got := d.Populated(); got != 1 {
-		t.Fatalf("recycled page's image decodes to %d lines, want 1", got)
-	}
-}
-
-// TestReleaseDoesNotRecycleForeignPages is the regression test for the
-// artifact-cache ownership rule: a store decoded from an artifact image
-// is backed by the decode slab, and Release must drop — never pool —
-// those pages, or a later store would write into slab storage it does
-// not own.
-func TestReleaseDoesNotRecycleForeignPages(t *testing.T) {
-	src := NewStore()
-	fillStore(src, 0x2000, 5*pageLines)
-	enc := src.AppendPages(nil)
-
-	d := NewStore()
-	if _, err := d.LoadPages(enc); err != nil {
-		t.Fatal(err)
-	}
-	drainPagePool()
-	d.Release()
-	if got := pagePoolSize(); got != 0 {
-		t.Fatalf("release of artifact-backed store pooled %d foreign pages", got)
-	}
-	// A store that mixes loaded pages with pages it allocated itself
-	// recycles only its own.
-	m := NewStore()
-	if _, err := m.LoadPages(enc); err != nil {
-		t.Fatal(err)
-	}
-	fillStore(m, 1<<40, 2*pageLines) // far from the loaded image: new pages
-	m.Release()
-	if got := pagePoolSize(); got != 2 {
-		t.Fatalf("mixed-ownership release pooled %d pages, want 2", got)
+	// The page's bitmap names only the new line, as a fresh page's would.
+	ref := NewStore()
+	ref.Poke(40*line.Size, l)
+	if !PagesEqual(f, ref) {
+		t.Fatal("recycled page differs from a fresh page holding the same line")
 	}
 }
 
@@ -325,5 +229,31 @@ func TestResetStats(t *testing.T) {
 	s.ResetStats()
 	if s.Peek(0) != l {
 		t.Fatal("reset cleared contents")
+	}
+}
+
+// TestStoreIntegration: an attached DRAM model prices fills and
+// writebacks, never base-table traffic, and ResetStats clears the
+// accumulated cycles.
+func TestStoreIntegration(t *testing.T) {
+	st := NewStore()
+	m := dram.New(dram.DDR3_1066())
+	st.AttachLatencyModel(m)
+	if _, ok := st.DemandCycles(); !ok {
+		t.Fatal("model not attached")
+	}
+	st.Read(0, Fill)
+	st.Write(64, line.Line{}, Writeback)
+	st.Read(0, BaseTable) // base-table traffic is not priced
+	cyc, _ := st.DemandCycles()
+	if cyc <= 0 {
+		t.Fatal("no demand cycles accumulated")
+	}
+	if m.Stats().Accesses() != 2 {
+		t.Fatalf("model saw %d accesses, want 2", m.Stats().Accesses())
+	}
+	st.ResetStats()
+	if cyc, _ := st.DemandCycles(); cyc != 0 {
+		t.Fatal("reset did not clear demand cycles")
 	}
 }

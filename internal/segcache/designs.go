@@ -23,11 +23,14 @@ var BDI = Compressor{
 		bdi.KindB4D2:         "kind_b4d2",
 		bdi.KindB2D1:         "kind_b2d1",
 	},
-	Fit: func(data line.Line, _ *[NumClasses]int, counts []uint64) (int, uint8) {
-		k, size := bdi.Classify(&data)
-		counts[k]++
-		return segsOf(size), 0
-	},
+	rule: ruleBDI,
+}
+
+// fitBDI sizes data with its smallest BΔI encoding.
+func fitBDI(data *line.Line, counts []uint64) int {
+	k, size := bdi.Classify(data)
+	counts[k]++
+	return segsOf(size)
 }
 
 // CPack compresses each line with the C-Pack dictionary algorithm (Chen et
@@ -45,9 +48,12 @@ var CPack = Compressor{
 		cpack.MMXX: "pat_mmxx",
 		cpack.XXXX: "pat_xxxx",
 	},
-	Fit: func(data line.Line, _ *[NumClasses]int, counts []uint64) (int, uint8) {
-		return segsOf(cpack.CompressLine(&data, (*[cpack.NumPatterns]uint64)(counts))), 0
-	},
+	rule: ruleCPack,
+}
+
+// fitCPack sizes data with C-Pack, counting every word's pattern.
+func fitCPack(data *line.Line, counts []uint64) int {
+	return segsOf(cpack.CompressLine(data, (*[cpack.NumPatterns]uint64)(counts)))
 }
 
 // DISH's classes are the scheme that compressed each line, and index its
@@ -76,26 +82,30 @@ var DISH = Compressor{
 		dishBDI:   "bdi_fills",
 		dishOTF:   "otf_selections",
 	},
-	Fit: func(data line.Line, resident *[NumClasses]int, counts []uint64) (int, uint8) {
-		_, bdiSize := bdi.Classify(&data)
-		segs := [NumClasses]int{
-			dishRaw:   rawSegs,
-			dishCPack: segsOf(cpack.CompressLine(&data, nil)),
-			dishBDI:   segsOf(bdiSize),
-		}
-		def, alt := uint8(dishCPack), uint8(dishBDI)
-		if resident[dishBDI] > resident[dishCPack] {
-			def, alt = alt, def
-		}
-		class := uint8(dishRaw)
-		switch {
-		case segs[def] < rawSegs:
-			class = def
-		case segs[alt] < rawSegs:
-			counts[dishOTF]++
-			class = alt
-		}
-		counts[class]++
-		return segs[class], class
-	},
+	rule: ruleDISH,
+}
+
+// fitDISH sizes data with the default scheme, switching on the fly to the
+// other one when the default does not compress it.
+func fitDISH(data *line.Line, resident *[NumClasses]int, counts []uint64) (int, uint8) {
+	_, bdiSize := bdi.Classify(data)
+	segs := [NumClasses]int{
+		dishRaw:   rawSegs,
+		dishCPack: segsOf(cpack.CompressLine(data, nil)),
+		dishBDI:   segsOf(bdiSize),
+	}
+	def, alt := uint8(dishCPack), uint8(dishBDI)
+	if resident[dishBDI] > resident[dishCPack] {
+		def, alt = alt, def
+	}
+	class := uint8(dishRaw)
+	switch {
+	case segs[def] < rawSegs:
+		class = def
+	case segs[alt] < rawSegs:
+		counts[dishOTF]++
+		class = alt
+	}
+	counts[class]++
+	return segs[class], class
 }

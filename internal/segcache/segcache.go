@@ -65,7 +65,8 @@ func (c Config) Validate() error {
 func (c Config) segsPerSet() int { return c.DataWays * rawSegs }
 
 // Compressor is one design on the segmented layout: how it sizes a line,
-// what a hit costs, and the counters it keeps.
+// what a hit costs, and the counters it keeps. The three designs are the
+// package's BDI, CPack and DISH values.
 type Compressor struct {
 	// Name is the design's report name.
 	Name string
@@ -73,15 +74,36 @@ type Compressor struct {
 	DecompressionCycles float64
 	// Counters names the design's own counters, in snapshot order.
 	Counters []string
-	// Fit returns data's footprint in segments (1 to 8) and the class
-	// stored with it, in [0, NumClasses). resident holds the number of
-	// resident lines per class; counts has one element per Counters name
-	// for Fit to count into. The cache calls Fit once per compression
-	// decision: on a fill before the tag is inserted, and on a write hit
-	// after the old line's class has been uncounted. data is passed by
-	// value so that calling through the func value does not move the
-	// caller's line to the heap.
-	Fit func(data line.Line, resident *[NumClasses]int, counts []uint64) (segs int, class uint8)
+	// rule selects the sizing function Fit calls.
+	rule rule
+}
+
+// rule names a Compressor's sizing function. Fit switches on it instead
+// of calling through a function value, so every sizing function is a
+// named callee that the allocation gate walks.
+type rule uint8
+
+const (
+	ruleBDI rule = iota
+	ruleCPack
+	ruleDISH
+)
+
+// Fit returns data's footprint in segments (1 to 8) and the class stored
+// with it, in [0, NumClasses). resident holds the number of resident
+// lines per class; counts has one element per Counters name for Fit to
+// count into. The cache calls Fit once per compression decision: on a
+// fill before the tag is inserted, and on a write hit after the old
+// line's class has been uncounted.
+func (c *Compressor) Fit(data line.Line, resident *[NumClasses]int, counts []uint64) (segs int, class uint8) {
+	switch c.rule {
+	case ruleCPack:
+		return fitCPack(&data, counts), 0
+	case ruleDISH:
+		return fitDISH(&data, resident, counts)
+	default:
+		return fitBDI(&data, counts), 0
+	}
 }
 
 // segsOf charges a compressed size in bytes: whole segments, at least
