@@ -97,17 +97,20 @@ benchsmoke:
 bench-check:
 	cd bench && GOWORK=off $(GO) vet ./... && GOWORK=off $(GO) test ./...
 
-# Short fuzzing smoke over the encoding and fingerprint invariants, and
-# over the online Ideal-Diff cache against its straightforward reference
-# implementation (internal/ideal, lockstep_test.go); the corpus seeds
-# come from the unit-test vectors, so even a few seconds exercises the
-# interesting shapes.
+# Short fuzzing smoke over the encoding and fingerprint invariants, over
+# the online Ideal-Diff cache against its straightforward reference
+# implementation (internal/ideal, lockstep_test.go), and over the
+# Thesaurus data array against its slot-per-entry reference
+# (internal/thesaurus, dataarray_ref_test.go); the corpus seeds come from
+# the unit-test vectors, so even a few seconds exercises the interesting
+# shapes.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDiffEncodeRoundtrip -fuzztime=5s ./internal/diffenc
 	$(GO) test -run='^$$' -fuzz=FuzzLSHFingerprintStable -fuzztime=5s ./internal/lsh
 	$(GO) test -run='^$$' -fuzz=FuzzRecordedCodecRoundtrip -fuzztime=5s ./internal/artifact
 	$(GO) test -run='^$$' -fuzz=FuzzRunOutputCodecRoundtrip -fuzztime=5s ./internal/artifact
 	$(GO) test -run='^$$' -fuzz=FuzzIdealMatchesReference -fuzztime=5s ./internal/ideal
+	$(GO) test -run='^$$' -fuzz=FuzzDataArrayMatchesReference -fuzztime=5s ./internal/thesaurus
 
 # The artifact cache is an accelerator, never an input: campaign reports
 # must be byte-identical whether the cache is off, cold, or warm, with

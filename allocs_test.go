@@ -205,7 +205,7 @@ func TestDiffencRoundTripAllocFree(t *testing.T) {
 	l[41] -= 3
 	var enc diffenc.Encoded
 	var out line.Line
-	diffenc.EncodeInto(&enc, &l, &base) // converge Deltas capacity
+	diffenc.EncodeInto(&enc, &l, &base)
 	allocs := testing.AllocsPerRun(1000, func() {
 		diffenc.EncodeInto(&enc, &l, &base)
 		if err := diffenc.DecodeInto(&out, &enc, &base); err != nil {

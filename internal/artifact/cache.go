@@ -8,8 +8,11 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"repro/internal/sim"
@@ -34,6 +37,9 @@ type Cache struct {
 	// broken. Overridable in tests.
 	lockWait  time.Duration
 	lockStale time.Duration
+	// host names this machine in the locks this process holds, so a
+	// waiter on the same host can tell when a holder has died.
+	host string
 
 	// lockSeen tracks when this process first observed each lock file
 	// (path → lockObservation). Staleness is measured on the local
@@ -73,11 +79,15 @@ func Open(dir string, maxBytes int64) (*Cache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("artifact: open cache: %w", err)
 	}
+	// Without a host name no lock reads as this host's, so dead owners
+	// wait out the observation window as on other hosts: the safe side.
+	host, _ := os.Hostname()
 	return &Cache{
 		dir:       dir,
 		maxBytes:  maxBytes,
 		lockWait:  2 * time.Minute,
 		lockStale: 10 * time.Minute,
+		host:      host,
 	}, nil
 }
 
@@ -314,15 +324,18 @@ func loadOrCompute[T any](c *Cache, key string,
 	for {
 		lf, lerr := os.OpenFile(c.lock(key), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 		if lerr == nil {
-			// Stamp the lock with a random token: observers fold it into
-			// the lock's identity, so a lock removed and immediately
-			// recreated by a new holder can never inherit an old
-			// observation window — even on filesystems whose timestamp
-			// granularity gives both incarnations the same mtime.
+			// Stamp the lock with this host, this PID and a random
+			// token. Observers fold the stamp into the lock's identity,
+			// so a lock removed and immediately recreated by a new
+			// holder can never inherit an old observation window — even
+			// on filesystems whose timestamp granularity gives both
+			// incarnations the same mtime — and a waiter on this host
+			// breaks the lock at once if this process dies holding it.
+			// A failed read or write leaves a zero token or an empty
+			// stamp, which waiters treat as a live holder.
 			var tok [16]byte
-			if _, err := rand.Read(tok[:]); err == nil {
-				lf.Write(tok[:])
-			}
+			_, _ = rand.Read(tok[:])
+			fmt.Fprintf(lf, "%s %d %x\n", c.host, os.Getpid(), tok)
 			lf.Close()
 			defer os.Remove(c.lock(key))
 			// Another process may have finished while we raced for the
@@ -370,12 +383,13 @@ type lockObservation struct {
 	token     string
 }
 
-// lockLooksStale reports whether the lock at path has been observed by
-// this process, unchanged, for longer than lockStale. The clock is the
-// local monotonic one: on a shared filesystem the lock's mtime was
-// written by another machine's clock, so `time.Since(mtime)` would break
-// a live writer's lock when that clock runs behind ours — or never break
-// a crashed writer's lock when it runs ahead. Any identity change — an
+// lockLooksStale reports whether the lock at path names a holder on this
+// host that has exited, or has been observed by this process, unchanged,
+// for longer than lockStale. The clock is the local monotonic one: on a
+// shared filesystem the lock's mtime was written by another machine's
+// clock, so `time.Since(mtime)` would break a live writer's lock when
+// that clock runs behind ours — or never break a crashed writer's lock
+// when it runs ahead. Any identity change — an
 // mtime change (the holder stamping progress) or a token change (the
 // lock removed and recreated by a new holder, even at an identical
 // mtime) — restarts the observation window; neither is ever compared
@@ -394,6 +408,9 @@ func (c *Cache) lockLooksStale(path string) bool {
 	// Read errors (the lock vanished between stat and read) yield an
 	// empty token, which simply restarts the window — the safe direction.
 	tok, _ := os.ReadFile(path)
+	if c.ownerGone(tok) {
+		return true
+	}
 	now := time.Now()
 	if v, ok := c.lockSeen.Load(path); ok {
 		obs := v.(lockObservation)
@@ -403,6 +420,28 @@ func (c *Cache) lockLooksStale(path string) bool {
 	}
 	c.lockSeen.Store(path, lockObservation{firstSeen: now, mtime: st.ModTime(), token: string(tok)})
 	return false
+}
+
+// ownerGone reports whether a lock stamp names a holder on this host
+// whose process no longer exists: signal 0 reaches no process (ESRCH). A
+// PID the system has since reused reads as live, the safe direction.
+// Stamps from other hosts, and empty or partial ones (a holder that has
+// created its lock but not yet written it), never read as gone.
+func (c *Cache) ownerGone(stamp []byte) bool {
+	f := strings.Fields(string(stamp))
+	if len(f) != 3 || c.host == "" || f[0] != c.host {
+		return false
+	}
+	pid, err := strconv.Atoi(f[1])
+	if err != nil || pid <= 0 {
+		return false
+	}
+	p, err := os.FindProcess(pid)
+	if err != nil {
+		return false
+	}
+	defer p.Release()
+	return errors.Is(p.Signal(syscall.Signal(0)), os.ErrProcessDone)
 }
 
 // evict removes least-recently-used artifacts (oldest mtime first) until

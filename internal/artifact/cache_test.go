@@ -1,7 +1,9 @@
 package artifact
 
 import (
+	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -245,6 +247,78 @@ func TestCacheStaleLockFutureMtime(t *testing.T) {
 	}
 	if _, ok := c.LoadRecorded("k"); !ok {
 		t.Fatal("artifact not stored after breaking the future-mtime lock")
+	}
+}
+
+// stampLock writes a lock for key as a holder on host with pid would.
+func stampLock(t *testing.T, c *Cache, key, host string, pid int) {
+	t.Helper()
+	if err := os.WriteFile(c.lock(key), []byte(fmt.Sprintf("%s %d 00112233445566778899aabbccddeeff\n", host, pid)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCacheDeadOwnerLockBrokenAtOnce: a worker killed with kill -9 leaves
+// its lock behind. When the lock names this host and a process that has
+// exited, the waiter breaks it on sight instead of waiting out lockWait
+// (or the monotonic lockStale window) on every cell that worker held.
+func TestCacheDeadOwnerLockBrokenAtOnce(t *testing.T) {
+	c := testCache(t, 0)
+	c.lockWait = 30 * time.Second
+	child := exec.Command(os.Args[0], "-test.run=^$")
+	if err := child.Run(); err != nil {
+		t.Fatal(err)
+	}
+	host, err := os.Hostname()
+	if err != nil {
+		t.Skip("no host name:", err)
+	}
+	stampLock(t, c, "k", host, child.Process.Pid)
+	rec := synthRecorded(21, 40)
+	start := time.Now()
+	got, hit := c.LoadOrRecord("k", func() *sim.Recorded { return rec })
+	if waited := time.Since(start); waited > 200*time.Millisecond {
+		t.Fatalf("dead owner's lock delayed LoadOrRecord by %v", waited)
+	}
+	if hit || !RecordedEqual(got, rec) {
+		t.Fatal("dead owner's lock not broken")
+	}
+	if _, ok := c.LoadRecorded("k"); !ok {
+		t.Fatal("artifact not stored after breaking the dead owner's lock")
+	}
+}
+
+// TestCacheLiveOwnerLockHonoured: a lock naming this host and a live
+// process (this one) is waited on until lockWait, then the waiter
+// computes without persisting; so is a lock from another host, whose
+// PIDs mean nothing here.
+func TestCacheLiveOwnerLockHonoured(t *testing.T) {
+	host, err := os.Hostname()
+	if err != nil {
+		t.Skip("no host name:", err)
+	}
+	for _, owner := range []struct {
+		host string
+		pid  int
+	}{{host, os.Getpid()}, {host + "-elsewhere", 1 << 30}} {
+		c := testCache(t, 0)
+		c.lockWait = 150 * time.Millisecond
+		stampLock(t, c, "k", owner.host, owner.pid)
+		rec := synthRecorded(22, 40)
+		start := time.Now()
+		got, hit := c.LoadOrRecord("k", func() *sim.Recorded { return rec })
+		if hit || !RecordedEqual(got, rec) {
+			t.Fatalf("owner %s/%d: waiter did not fall back to compute-without-persist", owner.host, owner.pid)
+		}
+		if waited := time.Since(start); waited < c.lockWait {
+			t.Fatalf("owner %s/%d: live lock broken after %v", owner.host, owner.pid, waited)
+		}
+		if _, err := os.Stat(c.lock("k")); err != nil {
+			t.Fatalf("owner %s/%d: live lock removed", owner.host, owner.pid)
+		}
+		if _, ok := c.LoadRecorded("k"); ok {
+			t.Fatalf("owner %s/%d: waiter persisted despite not holding the lock", owner.host, owner.pid)
+		}
 	}
 }
 

@@ -84,67 +84,47 @@ func (f Format) String() string {
 // Compressed reports whether the format is smaller than a raw line.
 func (f Format) Compressed() bool { return f != FormatRaw }
 
-// Encoded is one compressed (or raw) data-array entry. For FormatBaseDiff
-// and FormatZeroDiff, Mask bit i set means byte i differs and the next
-// delta byte replaces it; Deltas lists the differing bytes in ascending
-// byte-position order. For FormatRaw, Raw holds the full line. For
-// FormatBaseOnly and FormatAllZero, all fields are zero.
+// Encoded is one compressed (or raw) data-array entry, a fixed-size
+// value: assigning it copies the whole encoding. For FormatBaseDiff and
+// FormatZeroDiff, Mask bit i set means byte i differs and the next delta
+// byte replaces it; the deltas are Payload[:N], in ascending byte-position
+// order. FormatRaw and FormatIntra carry the line verbatim in Payload, and
+// for FormatIntra N is the accounted compressed size in bytes. For
+// FormatBaseOnly and FormatAllZero, Mask and N are zero. Payload bytes
+// outside the ones a format reads are unspecified: the hot rewrite path
+// would otherwise pay a 64-byte clear per encode for bytes it never reads.
 type Encoded struct {
-	Format Format
-	Mask   uint64
-	Deltas []byte
-	// Raw carries the line verbatim for FormatRaw and FormatIntra. For
-	// every other format its contents are unspecified (reusable
-	// destinations may hold bytes from a previous encoding): the hot
-	// rewrite path would otherwise pay several 64-byte clears per encode
-	// for a field those formats never read.
-	Raw line.Line
-	// IntraBytes is the accounted compressed size for FormatIntra
-	// entries (the line itself is carried in Raw).
-	IntraBytes int
+	Format  Format
+	N       uint8
+	Mask    uint64
+	Payload line.Line
 }
+
+// Deltas returns the delta bytes of a diff encoding (Payload[:N]).
+func (e *Encoded) Deltas() []byte { return e.Payload[:e.N] }
 
 // NewIntra wraps an intra-line-compressed line: the behavioural model
 // keeps the decoded bytes and accounts sizeBytes of data-array space.
 func NewIntra(l line.Line, sizeBytes int) Encoded {
-	if sizeBytes <= 0 || sizeBytes > line.Size {
-		panic(fmt.Sprintf("diffenc: intra size %d out of range", sizeBytes))
-	}
-	return Encoded{Format: FormatIntra, Raw: l, IntraBytes: sizeBytes}
+	var e Encoded
+	e.SetIntra(&l, sizeBytes)
+	return e
 }
 
-// SetRaw resets e to a raw encoding of l, preserving e's delta buffer
-// capacity for later reuse (scratch-arena discipline, docs/performance.md).
+// SetRaw resets e to a raw encoding of l.
 func (e *Encoded) SetRaw(l *line.Line) {
-	deltas := e.Deltas[:0]
-	*e = Encoded{Format: FormatRaw, Raw: *l, Deltas: deltas}
+	e.Format, e.N, e.Mask = FormatRaw, 0, 0
+	e.Payload = *l
 }
 
 // SetIntra resets e to an intra-line (BΔI) encoding of l accounting
-// sizeBytes, preserving e's delta buffer capacity. It is NewIntra for
-// reusable destinations.
+// sizeBytes. It is NewIntra for reusable destinations.
 func (e *Encoded) SetIntra(l *line.Line, sizeBytes int) {
 	if sizeBytes <= 0 || sizeBytes > line.Size {
 		panic(fmt.Sprintf("diffenc: intra size %d out of range", sizeBytes))
 	}
-	deltas := e.Deltas[:0]
-	*e = Encoded{Format: FormatIntra, Raw: *l, IntraBytes: sizeBytes, Deltas: deltas}
-}
-
-// CopyFrom deep-copies src into e, reusing e's delta buffer capacity so
-// long-lived entries (data-array slots) can take ownership of a scratch
-// encoding without aliasing the scratch buffer or allocating once their
-// buffer has grown to the steady-state diff size.
-func (e *Encoded) CopyFrom(src *Encoded) {
-	e.Deltas = append(e.Deltas[:0], src.Deltas...)
-	e.Format = src.Format
-	e.Mask = src.Mask
-	e.IntraBytes = src.IntraBytes
-	// Raw is unspecified for the remaining formats; skipping the 64-byte
-	// copy matters on the rewrite path, where every write hit lands here.
-	if src.Format == FormatRaw || src.Format == FormatIntra {
-		e.Raw = src.Raw
-	}
+	e.Format, e.N, e.Mask = FormatIntra, uint8(sizeBytes), 0
+	e.Payload = *l
 }
 
 // DiffSizeBytes returns the data-array footprint in bytes of a diff with n
@@ -188,11 +168,10 @@ func Encode(l, base *line.Line) Encoded {
 }
 
 // EncodeInto is Encode with a caller-owned destination: the winning
-// encoding is written into *dst, reusing dst's delta buffer capacity.
-// Any previous contents of *dst are discarded. Once the buffer has grown
-// to the steady-state diff size the call is allocation-free, which is
-// what keeps (de)compression off the critical path of the simulated
-// access loop (the software mirror of the paper's §5 discipline).
+// encoding is written into *dst, discarding its previous contents. It
+// writes only the fields the winning format reads, which keeps
+// (de)compression cheap on the critical path of the simulated access
+// loop (the software mirror of the paper's §5 discipline).
 //
 //thesaurus:hotpath
 func EncodeInto(dst *Encoded, l, base *line.Line) {
@@ -219,13 +198,11 @@ func EncodeIntoMasked(dst *Encoded, l *line.Line, baseMask uint64) {
 const minDiffSegments = 2
 
 func encodeWithBaseMask(dst *Encoded, l *line.Line, haveBase bool, baseMask uint64) {
-	// Raw is written only if the line actually ends up stored raw: the
-	// common base+diff rewrite otherwise pays three 64-byte stores per
-	// encode (zeroing, staging the raw fallback, re-zeroing) for a field
-	// it never uses.
-	dst.Deltas = dst.Deltas[:0]
+	// The payload is written only if the line actually ends up stored
+	// raw: the common base+diff rewrite otherwise pays 64-byte stores per
+	// encode (staging the raw fallback, then overwriting it with deltas).
+	dst.N = 0
 	dst.Mask = 0
-	dst.IntraBytes = 0
 	if l.IsZero() {
 		dst.Format = FormatAllZero
 		return
@@ -255,22 +232,25 @@ func encodeWithBaseMask(dst *Encoded, l *line.Line, haveBase bool, baseMask uint
 		}
 	}
 	if dst.Format == FormatRaw {
-		dst.Raw = *l
+		dst.Payload = *l
 	}
 }
 
 // encodeDiffInto builds the mask+deltas representation of l under the
-// given (caller-computed) diff mask, reusing dst.Deltas capacity. Set
-// bits are visited directly with TrailingZeros64 instead of scanning all
-// 64 byte positions: diffs average well under 16 bytes (Fig. 18), so the
-// loop runs per differing byte, not per position.
+// given (caller-computed) diff mask. Set bits are visited directly with
+// TrailingZeros64 instead of scanning all 64 byte positions: diffs
+// average well under 16 bytes (Fig. 18), so the loop runs per differing
+// byte, not per position. A mask has at most line.Size bits, so the
+// deltas always fit the payload.
 func encodeDiffInto(dst *Encoded, f Format, l *line.Line, mask uint64) {
 	dst.Format = f
 	dst.Mask = mask
-	dst.Deltas = dst.Deltas[:0]
+	n := 0
 	for m := mask; m != 0; m &= m - 1 {
-		dst.Deltas = append(dst.Deltas, l[bits.TrailingZeros64(m)])
+		dst.Payload[n] = l[bits.TrailingZeros64(m)]
+		n++
 	}
+	dst.N = uint8(n)
 }
 
 // Decode reconstructs the original line. base must be the cluster base for
@@ -294,7 +274,7 @@ func DecodeInto(dst *line.Line, e *Encoded, base *line.Line) error {
 		*dst = line.Zero
 		return nil
 	case FormatRaw, FormatIntra:
-		*dst = e.Raw
+		*dst = e.Payload
 		return nil
 	case FormatBaseOnly:
 		if base == nil {
@@ -308,26 +288,26 @@ func DecodeInto(dst *line.Line, e *Encoded, base *line.Line) error {
 			*dst = line.Zero
 			return ErrMissingBase
 		}
-		return applyDiff(dst, base, e.Mask, e.Deltas)
+		return applyDiff(dst, base, e)
 	case FormatZeroDiff:
-		return applyDiff(dst, &line.Zero, e.Mask, e.Deltas)
+		return applyDiff(dst, &line.Zero, e)
 	default:
 		*dst = line.Zero
 		return ErrUnknownFormat
 	}
 }
 
-// applyDiff overlays the delta bytes named by mask onto ref (Fig. 7
-// right), writing the result to *dst.
-func applyDiff(dst, ref *line.Line, mask uint64, deltas []byte) error {
-	if bits.OnesCount64(mask) != len(deltas) {
+// applyDiff overlays e's delta bytes at e's mask positions onto ref
+// (Fig. 7 right), writing the result to *dst.
+func applyDiff(dst, ref *line.Line, e *Encoded) error {
+	if bits.OnesCount64(e.Mask) != int(e.N) {
 		*dst = line.Zero
 		return ErrMaskMismatch
 	}
 	*dst = *ref
 	j := 0
-	for m := mask; m != 0; m &= m - 1 {
-		dst[bits.TrailingZeros64(m)] = deltas[j]
+	for m := e.Mask; m != 0; m &= m - 1 {
+		dst[bits.TrailingZeros64(m)] = e.Payload[j]
 		j++
 	}
 	return nil
@@ -342,9 +322,9 @@ func (e Encoded) SizeBytes() int {
 	case FormatRaw:
 		return line.Size
 	case FormatIntra:
-		return e.IntraBytes
+		return int(e.N)
 	default:
-		return DiffSizeBytes(len(e.Deltas))
+		return DiffSizeBytes(int(e.N))
 	}
 }
 
@@ -357,9 +337,9 @@ func (e Encoded) Segments() int {
 	case FormatRaw:
 		return SegmentsPerLine
 	case FormatIntra:
-		return (e.IntraBytes + SegmentBytes - 1) / SegmentBytes
+		return (int(e.N) + SegmentBytes - 1) / SegmentBytes
 	default:
-		return diffSegments(len(e.Deltas))
+		return diffSegments(int(e.N))
 	}
 }
 
@@ -368,7 +348,7 @@ func (e Encoded) Segments() int {
 func (e Encoded) DiffBytes() int {
 	switch e.Format {
 	case FormatBaseDiff, FormatZeroDiff:
-		return len(e.Deltas)
+		return int(e.N)
 	default:
 		return 0
 	}

@@ -162,7 +162,7 @@ func TestDecodeErrors(t *testing.T) {
 	if _, err := Decode(Encoded{Format: FormatBaseOnly}, nil); err == nil {
 		t.Fatal("base-only without base decoded")
 	}
-	if _, err := Decode(Encoded{Format: FormatZeroDiff, Mask: 3, Deltas: []byte{1}}, nil); err == nil {
+	if _, err := Decode(withDeltas(FormatZeroDiff, 3, []byte{1}), nil); err == nil {
 		t.Fatal("mask/delta mismatch decoded")
 	}
 	if _, err := Decode(Encoded{Format: Format(99)}, nil); err == nil {
@@ -194,16 +194,26 @@ func TestDiffSizeBytes(t *testing.T) {
 	}
 }
 
+// withDeltas builds a diff-format encoding carrying deltas. N records
+// len(deltas) as a byte, so longer inputs model a malformed count; at
+// most line.Size deltas are stored.
+func withDeltas(f Format, mask uint64, deltas []byte) Encoded {
+	e := Encoded{Format: f, Mask: mask, N: uint8(len(deltas))}
+	copy(e.Payload[:], deltas)
+	return e
+}
+
 // naiveEncodeDiff is the 64-position scan the mask-guided encodeDiffInto
 // replaced; the two must agree bit-for-bit.
 func naiveEncodeDiff(f Format, l, ref *line.Line) Encoded {
-	e := Encoded{Format: f, Mask: line.DiffMask(l, ref)}
+	mask := line.DiffMask(l, ref)
+	var deltas []byte
 	for i := 0; i < line.Size; i++ {
-		if e.Mask&(1<<uint(i)) != 0 {
-			e.Deltas = append(e.Deltas, l[i])
+		if mask&(1<<uint(i)) != 0 {
+			deltas = append(deltas, l[i])
 		}
 	}
-	return e
+	return withDeltas(f, mask, deltas)
 }
 
 // naiveApplyDiff is the positional-scan reference for applyDiff.
@@ -236,17 +246,17 @@ func TestEncodeDiffMatchesReference(t *testing.T) {
 		encodeDiffInto(&got, FormatBaseDiff, &l, line.DiffMask(&l, &ref))
 		want := naiveEncodeDiff(FormatBaseDiff, &l, &ref)
 		if got.Format != want.Format || got.Mask != want.Mask ||
-			!bytesEqual(got.Deltas, want.Deltas) {
+			!bytesEqual(got.Deltas(), want.Deltas()) {
 			t.Fatalf("trial %d: encodeDiffInto mismatch\ngot  %+v\nwant %+v", trial, got, want)
 		}
 		var back line.Line
-		if err := applyDiff(&back, &ref, got.Mask, got.Deltas); err != nil {
+		if err := applyDiff(&back, &ref, &got); err != nil {
 			t.Fatalf("trial %d: applyDiff: %v", trial, err)
 		}
 		if back != l {
 			t.Fatalf("trial %d: applyDiff did not invert encodeDiffInto", trial)
 		}
-		if naive := naiveApplyDiff(&ref, got.Mask, got.Deltas); naive != back {
+		if naive := naiveApplyDiff(&ref, got.Mask, got.Deltas()); naive != back {
 			t.Fatalf("trial %d: applyDiff disagrees with reference", trial)
 		}
 	}
@@ -303,7 +313,7 @@ func naiveEncode(l, base *line.Line) Encoded {
 		return e
 	}
 	e.Format = FormatRaw
-	e.Raw = *l
+	e.Payload = *l
 	bestSeg := SegmentsPerLine
 	if base != nil {
 		if l.Equal(base) {
@@ -321,12 +331,15 @@ func naiveEncode(l, base *line.Line) Encoded {
 }
 
 func encodedEqual(a, b *Encoded) bool {
-	if a.Format != b.Format || a.Mask != b.Mask || !bytesEqual(a.Deltas, b.Deltas) {
+	if a.Format != b.Format || a.Mask != b.Mask || a.N != b.N {
 		return false
 	}
-	// Raw is unspecified outside the raw-carrying formats.
-	if a.Format == FormatRaw || a.Format == FormatIntra {
-		return a.Raw == b.Raw
+	// Payload bytes a format does not read are unspecified.
+	switch a.Format {
+	case FormatRaw, FormatIntra:
+		return a.Payload == b.Payload
+	case FormatBaseDiff, FormatZeroDiff:
+		return bytesEqual(a.Deltas(), b.Deltas())
 	}
 	return true
 }

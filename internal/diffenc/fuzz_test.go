@@ -1,7 +1,6 @@
 package diffenc
 
 import (
-	"bytes"
 	"testing"
 
 	"repro/internal/line"
@@ -83,7 +82,7 @@ func FuzzDecodeArbitrary(f *testing.F) {
 			b := line.FromBytes(baseBytes[:line.Size])
 			base = &b
 		}
-		enc := Encoded{Format: Format(format), Mask: mask, Deltas: deltas}
+		enc := withDeltas(Format(format), mask, deltas)
 		_, _ = Decode(enc, base) // must not panic
 	})
 }
@@ -112,7 +111,7 @@ func FuzzMaskDeltaConsistency(f *testing.F) {
 		if !clean {
 			return
 		}
-		enc := Encoded{Format: FormatZeroDiff, Mask: mask, Deltas: bytes.Clone(deltas)}
+		enc := withDeltas(FormatZeroDiff, mask, deltas)
 		decoded, err := Decode(enc, nil)
 		if err != nil {
 			t.Fatal(err)

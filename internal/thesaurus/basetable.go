@@ -1,8 +1,7 @@
 package thesaurus
 
 import (
-	"sync"
-
+	"repro/internal/cache"
 	"repro/internal/line"
 	"repro/internal/lsh"
 	"repro/internal/memory"
@@ -37,42 +36,23 @@ type BaseTable struct {
 	mem   *memory.Store
 }
 
-// tablePools recycles released tables by size, indexed by the bit width
-// (table sizes are always powers of two, and lsh.MaxBits bounds the
-// exponent). Ablation sweeps construct one table per configuration, and
-// at 2^20+ entries the make-and-zero of a fresh slab is a measurable
-// slice of campaign time; reusing a pooled slab makes NewBaseTable O(1)
-// (one epoch bump, no zeroing). A fixed array of pools rather than a
-// sync.Map keyed by entry count keeps Release/NewBaseTable free of the
-// interface-key boxing a large int key would allocate on every cycle.
-var tablePools [lsh.MaxBits + 1]sync.Pool
-
-// poolIndex returns the tablePools slot for a table of n entries, or -1
-// for sizes no pool serves (non-power-of-two or out of range; such
-// tables are simply not recycled).
-func poolIndex(n int) int {
-	bits := 0
-	for 1<<uint(bits) < n && bits <= lsh.MaxBits {
-		bits++
-	}
-	if 1<<uint(bits) != n {
-		return -1
-	}
-	return bits
-}
+// tablePool parks released tables for the next NewBaseTable of the same
+// entry count (docs/performance.md, "The release lifecycle"). Ablation
+// sweeps construct one table per configuration, and at 2^20+ entries the
+// make-and-zero of a fresh slab is a measurable slice of campaign time;
+// reusing a parked slab makes NewBaseTable O(1) (one epoch bump, no
+// zeroing).
+var tablePool = cache.NewPool[int, *BaseTable]()
 
 // NewBaseTable returns a table with 2^bits entries over mem, reusing a
-// pooled slab of the same size when one is available. A recycled table
+// parked slab of the same size when one is available. A recycled table
 // is observationally identical to a fresh one: Reset invalidates every
 // entry before it is handed out.
 func NewBaseTable(bits int, mem *memory.Store) *BaseTable {
-	if bits >= 0 && bits <= lsh.MaxBits {
-		if v := tablePools[bits].Get(); v != nil {
-			t := v.(*BaseTable)
-			t.mem = mem
-			t.Reset()
-			return t
-		}
+	if t, ok := tablePool.Get(1 << uint(bits)); ok {
+		t.mem = mem
+		t.Reset()
+		return t
 	}
 	return &BaseTable{entries: make([]BaseEntry, 1<<uint(bits)), epoch: 1, mem: mem}
 }
@@ -90,14 +70,12 @@ func (t *BaseTable) Reset() {
 	}
 }
 
-// Release detaches the table from its backing store and parks it in the
-// per-size pool for the next NewBaseTable of the same geometry. The
-// caller must not touch the table afterwards.
+// Release detaches the table from its backing store and parks it for the
+// next NewBaseTable of the same size. The caller must not touch the table
+// afterwards.
 func (t *BaseTable) Release() {
 	t.mem = nil
-	if i := poolIndex(len(t.entries)); i >= 0 {
-		tablePools[i].Put(t)
-	}
+	tablePool.Put(len(t.entries), t)
 }
 
 // valid reports whether e carries t's current validity epoch.

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/line"
 	"repro/internal/llc"
 	"repro/internal/lsh"
@@ -166,6 +167,27 @@ func TestReleaseRecyclesThroughPool(t *testing.T) {
 	}
 	if f := got.ClusterSizes(); f != [4]float64{} {
 		t.Fatalf("recycled table cluster fractions %v", f)
+	}
+}
+
+// TestDrainPoolsReachesBaseTables: a released table is recycled at a
+// later epoch, and cache.DrainPools empties the base-table pool like
+// every design array's, so the table built after it is fresh (epoch 1).
+// TestRecycledSchemesMatchFresh relies on this for Thesaurus.
+func TestDrainPoolsReachesBaseTables(t *testing.T) {
+	mem := memory.NewStore()
+	cache.DrainPools()
+	first := NewBaseTable(12, mem)
+	first.Release()
+	if got := NewBaseTable(12, mem); got.epoch != 2 {
+		t.Fatalf("released table came back at epoch %d, want 2", got.epoch)
+	}
+	a, b := NewBaseTable(12, mem), NewBaseTable(12, mem)
+	a.Release()
+	b.Release()
+	cache.DrainPools()
+	if got := NewBaseTable(12, mem); got.epoch != 1 {
+		t.Fatalf("NewBaseTable after DrainPools is at epoch %d, want a fresh table at epoch 1", got.epoch)
 	}
 }
 

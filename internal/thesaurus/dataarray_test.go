@@ -13,14 +13,14 @@ func rawEnc(fill byte) *diffenc.Encoded {
 	for i := range l {
 		l[i] = fill
 	}
-	return &diffenc.Encoded{Format: diffenc.FormatRaw, Raw: l}
+	return &diffenc.Encoded{Format: diffenc.FormatRaw, Payload: l}
 }
 
 func diffEnc(n int) *diffenc.Encoded {
-	e := &diffenc.Encoded{Format: diffenc.FormatBaseDiff, Deltas: make([]byte, n)}
+	e := &diffenc.Encoded{Format: diffenc.FormatBaseDiff, N: uint8(n)}
 	for i := 0; i < n; i++ {
 		e.Mask |= 1 << uint(i)
-		e.Deltas[i] = byte(i)
+		e.Payload[i] = byte(i)
 	}
 	return e
 }

@@ -230,11 +230,11 @@ type Cache struct {
 
 	// encScratch is the per-cache scratch encoding the placement path
 	// (place → placeUnclustered → allocData) encodes into before the data
-	// array copies it into slot-owned storage. One arena per Cache keeps
-	// the steady-state access loop allocation-free; ownership rules are in
-	// docs/performance.md. Cache is not safe for concurrent use (it never
-	// was: stats and rng are unguarded), so a single scratch suffices —
-	// parallel campaigns build one Cache per worker.
+	// array copies it into its entry record: the size picks the victim
+	// set, so the record is not known until after encoding. Cache is not
+	// safe for concurrent use (it never was: stats and rng are unguarded),
+	// so a single scratch suffices — parallel campaigns build one Cache
+	// per worker.
 	encScratch diffenc.Encoded
 
 	// wbuf is the bounded write buffer (nil when disabled): whole write
@@ -469,7 +469,7 @@ func (c *Cache) changedVsStored(e *cache.Entry[tagPayload], data *line.Line) (ch
 		j := 0
 		for m := enc.Mask; m != 0; m &= m - 1 {
 			b := bits.TrailingZeros64(m)
-			if data[b] != enc.Deltas[j] {
+			if data[b] != enc.Payload[j] {
 				changed |= 1 << uint(b)
 			}
 			j++
@@ -478,7 +478,7 @@ func (c *Cache) changedVsStored(e *cache.Entry[tagPayload], data *line.Line) (ch
 	default:
 		// Raw and Intra entries carry the old line verbatim.
 		enc := c.data.encAt(int(p.setPtr), int(p.slotIdx))
-		return line.DiffMask(data, &enc.Raw), 0, false
+		return line.DiffMask(data, &enc.Payload), 0, false
 	}
 }
 
@@ -719,7 +719,7 @@ func (c *Cache) placeUnclustered(e *cache.Entry[tagPayload], tagIdx int, data *l
 // allocData finds data-array space for enc using the best-of-n victim
 // policy (§5.4.3), evicting entries (and their tags) as needed, and wires
 // the tag's setptr/segix. enc is typically the cache's scratch encoding;
-// Insert deep-copies it into slot-owned storage.
+// Insert copies it into the entry's record.
 func (c *Cache) allocData(e *cache.Entry[tagPayload], tagIdx int, enc *diffenc.Encoded) {
 	need := enc.Segments()
 	set := c.chooseVictimSet(need)
@@ -783,8 +783,8 @@ func (c *Cache) decode(e *cache.Entry[tagPayload]) line.Line {
 
 // decodeEntry reconstructs the line without base-cache accounting (used
 // for writebacks, which the paper services off the critical path). The
-// data-array entry is decoded in place by pointer — no Encoded value (and
-// no delta buffer) is copied on the read path.
+// data-array entry is decoded in place by pointer — no Encoded value is
+// copied on the read path.
 func (c *Cache) decodeEntry(e *cache.Entry[tagPayload]) line.Line {
 	p := e.Payload
 	var base *line.Line
