@@ -256,33 +256,3 @@ func TestThesaurusEvictionCycleAllocFree(t *testing.T) {
 			s.Writes, s.WriteHits, s.Writebacks)
 	}
 }
-
-func TestThesaurusWriteDrainAllocFree(t *testing.T) {
-	// The batched re-clustering path (§5.4.2): writes park in the write
-	// buffer and replay through writeNow on a capacity drain or when state
-	// is next observed. Both drain triggers — and the buffered bookkeeping
-	// around them — must stay allocation-free in steady state.
-	c := warmThesaurus(t)
-	depth := thesaurus.DefaultWriteBufferDepth
-	before := c.WriteBuffer()
-	allocs := testing.AllocsPerRun(50, func() {
-		// 2×depth writes force two capacity drains mid-loop…
-		for i := 0; i < 2*depth; i++ {
-			c.Write(addrOf(i), residentLine(i, uint32(i)&1))
-		}
-		// …and half a buffer more leaves residue for an observation drain.
-		for i := 0; i < depth/2; i++ {
-			c.Write(addrOf(i), residentLine(i, 0))
-		}
-		if _, hit := c.Read(addrOf(0)); !hit {
-			t.Fatal("steady-state read missed")
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("write drain allocates: %.2f allocs per batch", allocs)
-	}
-	after := c.WriteBuffer()
-	if after.CapacityDrains == before.CapacityDrains || after.ObservationDrains == before.ObservationDrains {
-		t.Fatalf("drain triggers not exercised: %+v -> %+v", before, after)
-	}
-}

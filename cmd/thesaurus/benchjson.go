@@ -20,11 +20,8 @@ import (
 )
 
 // benchSchema versions the BENCH_hotpath.json layout so downstream tooling
-// can detect format changes. v2 adds the per-row Class field and splits
-// the write path into an admission row (thesaurus_write_hit_*, the
-// simulated critical path: the write buffer accepts the line) and a
-// re-clustering row (thesaurus_write_reclust_*, the deferred re-encode
-// that drains run off the critical path).
+// can detect format changes. v2 adds the per-row Class field. Rows are
+// looked up by name, so adding or retiring a row keeps the schema.
 const benchSchema = "thesaurus-bench-hotpath/v2"
 
 // Row classes. Tooling treats them differently: bench-diff gates the
@@ -212,40 +209,11 @@ func measureBench() ([]benchEntry, error) {
 				c.Read(line.Addr((i % benchResidentLines) * line.Size))
 			}
 		})
-		// The write-hit row is the simulated critical path of a write: the
-		// bounded write buffer accepts the line and answers hit/miss; the
-		// re-encode runs later, at a drain. Drains here are forced through
-		// an untimed observation (the stop/start window) just before the
-		// buffer would fill, so the row prices exactly what the paper puts
-		// on the store's critical path (§5.4.2, docs/performance.md). The
-		// deferred work is priced by the write_reclust row below.
-		add("thesaurus_write_hit_"+d.name, classHotPath, line.Size, func(b *testing.B) {
-			c := warmThesaurusCache(cfg)
-			depth := cfg.WriteBufferDepth
-			pending := 0
-			b.ResetTimer()
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if pending == depth-1 {
-					b.StopTimer()
-					c.Extra() // observation drain, off the timed path
-					b.StartTimer()
-					pending = 0
-				}
-				n := i % benchResidentLines
-				v := (i / benchResidentLines) & 1
-				c.Write(line.Addr(n*line.Size), lines[v*benchResidentLines+n])
-				pending++
-			}
-		})
-		// Full re-clustering cost per write hit: unbuffered cache, so every
-		// Write runs lookup, incremental re-fingerprint, re-encode, and
-		// data-array re-placement inline. This is the drain-side cost the
-		// write buffer defers (and the v1 schema's write_hit semantics).
-		reclustCfg := cfg
-		reclustCfg.WriteBufferDepth = 0
+		// Full re-clustering cost per write hit: every Write runs lookup,
+		// incremental re-fingerprint, re-encode, and data-array
+		// re-placement inline.
 		add("thesaurus_write_reclust_"+d.name, classHotPath, line.Size, func(b *testing.B) {
-			c := warmThesaurusCache(reclustCfg)
+			c := warmThesaurusCache(cfg)
 			b.ResetTimer()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -208,6 +208,10 @@ func main() {
 		}
 		defer pprof.StopCPUProfile()
 	}
+	if *memprofile != "" {
+		// Deferred so the -json branch's early return writes it too.
+		defer writeHeapProfile(*memprofile)
+	}
 
 	if *jsonOut {
 		// One deterministic document for the whole campaign; the timing
@@ -246,17 +250,20 @@ func main() {
 		}
 		fmt.Printf("%-10s %8.1fs\n", "total", time.Since(campaign).Seconds())
 	}
+}
 
-	if *memprofile != "" {
-		f, err := os.Create(*memprofile)
-		if err != nil {
-			fail(err)
-		}
-		defer f.Close()
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fail(err)
-		}
+// writeHeapProfile writes a heap profile of the finished campaign to path.
+func writeHeapProfile(path string) {
+	f, err := os.Create(path)
+	if err != nil {
+		fail(err)
+	}
+	runtime.GC()
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		fail(err)
+	}
+	if err := f.Close(); err != nil {
+		fail(err)
 	}
 }
 

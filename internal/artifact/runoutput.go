@@ -29,7 +29,11 @@ import (
 // default run's key still holds them and would fail -cache-verify.
 // v4: Dedup, BDI, CPack and DISH release llc.Counters under one codec
 // (tag 7); their per-design tags 2, 3, 5 and 6 are retired.
-const RunOutputVersion = 4
+// v5: the Thesaurus snapshot no longer carries its configuration, its
+// adaptive-detector counters or its base-cache entry count (no report
+// read them; the run key is the configuration's one record), and the
+// write-buffer depth left the configuration.
+const RunOutputVersion = 5
 
 // RunOutput is a whole memoized run: the replay metrics, the released
 // cache's statistics snapshot, and the Fig. 16 cluster-size fractions.
@@ -105,7 +109,7 @@ func RunOutputKey(p workload.Profile, sys sim.SystemConfig, design string, acces
 			uint64(thCfg.VictimCandidates), thCfg.Seed,
 			uint64(thCfg.DiffSeriesWindow),
 			boolU64(thCfg.BaseCachePlainLRU), boolU64(thCfg.IntraLineFallback),
-			uint64(thCfg.AdaptiveEpoch), uint64(thCfg.WriteBufferDepth))
+			uint64(thCfg.AdaptiveEpoch))
 	}
 	return hashKey(buf)
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
@@ -66,19 +67,11 @@ func synthRunOutput(seed uint64) *RunOutput {
 	case 4: // counters released empty
 		r.Snap.Extra = llc.Counters{}
 	case 5:
-		cfg := thesaurus.DefaultConfig()
-		cfg.DiffSeriesWindow = 512
-		cfg.IntraLineFallback = rng.Bool(0.5)
 		x := &thesaurus.Snapshot{
-			Cfg: cfg,
-			Adaptive: thesaurus.AdaptiveStats{
-				Epochs: rng.Uint64n(100), DisabledEpochs: rng.Uint64n(50),
-				DisabledPlacements: rng.Uint64n(1 << 20),
-			},
 			BaseCache: thesaurus.BaseCacheSnapshot{
-				ReadPath:   stats.Counter{Hits: rng.Uint64n(1 << 20), Total: rng.Uint64n(1 << 21)},
-				InsertPath: stats.Counter{Hits: rng.Uint64n(1 << 20), Total: rng.Uint64n(1 << 21)},
-				Entries:    512, StorageBytes: 1 << 15,
+				ReadPath:     stats.Counter{Hits: rng.Uint64n(1 << 20), Total: rng.Uint64n(1 << 21)},
+				InsertPath:   stats.Counter{Hits: rng.Uint64n(1 << 20), Total: rng.Uint64n(1 << 21)},
+				StorageBytes: 1 << 15,
 			},
 			LiveClusters:  rng.Intn(1 << 15),
 			ValidClusters: rng.Intn(1 << 15),
@@ -201,12 +194,13 @@ func TestRunOutputRejectsBitFlips(t *testing.T) {
 
 // A run section written under a different RunOutputVersion must decode as
 // version skew — the cache treats that as a silent miss, never an error —
-// even though the container version still matches. That holds for an
-// entry of the previous version (v3, before the counter snapshots) and of
-// a future one.
+// even though the container version still matches. That holds for
+// entries of earlier versions (v3, before the counter snapshots; v4,
+// whose Thesaurus snapshot still carried its configuration) and of a
+// future one.
 func TestRunOutputSectionVersionSkew(t *testing.T) {
 	r := synthRunOutput(7)
-	for _, v := range []byte{3, RunOutputVersion + 1} {
+	for _, v := range []byte{3, 4, RunOutputVersion + 1} {
 		// A run-only artifact's section starts right after the header
 		// with its sub-version uvarint; rewrite it and fix the checksum —
 		// exactly the bytes that version would write.
@@ -322,12 +316,37 @@ func TestRunOutputKeySensitivity(t *testing.T) {
 	s3 := sys
 	s3.L2SizeBytes *= 2
 	perturb["geometry"] = RunOutputKey(p, s3, "Thesaurus", 1000, replay, true, &cfg)
-	c2 := cfg
-	c2.VictimCandidates++
-	perturb["thesaurus-cfg"] = RunOutputKey(p, sys, "Thesaurus", 1000, replay, true, &c2)
-	c3 := cfg
-	c3.LSH.Bits++
-	perturb["lsh-cfg"] = RunOutputKey(p, sys, "Thesaurus", 1000, replay, true, &c3)
+	// Every leaf field of the Thesaurus configuration, the nested LSH
+	// configuration included, must reach the key: the key is the only
+	// record of the configuration a cached run ran with, so a field left
+	// out would let two ablation points share one cached run. The walk
+	// panics on a field kind it cannot perturb, so a new field type is
+	// noticed.
+	var walkCfg func(path string, idx []int, typ reflect.Type)
+	walkCfg = func(path string, idx []int, typ reflect.Type) {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			at := append(idx[:len(idx):len(idx)], i)
+			if f.Type.Kind() == reflect.Struct {
+				walkCfg(path+f.Name+".", at, f.Type)
+				continue
+			}
+			c := cfg
+			v := reflect.ValueOf(&c).Elem().FieldByIndex(at)
+			switch v.Kind() {
+			case reflect.Int:
+				v.SetInt(v.Int() + 1)
+			case reflect.Uint64:
+				v.SetUint(v.Uint() + 1)
+			case reflect.Bool:
+				v.SetBool(!v.Bool())
+			default:
+				panic(fmt.Sprintf("thesaurus.Config.%s%s: kind %v not perturbed", path, f.Name, v.Kind()))
+			}
+			perturb["thesaurus-cfg."+path+f.Name] = RunOutputKey(p, sys, "Thesaurus", 1000, replay, true, &c)
+		}
+	}
+	walkCfg("", nil, reflect.TypeOf(cfg))
 	p2, err := workload.ProfileByName("xz")
 	if err != nil {
 		t.Fatal(err)

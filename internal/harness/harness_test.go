@@ -108,12 +108,14 @@ func TestRunCustomThesaurusConfigNotShared(t *testing.T) {
 	if delta := replays.Load() - before; delta != 2 {
 		t.Fatalf("custom-config runs replayed %d times, want 2", delta)
 	}
-	ts := custom.Snap.Extra.(*thesaurus.Snapshot)
-	if ts.Cfg.LSH.Bits != 8 {
-		t.Fatalf("custom config not applied: %d bits", ts.Cfg.LSH.Bits)
+	// An 8-bit LSH addresses a 256-entry base table, so the custom run
+	// can hold at most 256 clusters; the default run holds more.
+	tableEntries := 1 << cfg.LSH.Bits
+	if n := custom.Snap.Extra.(*thesaurus.Snapshot).ValidClusters; n > tableEntries {
+		t.Fatalf("custom config not applied: %d clusters in a %d-entry base table", n, tableEntries)
 	}
-	if bts := base.Snap.Extra.(*thesaurus.Snapshot); bts.Cfg.LSH.Bits == 8 {
-		t.Fatal("custom config leaked into the default memo entry")
+	if n := base.Snap.Extra.(*thesaurus.Snapshot).ValidClusters; n <= tableEntries {
+		t.Fatalf("custom config leaked into the default memo entry: %d clusters", n)
 	}
 	if !reflect.DeepEqual(custom.Res, custom2.Res) {
 		t.Fatal("custom-config runs are not deterministic")

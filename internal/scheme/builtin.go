@@ -15,7 +15,6 @@ import (
 	"repro/internal/ideal"
 	"repro/internal/line"
 	"repro/internal/llc"
-	"repro/internal/lsh"
 	"repro/internal/memory"
 	"repro/internal/segcache"
 	"repro/internal/stats"
@@ -134,24 +133,6 @@ var thesaurusCodec = &ExtraCodec{
 	},
 	Encode: func(dst []byte, x llc.ExtraSnapshot) []byte {
 		s := x.(*thesaurus.Snapshot)
-		c := &s.Cfg
-		dst = appendU(dst, uint64(c.TagEntries))
-		dst = appendU(dst, uint64(c.TagWays))
-		dst = appendU(dst, uint64(c.DataSets))
-		dst = appendU(dst, uint64(c.SegmentsPerSet))
-		dst = appendU(dst, uint64(c.LSH.Bits))
-		dst = appendU(dst, uint64(c.LSH.NonZeros))
-		dst = appendU(dst, c.LSH.Seed)
-		dst = appendU(dst, uint64(c.BaseCacheSets))
-		dst = appendU(dst, uint64(c.BaseCacheWays))
-		dst = appendU(dst, uint64(c.VictimCandidates))
-		dst = appendU(dst, c.Seed)
-		dst = appendU(dst, uint64(c.DiffSeriesWindow))
-		dst = appendBool(dst, c.BaseCachePlainLRU)
-		dst = appendBool(dst, c.IntraLineFallback)
-		dst = appendU(dst, uint64(c.AdaptiveEpoch))
-		dst = appendU(dst, uint64(c.WriteBufferDepth))
-
 		e := &s.Extra
 		dst = appendU(dst, e.Insertions)
 		dst = appendU(dst, e.Reencodes)
@@ -166,10 +147,6 @@ var thesaurusCodec = &ExtraCodec{
 		dst = appendU(dst, e.DiffCount)
 		dst = appendU(dst, e.DataEvictions)
 
-		dst = appendU(dst, s.Adaptive.Epochs)
-		dst = appendU(dst, s.Adaptive.DisabledEpochs)
-		dst = appendU(dst, s.Adaptive.DisabledPlacements)
-
 		dst = appendBool(dst, s.DiffSeries != nil)
 		dst = appendU(dst, uint64(len(s.DiffSeries)))
 		for _, f := range s.DiffSeries {
@@ -180,33 +157,12 @@ var thesaurusCodec = &ExtraCodec{
 		dst = appendU(dst, s.BaseCache.ReadPath.Total)
 		dst = appendU(dst, s.BaseCache.InsertPath.Hits)
 		dst = appendU(dst, s.BaseCache.InsertPath.Total)
-		dst = appendU(dst, uint64(s.BaseCache.Entries))
 		dst = appendU(dst, uint64(s.BaseCache.StorageBytes))
 		dst = appendU(dst, uint64(s.LiveClusters))
 		return appendU(dst, uint64(s.ValidClusters))
 	},
 	Decode: func(d Decoder) llc.ExtraSnapshot {
 		s := &thesaurus.Snapshot{}
-		c := &s.Cfg
-		c.TagEntries = int(d.Uvarint("cfg tag entries"))
-		c.TagWays = int(d.Uvarint("cfg tag ways"))
-		c.DataSets = int(d.Uvarint("cfg data sets"))
-		c.SegmentsPerSet = int(d.Uvarint("cfg segments per set"))
-		c.LSH = lsh.Config{
-			Bits:     int(d.Uvarint("cfg lsh bits")),
-			NonZeros: int(d.Uvarint("cfg lsh nonzeros")),
-			Seed:     d.Uvarint("cfg lsh seed"),
-		}
-		c.BaseCacheSets = int(d.Uvarint("cfg base sets"))
-		c.BaseCacheWays = int(d.Uvarint("cfg base ways"))
-		c.VictimCandidates = int(d.Uvarint("cfg victim candidates"))
-		c.Seed = d.Uvarint("cfg seed")
-		c.DiffSeriesWindow = int(d.Uvarint("cfg diff window"))
-		c.BaseCachePlainLRU = d.Bool("cfg plain lru")
-		c.IntraLineFallback = d.Bool("cfg intra fallback")
-		c.AdaptiveEpoch = int(d.Uvarint("cfg adaptive epoch"))
-		c.WriteBufferDepth = int(d.Uvarint("cfg write buffer depth"))
-
 		e := &s.Extra
 		e.Insertions = d.Uvarint("extra insertions")
 		e.Reencodes = d.Uvarint("extra reencodes")
@@ -222,10 +178,6 @@ var thesaurusCodec = &ExtraCodec{
 		e.DiffBytesSum = d.Uvarint("extra diff bytes sum")
 		e.DiffCount = d.Uvarint("extra diff count")
 		e.DataEvictions = d.Uvarint("extra data evictions")
-
-		s.Adaptive.Epochs = d.Uvarint("adaptive epochs")
-		s.Adaptive.DisabledEpochs = d.Uvarint("adaptive disabled epochs")
-		s.Adaptive.DisabledPlacements = d.Uvarint("adaptive disabled placements")
 
 		present := d.Bool("diff series presence")
 		n := d.Count("diff series length", maxDiffSeries)
@@ -245,7 +197,6 @@ var thesaurusCodec = &ExtraCodec{
 		s.BaseCache = thesaurus.BaseCacheSnapshot{
 			ReadPath:     stats.Counter{Hits: d.Uvarint("base read hits"), Total: d.Uvarint("base read total")},
 			InsertPath:   stats.Counter{Hits: d.Uvarint("base insert hits"), Total: d.Uvarint("base insert total")},
-			Entries:      int(d.Uvarint("base entries")),
 			StorageBytes: int(d.Uvarint("base storage bytes")),
 		}
 		s.LiveClusters = int(d.Uvarint("live clusters"))
@@ -254,9 +205,8 @@ var thesaurusCodec = &ExtraCodec{
 	},
 	Equal: func(a, b llc.ExtraSnapshot) bool {
 		x, y := a.(*thesaurus.Snapshot), b.(*thesaurus.Snapshot)
-		if x.Cfg != y.Cfg || x.Extra != y.Extra || x.Adaptive != y.Adaptive ||
-			x.BaseCache != y.BaseCache || x.LiveClusters != y.LiveClusters ||
-			x.ValidClusters != y.ValidClusters ||
+		if x.Extra != y.Extra || x.BaseCache != y.BaseCache ||
+			x.LiveClusters != y.LiveClusters || x.ValidClusters != y.ValidClusters ||
 			(x.DiffSeries == nil) != (y.DiffSeries == nil) ||
 			len(x.DiffSeries) != len(y.DiffSeries) {
 			return false

@@ -16,8 +16,7 @@ import (
 )
 
 // exactnessRecordings records the streams the replay-exactness test
-// drives: three profiles, the last a write-heavy variant, so Thesaurus
-// drains its write buffer inside many reads.
+// drives: three profiles, the last a write-heavy variant.
 func exactnessRecordings(t *testing.T) []stream {
 	t.Helper()
 	return []stream{record(t, "mcf", 0), record(t, "xz", 0), record(t, "omnetpp", 0.6)}
@@ -38,35 +37,13 @@ func record(t *testing.T, profile string, writeFrac float64) stream {
 		name = fmt.Sprintf("%s-w%g", profile, writeFrac)
 	}
 	g := p.Generate(accesses)
-	return stream{name: name, rec: sim.Record(g.Stream, sim.DefaultSystem(), g.Image), recorded: true}
+	return stream{name: name, rec: sim.Record(g.Stream, sim.DefaultSystem(), g.Image)}
 }
 
-// stream is one event stream the test replays; recorded marks a real
-// recording, whose every read must return its event's value.
+// stream is one recording the tests replay.
 type stream struct {
-	name     string
-	rec      *sim.Recorded
-	recorded bool
-}
-
-// writebackDuringRead is a hand-built stream in which a buffered write
-// is written back while the read of the same line drains the buffer:
-// line x is written, nine lines that share its set in every
-// power-of-two-set design follow (so x is the LRU victim of an 8-way
-// set), and then x is read. The read's event carries a stale value, so
-// a fill that ignored the writeback would return it; the program's
-// value is the one written back.
-func writebackDuringRead() *sim.Recorded {
-	const x, stride = line.Addr(0x40), line.Addr(1 << 20)
-	rec := &sim.Recorded{Instructions: 11}
-	for k := line.Addr(0); k < 10; k++ {
-		var d line.Line
-		d[0], d[1] = byte(k+1), 0xA5
-		rec.Events = append(rec.Events, sim.Event{Kind: sim.EventWrite, Addr: x + k*stride, Data: d, Instrs: 1})
-	}
-	rec.Events = append(rec.Events, sim.Event{Kind: sim.EventRead, Addr: x, Instrs: 1})
-	rec.UniqueLines = 10
-	return rec
+	name string
+	rec  *sim.Recorded
 }
 
 // replayInstance is one design over its own DRAM-modelled store.
@@ -98,13 +75,12 @@ const footprintEvery = 2048
 
 // lockstep replays rec into a and b side by side, filling each read
 // through its side's fill function. It fails on the first read whose
-// data or hit flag differs, the first write whose result differs, and
-// any footprint that differs (compared every footprintEvery events and at
-// the end), and checks both designs' invariants where they have them. It
-// returns the number of reads that returned other data than their event.
-func lockstep(t *testing.T, where string, rec *sim.Recorded, a, b replayInstance, fillA, fillB fillFunc) int {
+// data or hit flag differs or whose data is not its event's, the first
+// write whose result differs, and any footprint that differs (compared
+// every footprintEvery events and at the end), and checks both designs'
+// invariants where they have them.
+func lockstep(t *testing.T, where string, rec *sim.Recorded, a, b replayInstance, fillA, fillB fillFunc) {
 	t.Helper()
-	overridden := 0
 	for i := range rec.Events {
 		ev := &rec.Events[i]
 		if ev.Kind == sim.EventWrite {
@@ -120,7 +96,7 @@ func lockstep(t *testing.T, where string, rec *sim.Recorded, a, b replayInstance
 				t.Fatalf("%s event %d: reads (hit %v) and (hit %v) return different data", where, i, ah, bh)
 			}
 			if bd != ev.Data {
-				overridden++
+				t.Fatalf("%s event %d: read returned other data than the recording", where, i)
 			}
 		}
 		if (i+1)%footprintEvery == 0 || i == len(rec.Events)-1 {
@@ -130,7 +106,6 @@ func lockstep(t *testing.T, where string, rec *sim.Recorded, a, b replayInstance
 			checkInvariants(t, fmt.Sprintf("%s event %d", where, i), a.c, b.c)
 		}
 	}
-	return overridden
 }
 
 // checkInvariants runs CheckInvariants on each cache whose design has
@@ -185,27 +160,18 @@ func releaseAndCompare(t *testing.T, where string, a, b replayInstance) {
 // instances run in lockstep over each stream, and every read's data and
 // hit flag, every write's result, and afterwards the cache and store
 // statistics, the modelled DRAM cycles and the release snapshots must
-// agree. Each design also replays every recording through sim.Replay
-// with Verify on.
+// agree, and every read must return its event's value. Each design also
+// replays every recording through sim.Replay with Verify on.
 func TestEverySchemeReplaysExactly(t *testing.T) {
-	streams := append(exactnessRecordings(t), stream{name: "writeback-during-read", rec: writebackDuringRead()})
+	streams := exactnessRecordings(t)
 	for _, design := range scheme.Names() {
 		for _, sr := range streams {
-			rec, where, recorded := sr.rec, design+"/"+sr.name, sr.recorded
+			rec, where := sr.rec, design+"/"+sr.name
 			poked := newReplayInstance(t, design)
 			staged := newReplayInstance(t, design)
-			overridden := lockstep(t, where+" (Poke vs Stage)", rec, poked, staged, poke, stage)
-			if recorded && overridden > 0 {
-				t.Fatalf("%s: %d reads returned other data than the recording", where, overridden)
-			}
-			if !recorded && design == "Thesaurus" && overridden == 0 {
-				t.Fatalf("%s: the read did not drain a writeback of its own line", where)
-			}
+			lockstep(t, where+" (Poke vs Stage)", rec, poked, staged, poke, stage)
 			releaseAndCompare(t, where+" (Poke vs Stage)", poked, staged)
 
-			if !recorded {
-				continue // its read carries a stale value by construction
-			}
 			verified := newReplayInstance(t, design)
 			opt := sim.DefaultReplayOptions()
 			opt.Verify = true
@@ -240,9 +206,7 @@ func TestRecycledSchemesMatchFresh(t *testing.T) {
 		recycled := newReplayInstance(t, design)
 		cache.DrainPools()
 		fresh := newReplayInstance(t, design)
-		if overridden := lockstep(t, where, writes.rec, recycled, fresh, stage, stage); overridden > 0 {
-			t.Fatalf("%s: %d reads returned other data than the recording", where, overridden)
-		}
+		lockstep(t, where, writes.rec, recycled, fresh, stage, stage)
 		releaseAndCompare(t, where, recycled, fresh)
 	}
 }

@@ -161,7 +161,6 @@ func TestBaseRetirement(t *testing.T) {
 		other[i] = byte(255 - i)
 	}
 	c.Write(64, other)
-	c.drainWrites(false) // the test inspects table state directly
 	if ent.Cntr != 0 {
 		t.Fatalf("refcount after leaving cluster: %d", ent.Cntr)
 	}

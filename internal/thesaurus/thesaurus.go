@@ -65,20 +65,7 @@ type Config struct {
 	// cannot benefit (see adaptive.go). Zero disables the detector (the
 	// paper's evaluated configuration).
 	AdaptiveEpoch int
-	// WriteBufferDepth bounds the write buffer that defers whole write
-	// operations (lookup included) until the buffer fills or the cache's
-	// state is next observed, modelling §5.4.2's off-critical-path
-	// re-encoding. Draining replays the buffered writes in arrival order
-	// through the unmodified write path, so every statistic, replacement
-	// decision, and rng draw is byte-identical to an unbuffered cache
-	// (docs/performance.md). Zero disables buffering.
-	WriteBufferDepth int
 }
-
-// DefaultWriteBufferDepth is the default write-buffer capacity: deep
-// enough to batch a typical writeback burst, small enough that the
-// deferred state is bounded by one tag set's worth of lines.
-const DefaultWriteBufferDepth = 32
 
 // DefaultConfig returns the paper's Table 2 configuration: 32768 tags
 // (8-way), 11700-entry-equivalent data array, 12-bit LSH, 512-entry base
@@ -95,7 +82,6 @@ func DefaultConfig() Config {
 		BaseCacheWays:    8,
 		VictimCandidates: 4,
 		Seed:             0x7e5a7105,
-		WriteBufferDepth: DefaultWriteBufferDepth,
 	}
 }
 
@@ -132,9 +118,6 @@ func (c Config) Validate() error {
 	}
 	if c.VictimCandidates <= 0 {
 		return fmt.Errorf("thesaurus: need at least one victim candidate")
-	}
-	if c.WriteBufferDepth < 0 {
-		return fmt.Errorf("thesaurus: negative write buffer depth %d", c.WriteBufferDepth)
 	}
 	return c.LSH.Validate()
 }
@@ -237,37 +220,8 @@ type Cache struct {
 	// per worker.
 	encScratch diffenc.Encoded
 
-	// wbuf is the bounded write buffer (nil when disabled): whole write
-	// operations parked in arrival order until capacity or the next
-	// observation of cache state forces a drain. wstats instruments the
-	// batching; it is reported only through the WriteBuffer accessor,
-	// never in snapshots, so buffered and unbuffered runs produce
-	// byte-identical reports.
-	wbuf   []bufferedWrite
-	wstats WriteBufferStats
-
 	adaptive      adaptiveState
 	adaptiveStats AdaptiveStats
-}
-
-// bufferedWrite is one deferred write operation.
-type bufferedWrite struct {
-	addr line.Addr
-	data line.Line
-}
-
-// WriteBufferStats instruments the deferred-write batching: how many
-// writes were buffered, how often the buffer drained and why, and the
-// largest batch replayed in one drain. CapacityDrains are the drains a
-// hardware write buffer would absorb with more depth; ObservationDrains
-// happen at state-observation boundaries (reads, stats, snapshots) and
-// are off the simulated critical path by construction.
-type WriteBufferStats struct {
-	Buffered          uint64
-	Drains            uint64
-	CapacityDrains    uint64
-	ObservationDrains uint64
-	MaxBatch          uint64
 }
 
 var _ llc.Cache = (*Cache)(nil)
@@ -301,9 +255,6 @@ func New(cfg Config, mem *memory.Store) (*Cache, error) {
 	if cfg.DiffSeriesWindow > 0 {
 		c.diffSeries = stats.NewSeries(cfg.DiffSeriesWindow)
 	}
-	if cfg.WriteBufferDepth > 0 {
-		c.wbuf = make([]bufferedWrite, 0, cfg.WriteBufferDepth)
-	}
 	return c, nil
 }
 
@@ -324,25 +275,21 @@ func (c *Cache) Config() Config { return c.cfg }
 
 // BaseCache exposes the base cache for the Fig. 20 sweep.
 func (c *Cache) BaseCache() *BaseCache {
-	c.drainWrites(false)
 	return c.bcache
 }
 
 // BaseTable exposes the base table for the Fig. 16 sampling.
 func (c *Cache) BaseTable() *BaseTable {
-	c.drainWrites(false)
 	return c.table
 }
 
 // Extra returns the Thesaurus-specific statistics.
 func (c *Cache) Extra() ExtraStats {
-	c.drainWrites(false)
 	return c.extra
 }
 
 // DiffSeries returns the Fig. 19 time series (nil unless enabled).
 func (c *Cache) DiffSeries() []float64 {
-	c.drainWrites(false)
 	if c.diffSeries == nil {
 		return nil
 	}
@@ -354,7 +301,6 @@ func (c *Cache) DiffSeries() []float64 {
 //thesaurus:hotpath
 func (c *Cache) Read(addr line.Addr) (line.Line, bool) {
 	addr = addr.LineAddr()
-	c.drainWrites(false)
 	c.stats.Reads++
 	if e, _ := c.tags.Lookup(addr); e != nil {
 		c.stats.ReadHits++
@@ -372,40 +318,20 @@ func (c *Cache) Read(addr line.Addr) (line.Line, bool) {
 
 // Write implements llc.Cache (§5.4.2): the new content may change the
 // encoding and size, so the line is re-encoded through the full data path.
-// With a write buffer configured the whole operation is deferred until the
-// buffer fills or the cache is next observed; the return value is then
-// advisory (a statistics- and recency-free residency probe), matching what
-// the operation will report when it replays. Replay order equals arrival
-// order, so a buffered cache is observationally byte-identical to an
-// unbuffered one.
 //
 //thesaurus:hotpath
 func (c *Cache) Write(addr line.Addr, data line.Line) bool {
 	addr = addr.LineAddr()
-	if c.wbuf == nil {
-		return c.writeNow(addr, &data)
-	}
-	hit := c.peekResident(addr)
-	c.wbuf = append(c.wbuf, bufferedWrite{addr: addr, data: data})
-	c.wstats.Buffered++
-	if len(c.wbuf) == cap(c.wbuf) {
-		c.drainWrites(true)
-	}
-	return hit
-}
-
-// writeNow runs one write operation through the data path immediately.
-func (c *Cache) writeNow(addr line.Addr, data *line.Line) bool {
 	c.stats.Writes++
 	if e, idx := c.tags.Lookup(addr); e != nil {
 		c.stats.WriteHits++
 		c.observeAccess(true)
-		c.rewriteHit(e, idx, data)
+		c.rewriteHit(e, idx, &data)
 		c.extra.Reencodes++
 		return true
 	}
 	c.observeAccess(false)
-	c.install(addr, data, true)
+	c.install(addr, &data, true)
 	return false
 }
 
@@ -481,52 +407,6 @@ func (c *Cache) changedVsStored(e *cache.Entry[tagPayload], data *line.Line) (ch
 		return line.DiffMask(data, &enc.Payload), 0, false
 	}
 }
-
-// peekResident reports whether a write to addr will hit once the buffer
-// drains: resident in the tag array (no statistics or recency update), or
-// pending in the buffer itself (a buffered write-allocate installs it).
-func (c *Cache) peekResident(addr line.Addr) bool {
-	// Tag probe first: in steady state most writes hit a resident line,
-	// and the probe touches one set instead of walking the buffer (each
-	// pending write carries a full 64-byte line).
-	if e, _ := c.tags.Peek(addr); e != nil {
-		return true
-	}
-	for i := len(c.wbuf) - 1; i >= 0; i-- {
-		if c.wbuf[i].addr == addr {
-			return true
-		}
-	}
-	return false
-}
-
-// drainWrites replays the buffered writes in arrival order through the
-// unmodified write path. It runs on capacity and before every observation
-// of cache state, so statistics, replacement state, and rng draws are
-// byte-identical to an unbuffered cache at every observation point.
-func (c *Cache) drainWrites(capacity bool) {
-	if len(c.wbuf) == 0 {
-		return
-	}
-	c.wstats.Drains++
-	if capacity {
-		c.wstats.CapacityDrains++
-	} else {
-		c.wstats.ObservationDrains++
-	}
-	if n := uint64(len(c.wbuf)); n > c.wstats.MaxBatch {
-		c.wstats.MaxBatch = n
-	}
-	for i := range c.wbuf {
-		c.writeNow(c.wbuf[i].addr, &c.wbuf[i].data)
-	}
-	c.wbuf = c.wbuf[:0]
-}
-
-// WriteBuffer returns the write-buffer statistics. Reading them does not
-// drain the buffer (draining here would fold the act of observing the
-// buffer into the numbers being observed).
-func (c *Cache) WriteBuffer() WriteBufferStats { return c.wstats }
 
 // install allocates a tag for addr (evicting as needed) and runs the
 // insertion data path.
@@ -816,22 +696,17 @@ func (c *Cache) DecompressionCycles() float64 { return 5 }
 // CriticalDRAMAccesses reports read-path base-cache misses, each of which
 // stalls on a DRAM base-table fetch (§6.4).
 func (c *Cache) CriticalDRAMAccesses() uint64 {
-	c.drainWrites(false)
 	return c.bcache.ReadPath.Total - c.bcache.ReadPath.Hits
 }
 
 // Stats implements llc.Cache.
 func (c *Cache) Stats() llc.Stats {
-	c.drainWrites(false)
 	return c.stats
 }
 
 // ResetStats implements llc.Cache: clears access statistics while
 // preserving cache contents (end-of-warmup semantics).
 func (c *Cache) ResetStats() {
-	// Pending writes arrived before the reset; their effects belong to
-	// the pre-reset epoch exactly as in an unbuffered cache.
-	c.drainWrites(false)
 	c.stats = llc.Stats{}
 	c.extra = ExtraStats{}
 	c.tags.ResetStats()
@@ -844,7 +719,6 @@ func (c *Cache) ResetStats() {
 
 // Footprint implements llc.Cache: the Fig. 13a occupancy metric.
 func (c *Cache) Footprint() llc.Footprint {
-	c.drainWrites(false)
 	return llc.Footprint{
 		ResidentLines:  c.tags.CountValid(),
 		DataBytesUsed:  c.data.UsedBytes(),
@@ -858,8 +732,7 @@ type BaseCacheSnapshot struct {
 	// ReadPath/InsertPath are the per-path hit counters at release time.
 	ReadPath   stats.Counter
 	InsertPath stats.Counter
-	// Entries and StorageBytes describe the configured geometry.
-	Entries      int
+	// StorageBytes is the configured base cache's storage cost.
 	StorageBytes int
 }
 
@@ -877,12 +750,8 @@ func (b BaseCacheSnapshot) HitRate() float64 {
 // Figures 15-20 and the calibration tool consult after the cache's
 // storage is gone.
 type Snapshot struct {
-	// Cfg is the configuration the cache ran with.
-	Cfg Config
 	// Extra holds the Thesaurus counters (Figs. 15, 17, 18).
 	Extra ExtraStats
-	// Adaptive holds the cache-insensitivity detector counters.
-	Adaptive AdaptiveStats
 	// DiffSeries is the Fig. 19 time series (nil unless enabled).
 	DiffSeries []float64
 	// BaseCache carries the Fig. 20 base-cache metrics.
@@ -914,16 +783,12 @@ func (c *Cache) Release() llc.StatsSnapshot {
 	if c.table == nil {
 		panic("thesaurus: Release called twice")
 	}
-	c.drainWrites(false)
 	live, valid := c.table.ActiveClusters()
 	snap := &Snapshot{
-		Cfg:      c.cfg,
-		Extra:    c.extra,
-		Adaptive: c.adaptiveStats,
+		Extra: c.extra,
 		BaseCache: BaseCacheSnapshot{
 			ReadPath:     c.bcache.ReadPath,
 			InsertPath:   c.bcache.InsertPath,
-			Entries:      c.bcache.Entries(),
 			StorageBytes: c.bcache.StorageBytes(),
 		},
 		LiveClusters:  live,
@@ -947,7 +812,6 @@ func (c *Cache) Release() llc.StatsSnapshot {
 // CheckInvariants cross-validates tag/data/base-table bookkeeping; tests
 // call it after randomized operation sequences.
 func (c *Cache) CheckInvariants() error {
-	c.drainWrites(false)
 	if err := c.data.CheckInvariants(); err != nil {
 		return err
 	}
