@@ -81,13 +81,13 @@ test:
 race:
 	$(GO) test -race -count=1 ./internal/harness ./internal/experiments ./internal/thesaurus ./internal/netq ./internal/cache
 
-# Compile-and-run the micro-benchmarks once: catches benchmarks broken by
-# API changes without paying full measurement time. The figure benchmarks
-# in the root package are excluded — even one iteration runs a whole
-# experiment.
+# Compile-and-run the micro-benchmarks once, every BenchmarkHotPath row
+# included: catches benchmarks broken by API changes without paying full
+# measurement time. The figure benchmarks in the root package are
+# excluded — even one iteration runs a whole experiment.
 benchsmoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/... > /dev/null
-	$(GO) test -run='^$$' -bench='Fingerprint|ReadHit|InsertStream|WorkloadGeneration' -benchtime=1x . > /dev/null
+	$(GO) test -run='^$$' -bench='^BenchmarkHotPath$$|ReadHit|InsertStream|WorkloadGeneration' -benchtime=1x . > /dev/null
 
 # The campaign benchmark (bench/) is a Go module of its own, so the vet
 # and test targets above never reach it. It calls internal APIs directly
@@ -208,16 +208,33 @@ clean-cache:
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./internal/line ./internal/diffenc ./internal/lsh
 
-# Machine-readable hot-path benchmark trajectory (ns/access, allocs/access,
-# MB/s per design point). Regenerate after performance work and commit the
-# result; docs/performance.md describes the format.
+# The hot-path rows (BenchmarkHotPath, docs/performance.md) in Go's
+# standard benchmark format. Regenerate after performance work and commit
+# the result; it is a record, and no gate reads it.
 bench-json:
-	$(GO) run ./cmd/thesaurus -benchjson BENCH_hotpath.json
+	$(GO) test -run '^$$' -bench '^BenchmarkHotPath$$' -benchmem -cpu 1 . >BENCH_hotpath.txt
 
-# Re-measure the hot paths and fail if any kernel or hot-path row regresses
-# more than 15% ns/op (or grows allocs at all) against the committed
-# snapshot. Each run is also appended to results/bench_history.jsonl
-# (beside the snapshot) so the performance trajectory accumulates
-# machine-readably.
+# Compare the kernel and hot-path rows of BenchmarkHotPath between BASE (a
+# git revision) and the working tree, both measured now, so host speed
+# cancels: BASE is extracted with git archive, both test binaries are
+# built with -trimpath (so identical sources build identical binaries,
+# wherever they sit), and the rows run in 10 pairs, alternating which side
+# goes first.
+# cmd/benchdiff fails a row that is over 15% slower in the median, slower
+# in at least 9 of the 10 pairs and further from the base than the base's
+# interquartile range, or whose allocs/op grew, or that is gone.
+BASE ?= HEAD
 bench-diff:
-	$(GO) run ./cmd/thesaurus -benchdiff BENCH_hotpath.json
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir "$$tmp/base"; git archive "$(BASE)" | tar -x -C "$$tmp/base"; \
+	(cd "$$tmp/base" && $(GO) test -trimpath -c -o "$$tmp/base.test" .); \
+	$(GO) test -trimpath -c -o "$$tmp/new.test" .; \
+	for i in 1 2 3 4 5 6 7 8 9 10; do \
+		order="base new"; if [ $$((i % 2)) -eq 0 ]; then order="new base"; fi; \
+		for side in $$order; do \
+			"$$tmp/$$side.test" -test.run '^$$' -test.bench '^BenchmarkHotPath$$/^(kernel|hot-path)$$' \
+				-test.cpu 1 >>"$$tmp/$$side.txt"; \
+		done; \
+		echo "bench-diff: pair $$i of 10 done"; \
+	done; \
+	$(GO) run ./cmd/benchdiff "$$tmp/base.txt" "$$tmp/new.txt"

@@ -42,11 +42,12 @@ func residentLine(i int, v uint32) line.Line {
 
 func addrOf(i int) line.Addr { return line.Addr(i * line.Size) }
 
-// warmThesaurus installs the working set and runs one extra write pass at
-// each version so every slot's delta-buffer capacity has converged.
-func warmThesaurus(tb testing.TB) *thesaurus.Cache {
+// warmThesaurus builds a cache of configuration cfg and writes the working
+// set at both versions, so every line has taken a write hit and what
+// follows measures the steady state.
+func warmThesaurus(tb testing.TB, cfg thesaurus.Config) *thesaurus.Cache {
 	tb.Helper()
-	c := thesaurus.MustNew(thesaurus.DefaultConfig(), memory.NewStore())
+	c := thesaurus.MustNew(cfg, memory.NewStore())
 	for v := uint32(0); v < 2; v++ {
 		for i := 0; i < residentLines; i++ {
 			c.Write(addrOf(i), residentLine(i, v))
@@ -56,7 +57,7 @@ func warmThesaurus(tb testing.TB) *thesaurus.Cache {
 }
 
 func TestThesaurusReadHitAllocFree(t *testing.T) {
-	c := warmThesaurus(t)
+	c := warmThesaurus(t, thesaurus.DefaultConfig())
 	allocs := testing.AllocsPerRun(50, func() {
 		for i := 0; i < residentLines; i++ {
 			if _, hit := c.Read(addrOf(i)); !hit {
@@ -70,7 +71,7 @@ func TestThesaurusReadHitAllocFree(t *testing.T) {
 }
 
 func TestThesaurusWriteHitAllocFree(t *testing.T) {
-	c := warmThesaurus(t)
+	c := warmThesaurus(t, thesaurus.DefaultConfig())
 	v := uint32(0)
 	allocs := testing.AllocsPerRun(50, func() {
 		v ^= 1 // alternate content so re-encoding genuinely runs
@@ -88,7 +89,7 @@ func TestThesaurusWriteHitAllocFree(t *testing.T) {
 func TestThesaurusUnchangedWriteHitAllocFree(t *testing.T) {
 	// Re-writes of identical content take the memoized-fingerprint path
 	// (thesaurus.Cache.Write); it too must stay allocation-free.
-	c := warmThesaurus(t)
+	c := warmThesaurus(t, thesaurus.DefaultConfig())
 	allocs := testing.AllocsPerRun(50, func() {
 		for i := 0; i < residentLines; i++ {
 			if !c.Write(addrOf(i), residentLine(i, 1)) {

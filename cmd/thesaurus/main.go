@@ -14,12 +14,9 @@
 //
 //	-n N          accesses per benchmark profile (default 2,000,000)
 //	-profiles csv comma-separated profile subset (default: all 22)
-//	-quick        reduced trace length for a fast smoke run
+//	-quick        reduced trace length for a fast smoke run (not with -n)
 //	-workers N    bound experiment concurrency (0 = GOMAXPROCS, 1 = serial)
 //	-json         emit one machine-readable JSON document instead of text reports
-//	-benchjson f  run the hot-path benchmarks and write BENCH_hotpath.json to f
-//	-benchdiff f  re-measure them against baseline f, fail on a regression, and
-//	              append the measurement to results/bench_history.jsonl beside f
 //	-cpuprofile f write a pprof CPU profile of the whole campaign to f
 //	-memprofile f write a pprof heap profile at exit to f
 //	-cache-dir d       on-disk artifact cache directory (default: user cache dir)
@@ -104,11 +101,9 @@ func reportArtifactStats() {
 func main() {
 	n := flag.Int("n", harness.DefaultAccesses, "accesses per benchmark profile")
 	profilesFlag := flag.String("profiles", "", "comma-separated profile subset")
-	quick := flag.Bool("quick", false, "reduced trace length (smoke run)")
+	quick := flag.Bool("quick", false, "reduced trace length (smoke run; not with -n)")
 	workers := flag.Int("workers", 0, "experiment concurrency (0 = GOMAXPROCS, 1 = serial)")
 	jsonOut := flag.Bool("json", false, "emit one JSON document instead of text reports")
-	benchjson := flag.String("benchjson", "", "run hot-path benchmarks and write JSON to file (\"-\" = stdout)")
-	benchdiff := flag.String("benchdiff", "", "re-measure hot-path benchmarks and fail on regression vs this baseline JSON")
 	cpuprofile := flag.String("cpuprofile", "", "write pprof CPU profile to file")
 	memprofile := flag.String("memprofile", "", "write pprof heap profile to file")
 	cacheDir := flag.String("cache-dir", "", "artifact cache directory (default: user cache dir)")
@@ -123,18 +118,14 @@ func main() {
 	leaseDur := flag.Duration("lease", 2*time.Minute, "task lease duration (re-queued when a worker stops heartbeating)")
 	serveGrace := flag.Duration("serve-grace", 15*time.Second, "give up and recompute in-process after this long with no workers connected")
 	flag.Parse()
-
-	if *benchjson != "" {
-		if err := runBenchJSON(*benchjson); err != nil {
-			fail(err)
-		}
-		return
-	}
-	if *benchdiff != "" {
-		if err := runBenchDiff(*benchdiff); err != nil {
-			fail(err)
-		}
-		return
+	if *quick {
+		// -quick replaces the whole option set, trace length included.
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "n" {
+				fmt.Fprintln(os.Stderr, "thesaurus: -quick sets the trace length; drop -n or -quick")
+				os.Exit(2)
+			}
+		})
 	}
 
 	cache := setupArtifacts(*cacheDir, *cacheMax, *noCache, *cacheVerify)
