@@ -49,8 +49,9 @@ lint-fix-check:
 
 # Registry completeness (internal/scheme): every registered design must
 # build by name, report its registered name, and round-trip its release
-# snapshot through its codec hook — a half-wired scheme fails here, not
-# in a stale artifact cache. Every design must also replay exactly:
+# snapshot through the artifact codec (artifact.Encode and Decode) — a
+# snapshot type the codec cannot persist fails here, not in a stale
+# artifact cache. Every design must also replay exactly:
 # fills staged with Store.Stage match fills written with Poke read by
 # read, and sim.Replay with Verify on returns every recorded value. And
 # a design built from the arrays a released instance parked must replay
@@ -216,10 +217,13 @@ bench-json:
 
 # Compare the kernel and hot-path rows of BenchmarkHotPath between BASE (a
 # git revision) and the working tree, both measured now, so host speed
-# cancels: BASE is extracted with git archive, both test binaries are
+# cancels: BASE is extracted with git archive, and both test binaries are
 # built with -trimpath (so identical sources build identical binaries,
-# wherever they sit), and the rows run in 10 pairs, alternating which side
-# goes first.
+# wherever they sit). The rows compared are the ones BASE has, so a gated
+# row the change deletes fails as missing. Each of 10 pairs runs every
+# row on both sides back to back, alternating which side goes first, so
+# the two samples of a pair are seconds apart rather than a whole pass
+# over the rows.
 # cmd/benchdiff fails a row that is over 15% slower in the median, slower
 # in at least 9 of the 10 pairs and further from the base than the base's
 # interquartile range, or whose allocs/op grew, or that is gone.
@@ -229,11 +233,16 @@ bench-diff:
 	mkdir "$$tmp/base"; git archive "$(BASE)" | tar -x -C "$$tmp/base"; \
 	(cd "$$tmp/base" && $(GO) test -trimpath -c -o "$$tmp/base.test" .); \
 	$(GO) test -trimpath -c -o "$$tmp/new.test" .; \
+	rows=$$("$$tmp/base.test" -test.run '^$$' -test.bench '^BenchmarkHotPath$$/^(kernel|hot-path)$$' \
+		-test.benchtime 1x -test.cpu 1 | awk 'sub(/^BenchmarkHotPath\//, "", $$1) { print $$1 }'); \
+	if [ -z "$$rows" ]; then echo "bench-diff: $(BASE) has no kernel or hot-path rows"; exit 2; fi; \
 	for i in 1 2 3 4 5 6 7 8 9 10; do \
 		order="base new"; if [ $$((i % 2)) -eq 0 ]; then order="new base"; fi; \
-		for side in $$order; do \
-			"$$tmp/$$side.test" -test.run '^$$' -test.bench '^BenchmarkHotPath$$/^(kernel|hot-path)$$' \
-				-test.cpu 1 >>"$$tmp/$$side.txt"; \
+		for row in $$rows; do \
+			for side in $$order; do \
+				"$$tmp/$$side.test" -test.run '^$$' -test.cpu 1 \
+					-test.bench "^BenchmarkHotPath\$$/^$${row%%/*}\$$/^$${row#*/}\$$" >>"$$tmp/$$side.txt"; \
+			done; \
 		done; \
 		echo "bench-diff: pair $$i of 10 done"; \
 	done; \

@@ -201,12 +201,6 @@ func (c *Cache) StoreRunOutput(key string, r *RunOutput) {
 	c.store(key, &File{Run: r})
 }
 
-// StoreFile persists an arbitrary artifact (cmd/tracegen writes
-// recording+image pairs) under key.
-func (c *Cache) StoreFile(key string, f *File) {
-	c.store(key, f)
-}
-
 // RawRunOutput returns the encoded bytes of the run artifact stored
 // under key, validated end to end (checksum intact, run section
 // present), for streaming to another process. It deliberately bypasses

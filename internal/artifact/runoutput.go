@@ -1,26 +1,33 @@
 package artifact
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
+	"repro/internal/line"
 	"repro/internal/llc"
 	"repro/internal/scheme"
 	"repro/internal/sim"
 	"repro/internal/thesaurus"
+	"repro/internal/uncomp"
 	"repro/internal/workload"
 )
 
 // RunOutputVersion versions the run-output section independently of the
 // container codec (Version): the section serializes the design snapshot
 // structs field by field, so it must be bumped whenever sim.Result,
-// llc.StatsSnapshot, or any design's release-snapshot type gains, loses,
-// or reinterprets a field — and whenever replay semantics change in a way
-// the recording codec version does not already capture. Registering a new
-// scheme (a new codec tag) is also a bump. The version is both hashed
-// into every run key and embedded in the section, so a bump turns every
-// cached run into a clean miss (never an error).
+// llc.StatsSnapshot, or any release-snapshot type gains, loses, or
+// reinterprets a field — and whenever replay semantics change in a way
+// the recording codec version does not already capture. A new snapshot
+// type (a new Extra tag) is also a bump; a new design that releases
+// llc.Counters is not, because its counters already have a tag. The
+// version is both hashed into every run key and embedded in the section,
+// so a bump turns every cached run into a clean miss (never an error).
+// TestRunOutputWireFormatPinned holds the digests of this version's
+// encodings.
 //
 // v2: snapshot codecs moved to the scheme registry, CPack (tag 5) and
 // DISH (tag 6) designs added, per-scheme config folded into run keys.
@@ -51,12 +58,24 @@ func (o *RunOutput) Clone() *RunOutput {
 	return &cp
 }
 
-// extraNil is the wire tag of a snapshot with no design-specific Extra.
-// All other tags belong to scheme-registry codecs (scheme.CodecByTag);
-// the decoder rejects unknown tags as corrupt — a new design requires a
-// RunOutputVersion bump, which already turns old files into misses before
-// tag dispatch is reached.
-const extraNil = 0
+// Wire tags of a snapshot's Extra, one per release-snapshot type: Baseline
+// and 2x Baseline release *uncomp.Snapshot, Thesaurus *thesaurus.Snapshot,
+// and Dedup, BDI, CPack and DISH llc.Counters; Ideal releases none. Tags
+// 2, 3, 5 and 6 are retired: they held the BDI, Dedup, CPack and DISH
+// snapshots before those designs released llc.Counters (v4). The decoder
+// rejects any other tag as corrupt.
+const (
+	extraNil       = 0
+	extraUncomp    = 1
+	extraThesaurus = 4
+	extraCounters  = 7
+)
+
+// maxCounters bounds a decoded counter view, far above any design's
+// dozen; a larger count is corruption, not data. A line snapshot is
+// bounded like the recorded section's line pool (maxPool) and a diff
+// series like its event stream (maxEvents).
+const maxCounters = 1 << 10
 
 // RunOutputKey derives the content address of a whole run: the SHA-256 of
 // every input the replay's result depends on — both codec versions (the
@@ -189,50 +208,99 @@ func appendResult(dst []byte, r *sim.Result) []byte {
 	return binary.AppendUvarint(dst, uint64(r.Samples))
 }
 
-// appendStatsSnapshot writes the snapshot's common fields and dispatches
-// the design-specific Extra to its scheme-registry codec by snapshot
-// type: a nil Extra is the generic nil tag, everything else must match a
-// registered codec.
+// appendStatsSnapshot writes the snapshot's common fields, then the
+// Extra's tag and fields by the Extra's Go type, never by the design name:
+// snapshots must round-trip even when carried by synthetic or renamed
+// designs.
 func appendStatsSnapshot(dst []byte, s *llc.StatsSnapshot) []byte {
 	dst = appendString(dst, s.Design)
 	dst = appendLLCStats(dst, &s.Stats)
-	if s.Extra == nil {
+	switch x := s.Extra.(type) {
+	case nil:
 		return append(dst, extraNil)
+	case *uncomp.Snapshot:
+		return appendUncomp(append(dst, extraUncomp), x)
+	case *thesaurus.Snapshot:
+		return appendThesaurus(append(dst, extraThesaurus), x)
+	case llc.Counters:
+		return appendCounters(append(dst, extraCounters), x)
 	}
-	c, ok := scheme.CodecFor(s.Extra)
-	if !ok {
-		// A design snapshot no registered codec owns cannot be persisted
-		// faithfully; encoding it would decode to silently wrong results.
-		panic(fmt.Sprintf("artifact: unencodable extra snapshot %T (register a scheme codec and bump RunOutputVersion)", s.Extra))
+	// A snapshot type without a tag cannot be persisted faithfully;
+	// encoding it would decode to silently wrong results.
+	panic(fmt.Sprintf("artifact: unencodable extra snapshot %T (add a tag and bump RunOutputVersion)", s.Extra))
+}
+
+// appendUncomp writes whether the resident lines were kept, their count,
+// and their bytes.
+func appendUncomp(dst []byte, s *uncomp.Snapshot) []byte {
+	dst = slices.Grow(dst, 1+binary.MaxVarintLen64+len(s.Lines)*line.Size)
+	dst = appendBool(dst, s.Lines != nil)
+	dst = binary.AppendUvarint(dst, uint64(len(s.Lines)))
+	for i := range s.Lines {
+		dst = append(dst, s.Lines[i][:]...)
 	}
-	dst = append(dst, c.Tag)
-	return c.Encode(dst, s.Extra)
+	return dst
+}
+
+func appendThesaurus(dst []byte, s *thesaurus.Snapshot) []byte {
+	e := &s.Extra
+	dst = binary.AppendUvarint(dst, e.Insertions)
+	dst = binary.AppendUvarint(dst, e.Reencodes)
+	dst = binary.AppendUvarint(dst, e.Placements)
+	dst = binary.AppendUvarint(dst, uint64(len(e.ByFormat)))
+	for _, v := range e.ByFormat {
+		dst = binary.AppendUvarint(dst, v)
+	}
+	dst = binary.AppendUvarint(dst, e.Compressible)
+	dst = binary.AppendUvarint(dst, e.RawDueToBaseMiss)
+	dst = binary.AppendUvarint(dst, e.DiffBytesSum)
+	dst = binary.AppendUvarint(dst, e.DiffCount)
+	dst = binary.AppendUvarint(dst, e.DataEvictions)
+
+	dst = appendBool(dst, s.DiffSeries != nil)
+	dst = binary.AppendUvarint(dst, uint64(len(s.DiffSeries)))
+	for _, f := range s.DiffSeries {
+		dst = appendF64(dst, f)
+	}
+
+	b := &s.BaseCache
+	dst = binary.AppendUvarint(dst, b.ReadPath.Hits)
+	dst = binary.AppendUvarint(dst, b.ReadPath.Total)
+	dst = binary.AppendUvarint(dst, b.InsertPath.Hits)
+	dst = binary.AppendUvarint(dst, b.InsertPath.Total)
+	dst = binary.AppendUvarint(dst, uint64(b.StorageBytes))
+	dst = binary.AppendUvarint(dst, uint64(s.LiveClusters))
+	return binary.AppendUvarint(dst, uint64(s.ValidClusters))
+}
+
+// appendCounters writes the count, then each counter's name and value. A
+// nil and an empty view encode alike.
+func appendCounters(dst []byte, cs llc.Counters) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(cs)))
+	for _, c := range cs {
+		dst = appendString(dst, c.Name)
+		dst = binary.AppendUvarint(dst, c.Value)
+	}
+	return dst
 }
 
 // runDecoder threads the payload slice through the field readers so every
 // site gets bounds-checked without repeating the error plumbing. err
-// sticks: after the first failure every later read returns zero values.
-// The exported methods implement scheme.Decoder for the registry's
-// snapshot codec hooks.
+// sticks: after the first failure every later read returns zero values,
+// so decoders read fields linearly and check err once at the end.
 type runDecoder struct {
 	data []byte
 	err  error
 }
 
-var _ scheme.Decoder = (*runDecoder)(nil)
-
-// Fail implements scheme.Decoder: it marks the decode corrupt; the first
-// failure sticks.
+// Fail marks the decode corrupt; the first failure sticks.
 func (d *runDecoder) Fail(format string, args ...any) {
 	if d.err == nil {
 		d.err = fmt.Errorf("%w: run-output "+format, append([]any{ErrCorrupt}, args...)...)
 	}
 }
 
-// Err implements scheme.Decoder.
-func (d *runDecoder) Err() error { return d.err }
-
-// Uvarint implements scheme.Decoder.
+// Uvarint reads one varint counter; what names the field in errors.
 func (d *runDecoder) Uvarint(what string) uint64 {
 	if d.err != nil {
 		return 0
@@ -246,8 +314,8 @@ func (d *runDecoder) Uvarint(what string) uint64 {
 	return v
 }
 
-// Count implements scheme.Decoder: a uvarint that sizes a following
-// allocation, bounded by max.
+// Count reads a uvarint that sizes a following allocation, failing the
+// decode when it exceeds max.
 func (d *runDecoder) Count(what string, max uint64) int {
 	v := d.Uvarint(what)
 	if d.err == nil && v > max {
@@ -259,7 +327,7 @@ func (d *runDecoder) Count(what string, max uint64) int {
 	return int(v)
 }
 
-// F64 implements scheme.Decoder.
+// F64 reads a fixed 8-byte IEEE bit pattern.
 func (d *runDecoder) F64(what string) float64 {
 	if d.err != nil {
 		return 0
@@ -273,7 +341,7 @@ func (d *runDecoder) F64(what string) float64 {
 	return v
 }
 
-// Bool implements scheme.Decoder: one strict 0/1 byte.
+// Bool reads one strict 0/1 byte.
 func (d *runDecoder) Bool(what string) bool {
 	if d.err != nil {
 		return false
@@ -287,7 +355,7 @@ func (d *runDecoder) Bool(what string) bool {
 	return b
 }
 
-// Str implements scheme.Decoder.
+// Str reads a length-prefixed string.
 func (d *runDecoder) Str(what string) string {
 	n := d.Count(what+" length", 1<<20)
 	if d.err != nil {
@@ -302,8 +370,8 @@ func (d *runDecoder) Str(what string) string {
 	return s
 }
 
-// Bytes implements scheme.Decoder: exactly n raw bytes, aliasing the
-// decode buffer.
+// Bytes reads exactly n raw bytes; the returned slice aliases the decode
+// buffer.
 func (d *runDecoder) Bytes(what string, n int) []byte {
 	if d.err != nil {
 		return nil
@@ -370,8 +438,8 @@ func decodeResult(d *runDecoder, r *sim.Result) {
 	r.Samples = int(d.Uvarint("samples"))
 }
 
-// decodeStatsSnapshot reads the common fields and dispatches the Extra
-// tag to its scheme-registry codec.
+// decodeStatsSnapshot reads the common fields and the Extra its tag
+// names.
 func decodeStatsSnapshot(d *runDecoder, s *llc.StatsSnapshot) {
 	s.Design = d.Str("snapshot design")
 	d.llcStats(&s.Stats)
@@ -384,60 +452,95 @@ func decodeStatsSnapshot(d *runDecoder, s *llc.StatsSnapshot) {
 	}
 	tag := d.data[0]
 	d.data = d.data[1:]
-	if tag == extraNil {
-		return
-	}
-	c, ok := scheme.CodecByTag(tag)
-	if !ok {
+	switch tag {
+	case extraNil:
+	case extraUncomp:
+		s.Extra = d.uncomp()
+	case extraThesaurus:
+		s.Extra = d.thesaurus()
+	case extraCounters:
+		s.Extra = d.counters()
+	default:
 		d.Fail("unknown extra tag %d", tag)
-		return
 	}
-	s.Extra = c.Decode(d)
 }
 
-// RunOutputEqual deep-compares two run outputs (the -cache-verify path
-// and the property tests). Floats compare by bit pattern: the codec
-// stores exact bits, so any drift is a real divergence.
-func RunOutputEqual(a, b *RunOutput) bool {
-	if !resultEqual(&a.Res, &b.Res) {
-		return false
+func (d *runDecoder) uncomp() *uncomp.Snapshot {
+	x := &uncomp.Snapshot{}
+	present := d.Bool("uncomp lines presence")
+	n := d.Count("uncomp line count", maxPool)
+	if d.err == nil && !present && n != 0 {
+		d.Fail("absent uncomp lines with count %d", n)
 	}
-	for i := range a.ClusterFracs {
-		if math.Float64bits(a.ClusterFracs[i]) != math.Float64bits(b.ClusterFracs[i]) {
-			return false
+	if present && d.err == nil {
+		raw := d.Bytes("uncomp lines", n*line.Size)
+		if d.err == nil {
+			x.Lines = make([]line.Line, n)
+			for i := range x.Lines {
+				copy(x.Lines[i][:], raw[i*line.Size:])
+			}
 		}
 	}
-	return snapshotEqual(&a.Snap, &b.Snap)
+	return x
 }
 
-func resultEqual(a, b *sim.Result) bool {
-	return a.Design == b.Design && a.Instructions == b.Instructions &&
-		a.LLCStats == b.LLCStats && a.DRAM == b.DRAM &&
-		math.Float64bits(a.MPKI) == math.Float64bits(b.MPKI) &&
-		math.Float64bits(a.IPC) == math.Float64bits(b.IPC) &&
-		math.Float64bits(a.Cycles) == math.Float64bits(b.Cycles) &&
-		math.Float64bits(a.CompressionRatio) == math.Float64bits(b.CompressionRatio) &&
-		math.Float64bits(a.Occupancy) == math.Float64bits(b.Occupancy) &&
-		math.Float64bits(a.AvgResidentLines) == math.Float64bits(b.AvgResidentLines) &&
-		a.Samples == b.Samples
+func (d *runDecoder) thesaurus() *thesaurus.Snapshot {
+	s := &thesaurus.Snapshot{}
+	e := &s.Extra
+	e.Insertions = d.Uvarint("extra insertions")
+	e.Reencodes = d.Uvarint("extra reencodes")
+	e.Placements = d.Uvarint("extra placements")
+	if n := d.Count("format count", uint64(len(e.ByFormat))); d.err == nil && n != len(e.ByFormat) {
+		d.Fail("format count %d, codec has %d", n, len(e.ByFormat))
+	}
+	for i := range e.ByFormat {
+		e.ByFormat[i] = d.Uvarint("format counter")
+	}
+	e.Compressible = d.Uvarint("extra compressible")
+	e.RawDueToBaseMiss = d.Uvarint("extra raw due to base miss")
+	e.DiffBytesSum = d.Uvarint("extra diff bytes sum")
+	e.DiffCount = d.Uvarint("extra diff count")
+	e.DataEvictions = d.Uvarint("extra data evictions")
+
+	present := d.Bool("diff series presence")
+	n := d.Count("diff series length", maxEvents)
+	if d.err == nil && !present && n != 0 {
+		d.Fail("absent diff series with length %d", n)
+	}
+	if present && d.err == nil {
+		raw := d.Bytes("diff series", n*8)
+		if d.err == nil {
+			s.DiffSeries = make([]float64, n)
+			for i := range s.DiffSeries {
+				s.DiffSeries[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8:]))
+			}
+		}
+	}
+
+	b := &s.BaseCache
+	b.ReadPath.Hits = d.Uvarint("base read hits")
+	b.ReadPath.Total = d.Uvarint("base read total")
+	b.InsertPath.Hits = d.Uvarint("base insert hits")
+	b.InsertPath.Total = d.Uvarint("base insert total")
+	b.StorageBytes = int(d.Uvarint("base storage bytes"))
+	s.LiveClusters = int(d.Uvarint("live clusters"))
+	s.ValidClusters = int(d.Uvarint("valid clusters"))
+	return s
 }
 
-// snapshotEqual deep-compares two snapshots via the Extras' shared
-// scheme codec; Extras of different codecs (or of no registered codec)
-// never compare equal.
-func snapshotEqual(a, b *llc.StatsSnapshot) bool {
-	if a.Design != b.Design || a.Stats != b.Stats {
-		return false
+func (d *runDecoder) counters() llc.Counters {
+	n := d.Count("counter count", maxCounters)
+	cs := make(llc.Counters, 0, n)
+	for i := 0; i < n && d.err == nil; i++ {
+		cs = append(cs, llc.Counter{Name: d.Str("counter name"), Value: d.Uvarint("counter value")})
 	}
-	if a.Extra == nil || b.Extra == nil {
-		return a.Extra == nil && b.Extra == nil
-	}
-	ca, ok := scheme.CodecFor(a.Extra)
-	if !ok {
-		return false
-	}
-	if cb, ok := scheme.CodecFor(b.Extra); !ok || cb != ca {
-		return false
-	}
-	return ca.Equal(a.Extra, b.Extra)
+	return cs
+}
+
+// RunOutputEqual reports whether two run outputs have the same canonical
+// encoding (the -cache-verify path and the tests). The codec is the one
+// list of persisted fields and stores floats as exact bits, so this
+// compares every persisted field, floats by bit pattern.
+func RunOutputEqual(a, b *RunOutput) bool {
+	return bytes.Equal(appendRunOutput(nil, a), appendRunOutput(nil, b))
 }

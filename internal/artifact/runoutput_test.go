@@ -2,6 +2,8 @@ package artifact
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math"
@@ -11,6 +13,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/diffenc"
 	"repro/internal/line"
 	"repro/internal/llc"
 	"repro/internal/sim"
@@ -107,6 +110,104 @@ func synthRunOutput(seed uint64) *RunOutput {
 		}
 	}
 	return r
+}
+
+// literalRunOutputs returns one run output per Extra arm of the codec,
+// every field a literal. Unlike synthRunOutput, no value comes from
+// arithmetic a compiler may fuse differently on another architecture, so
+// the encodings are the same on every platform.
+func literalRunOutputs() []struct {
+	name string
+	run  *RunOutput
+} {
+	run := func(extra llc.ExtraSnapshot) *RunOutput {
+		r := &RunOutput{
+			Res: sim.Result{
+				Design:       "Thesaurus",
+				Instructions: 123_456_789,
+				LLCStats:     llc.Stats{Reads: 1000, Writes: 200, ReadHits: 700, WriteHits: 150, Fills: 300, Writebacks: 40},
+				MPKI:         2.4375,
+				IPC:          1.5,
+				Cycles:       98_765_432.25,
+				// A value with no short binary expansion, so all 52
+				// mantissa bits are pinned.
+				CompressionRatio: 2.718281828459045,
+				Occupancy:        0.375,
+				AvgResidentLines: 16000.5,
+				Samples:          48,
+			},
+			Snap: llc.StatsSnapshot{
+				Design: "Thesaurus",
+				Stats:  llc.Stats{Reads: 11, Writes: 12, ReadHits: 13, WriteHits: 14, Fills: 15, Writebacks: 16},
+				Extra:  extra,
+			},
+			ClusterFracs: [4]float64{0.5, 0.25, 0.125, 0.0625},
+		}
+		for i := range r.Res.DRAM.Counts {
+			r.Res.DRAM.Counts[i] = uint64(100 + i)
+		}
+		return r
+	}
+	var l0, l1 line.Line
+	for i := range l0 {
+		l0[i], l1[i] = byte(i), byte(255-i)
+	}
+	th := func(series []float64) *thesaurus.Snapshot {
+		return &thesaurus.Snapshot{
+			Extra: thesaurus.ExtraStats{
+				Insertions: 5000, Reencodes: 700, Placements: 5700,
+				ByFormat:     [diffenc.NumFormats]uint64{100, 2000, 300, 2800, 500, 7},
+				Compressible: 4200, RawDueToBaseMiss: 90, DiffBytesSum: 31_000, DiffCount: 2300,
+				DataEvictions: 61,
+			},
+			DiffSeries: series,
+			BaseCache: thesaurus.BaseCacheSnapshot{
+				ReadPath:     stats.Counter{Hits: 800, Total: 900},
+				InsertPath:   stats.Counter{Hits: 4000, Total: 5000},
+				StorageBytes: 1 << 15,
+			},
+			LiveClusters:  321,
+			ValidClusters: 400,
+		}
+	}
+	return []struct {
+		name string
+		run  *RunOutput
+	}{
+		{"nil", run(nil)},
+		{"uncomp-lines", run(&uncomp.Snapshot{Lines: []line.Line{l0, l1}})},
+		{"uncomp-no-lines", run(&uncomp.Snapshot{})},
+		{"thesaurus-series", run(th([]float64{12.5, 7.25, 0}))},
+		{"thesaurus-no-series", run(th(nil))},
+		{"counters-nil", run(llc.Counters(nil))},
+		{"counters-empty", run(llc.Counters{})},
+		{"counters", run(llc.Counters{{Name: "insertions", Value: 9000}, {Name: "otf_selections", Value: math.MaxUint64}})},
+	}
+}
+
+// TestRunOutputWireFormatPinned holds the SHA-256 of each literal run
+// output's artifact encoding. Entries warmed by an earlier build stay
+// hits only while these digests hold. A deliberate format change bumps
+// RunOutputVersion and refreshes the digests in the same change.
+func TestRunOutputWireFormatPinned(t *testing.T) {
+	want := map[string]string{
+		"nil":                 "5bcd6d32afe98802efa457a8a20da8207082ad2d7cb1a7e6a555b8af4b0faaa3",
+		"uncomp-lines":        "c770a36eb2dda2f29e37e3870f45022ed9e8feac58c9b78c2631a36e819d7363",
+		"uncomp-no-lines":     "a9fcb71ea41674da2e508d21645c9ad90454f8a14b685e5e37bd6db556d689ee",
+		"thesaurus-series":    "abdad0e7a905ff3c4ed7c43f26f00bc77c7f45c00a9b81ef77ce1396a8f0e6f4",
+		"thesaurus-no-series": "3aa205f22271e4f0c4bfa000a8d48afa7555eadb5d5410656b09a6b5ab3a617d",
+		// A nil and an empty counter view persist alike: the codec writes
+		// only the count.
+		"counters-nil":   "fff9682c20e97daaef0cbd63c33b4e998937e8576a0c1146eaa96e4e51ff183f",
+		"counters-empty": "fff9682c20e97daaef0cbd63c33b4e998937e8576a0c1146eaa96e4e51ff183f",
+		"counters":       "746f8047f7149200f780bc8ae8279fc4997e0a2d27a14f21aa208ee808440c5c",
+	}
+	for _, tc := range literalRunOutputs() {
+		sum := sha256.Sum256(Encode(nil, &File{Run: tc.run}))
+		if got := hex.EncodeToString(sum[:]); got != want[tc.name] {
+			t.Errorf("%s: encoding digest %s, want %s", tc.name, got, want[tc.name])
+		}
+	}
 }
 
 // TestStoreRunOutputAllocates: storing a run output allocates for the
@@ -233,11 +334,11 @@ func TestRunOutputSectionVersionSkew(t *testing.T) {
 	}
 }
 
-// A counter snapshot longer than the codec's cap, or whose name runs past
-// the end of the section, is corruption even under a valid checksum.
+// A counter snapshot longer than maxCounters, or whose name runs past the
+// end of the section, is corruption even under a valid checksum.
 func TestRunOutputCounterEdgesCorrupt(t *testing.T) {
 	r := synthRunOutput(0)
-	r.Snap.Extra = make(llc.Counters, 1<<10+1) // the scheme codec's cap is 1<<10
+	r.Snap.Extra = make(llc.Counters, maxCounters+1)
 
 	if _, err := Decode(Encode(nil, &File{Run: r})); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("over-cap counter count: got %v, want ErrCorrupt", err)
@@ -319,34 +420,15 @@ func TestRunOutputKeySensitivity(t *testing.T) {
 	// Every leaf field of the Thesaurus configuration, the nested LSH
 	// configuration included, must reach the key: the key is the only
 	// record of the configuration a cached run ran with, so a field left
-	// out would let two ablation points share one cached run. The walk
-	// panics on a field kind it cannot perturb, so a new field type is
-	// noticed.
-	var walkCfg func(path string, idx []int, typ reflect.Type)
-	walkCfg = func(path string, idx []int, typ reflect.Type) {
-		for i := 0; i < typ.NumField(); i++ {
-			f := typ.Field(i)
-			at := append(idx[:len(idx):len(idx)], i)
-			if f.Type.Kind() == reflect.Struct {
-				walkCfg(path+f.Name+".", at, f.Type)
-				continue
-			}
-			c := cfg
-			v := reflect.ValueOf(&c).Elem().FieldByIndex(at)
-			switch v.Kind() {
-			case reflect.Int:
-				v.SetInt(v.Int() + 1)
-			case reflect.Uint64:
-				v.SetUint(v.Uint() + 1)
-			case reflect.Bool:
-				v.SetBool(!v.Bool())
-			default:
-				panic(fmt.Sprintf("thesaurus.Config.%s%s: kind %v not perturbed", path, f.Name, v.Kind()))
-			}
-			perturb["thesaurus-cfg."+path+f.Name] = RunOutputKey(p, sys, "Thesaurus", 1000, replay, true, &c)
+	// out would let two ablation points share one cached run.
+	for k := 0; ; k++ {
+		c := cfg
+		path, ok := perturbLeaf(reflect.ValueOf(&c).Elem(), k)
+		if !ok {
+			break
 		}
+		perturb["thesaurus-cfg"+path] = RunOutputKey(p, sys, "Thesaurus", 1000, replay, true, &c)
 	}
-	walkCfg("", nil, reflect.TypeOf(cfg))
 	p2, err := workload.ProfileByName("xz")
 	if err != nil {
 		t.Fatal(err)
@@ -372,6 +454,126 @@ func TestRunOutputKeySensitivity(t *testing.T) {
 			t.Errorf("perturbing %s collides with %s", what, prev)
 		}
 		seen[k] = what
+	}
+}
+
+// perturbLeaf changes the k-th leaf of v, counting in field order, and
+// returns the leaf's path; ok is false when v has k leaves or fewer. The
+// leaves are every number, bool and string (numbers step by one, floats
+// flip their lowest bit), the nil-or-empty state of every empty slice,
+// and the length of every non-empty one, whose elements are walked too.
+// Pointers and interfaces are followed; a nil one has no leaves. v must
+// be settable. The walk panics on a kind it cannot perturb, so a new
+// field type is noticed.
+func perturbLeaf(v reflect.Value, k int) (path string, ok bool) {
+	var walk func(v reflect.Value, path string) (string, bool)
+	leaf := func(path string, set func()) (string, bool) {
+		if k > 0 {
+			k--
+			return "", false
+		}
+		set()
+		return path, true
+	}
+	walk = func(v reflect.Value, path string) (string, bool) {
+		switch v.Kind() {
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				if p, ok := walk(v.Field(i), path+"."+v.Type().Field(i).Name); ok {
+					return p, true
+				}
+			}
+			return "", false
+		case reflect.Array:
+			for i := 0; i < v.Len(); i++ {
+				if p, ok := walk(v.Index(i), fmt.Sprintf("%s[%d]", path, i)); ok {
+					return p, true
+				}
+			}
+			return "", false
+		case reflect.Slice:
+			if v.Len() == 0 {
+				return leaf(path+" nil/empty", func() {
+					if v.IsNil() {
+						v.Set(reflect.MakeSlice(v.Type(), 0, 0))
+					} else {
+						v.Set(reflect.Zero(v.Type()))
+					}
+				})
+			}
+			for i := 0; i < v.Len(); i++ {
+				if p, ok := walk(v.Index(i), fmt.Sprintf("%s[%d]", path, i)); ok {
+					return p, true
+				}
+			}
+			return leaf(path+" length", func() { v.SetLen(v.Len() - 1) })
+		case reflect.Pointer:
+			if v.IsNil() {
+				return "", false
+			}
+			return walk(v.Elem(), path)
+		case reflect.Interface:
+			if v.IsNil() {
+				return "", false
+			}
+			// A non-pointer dynamic value is not settable in place: walk
+			// a copy and store it back.
+			e := v.Elem()
+			cp := reflect.New(e.Type()).Elem()
+			cp.Set(e)
+			p, ok := walk(cp, path+"("+e.Type().String()+")")
+			if ok {
+				v.Set(cp)
+			}
+			return p, ok
+		case reflect.Int, reflect.Int64:
+			return leaf(path, func() { v.SetInt(v.Int() + 1) })
+		case reflect.Uint8, reflect.Uint64:
+			return leaf(path, func() { v.SetUint(v.Uint() + 1) })
+		case reflect.Float64:
+			return leaf(path, func() { v.SetFloat(math.Float64frombits(math.Float64bits(v.Float()) ^ 1)) })
+		case reflect.Bool:
+			return leaf(path, func() { v.SetBool(!v.Bool()) })
+		case reflect.String:
+			return leaf(path, func() { v.SetString(v.String() + "x") })
+		}
+		panic(fmt.Sprintf("%s: kind %v not perturbed", path, v.Kind()))
+	}
+	return walk(v, "")
+}
+
+// TestRunOutputEqualIsStrict: RunOutputEqual compares canonical
+// encodings, so a field the codec leaves out would compare equal however
+// it differs. For every Extra arm, changing any one leaf of the run
+// output — each sim.Result, llc.Stats and DRAM count, each cluster
+// fraction, each snapshot field down to one line byte and one counter's
+// name and value, a slice's length, a nil slice against an empty one —
+// must be reported as a difference. The one exception is an empty
+// counter view: the codec writes only the count, so nil and empty are
+// one value.
+func TestRunOutputEqualIsStrict(t *testing.T) {
+	nilVsEmptyCounters := func(a, b *RunOutput) bool {
+		x, okx := a.Snap.Extra.(llc.Counters)
+		y, oky := b.Snap.Extra.(llc.Counters)
+		return okx && oky && len(x) == 0 && len(y) == 0 && (x == nil) != (y == nil)
+	}
+	for _, tc := range literalRunOutputs() {
+		leaves := 0
+		for k := 0; ; k++ {
+			r := tc.run.Clone()
+			path, ok := perturbLeaf(reflect.ValueOf(r).Elem(), k)
+			if !ok {
+				break
+			}
+			leaves++
+			differs := !RunOutputEqual(tc.run, r)
+			if want := !nilVsEmptyCounters(tc.run, r); differs != want {
+				t.Errorf("%s: perturbing %s: RunOutputEqual reports a difference %v, want %v", tc.name, path, differs, want)
+			}
+		}
+		if leaves == 0 {
+			t.Errorf("%s: walk found no leaves", tc.name)
+		}
 	}
 }
 

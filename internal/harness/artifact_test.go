@@ -264,6 +264,53 @@ func TestRunCacheVerifyDetectsDivergence(t *testing.T) {
 	}
 }
 
+// TestRunCacheVerifyEveryDesign: -cache-verify recomputes every warm run
+// and compares it with the loaded one, so each registered design's run
+// output must survive the artifact codec exactly. Every design runs cold
+// into a fresh cache, then warm with verification on: no run may
+// diverge, and each replays exactly once (the recomputation). Thesaurus
+// takes the memoized, sampled path, so its diff series and cluster
+// fractions are compared too.
+func TestRunCacheVerifyEveryDesign(t *testing.T) {
+	const prof = "mcf"
+	opt := DefaultRunOptions()
+	opt.Accesses = 5119
+	c, err := artifact.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	UseArtifacts(c)
+	defer func() {
+		SetArtifactVerify(false)
+		UseArtifacts(nil)
+	}()
+	for _, d := range Designs {
+		if _, err := Run(prof, d, opt); err != nil {
+			t.Fatalf("%s cold: %v", d, err)
+		}
+	}
+	SetArtifactVerify(true)
+	for _, d := range Designs {
+		forgetRun(prof, d, opt)
+		before := replays.Load()
+		out, err := Run(prof, d, opt)
+		if err != nil {
+			t.Fatalf("%s warm, verified: %v", d, err)
+		}
+		if delta := replays.Load() - before; delta != 1 {
+			t.Fatalf("%s warm, verified: %d replays, want 1", d, delta)
+		}
+		if d == "Thesaurus" {
+			if th := out.Snap.Extra.(*thesaurus.Snapshot); len(th.DiffSeries) == 0 || out.ClusterFracs == [4]float64{} {
+				t.Fatalf("Thesaurus run carries no diff series or cluster fractions: %+v", out)
+			}
+		}
+	}
+	if st, _ := ArtifactStats(); st.Hits != uint64(len(Designs)) {
+		t.Fatalf("warm pass: %d run hits, want %d", st.Hits, len(Designs))
+	}
+}
+
 // TestArtifactCacheTransparent: a run with the artifact cache installed
 // produces a recording identical to one computed without it.
 func TestArtifactCacheTransparent(t *testing.T) {

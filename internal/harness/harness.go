@@ -288,19 +288,6 @@ func RunDesign(profile, design string, opt RunOptions) (sim.Result, llc.StatsSna
 	return out.Res, out.Snap, nil
 }
 
-// RunAll runs every design over one profile.
-func RunAll(profile string, designs []string, opt RunOptions) (map[string]sim.Result, error) {
-	out := make(map[string]sim.Result, len(designs))
-	for _, d := range designs {
-		res, _, err := RunDesign(profile, d, opt)
-		if err != nil {
-			return nil, fmt.Errorf("%s/%s: %w", profile, d, err)
-		}
-		out[d] = res
-	}
-	return out, nil
-}
-
 // RunKey names one (profile, design) cell of an experiment matrix.
 type RunKey struct {
 	Profile string

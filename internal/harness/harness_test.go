@@ -442,13 +442,3 @@ func TestRunWithLines(t *testing.T) {
 		t.Fatal("RunWithLines accepted a design without a line snapshot")
 	}
 }
-
-func TestRunAll(t *testing.T) {
-	res, err := RunAll("exchange2", []string{"Baseline", "Thesaurus"}, quickOpt())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 2 || res["Baseline"].Design != "Baseline" {
-		t.Fatalf("results %+v", res)
-	}
-}

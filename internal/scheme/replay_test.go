@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/artifact"
 	"repro/internal/cache"
 	"repro/internal/dram"
 	"repro/internal/line"
@@ -122,8 +123,8 @@ func checkInvariants(t *testing.T, where string, cs ...llc.Cache) {
 }
 
 // releaseAndCompare fails unless a and b agree on cache statistics,
-// store statistics, modelled DRAM cycles and release snapshots (their
-// extras through the registered codec's Equal). It releases both.
+// store statistics, modelled DRAM cycles and release snapshots (compared
+// as the artifact cache persists them). It releases both.
 func releaseAndCompare(t *testing.T, where string, a, b replayInstance) {
 	t.Helper()
 	if x, y := a.c.Stats(), b.c.Stats(); x != y {
@@ -138,17 +139,8 @@ func releaseAndCompare(t *testing.T, where string, a, b replayInstance) {
 		t.Fatalf("%s: DRAM cycles %v vs %v", where, ac, bc)
 	}
 	as, bs := a.c.Release(), b.c.Release()
-	if as.Design != bs.Design || as.Stats != bs.Stats {
+	if !artifact.RunOutputEqual(&artifact.RunOutput{Snap: as}, &artifact.RunOutput{Snap: bs}) {
 		t.Fatalf("%s: release snapshots differ: %+v vs %+v", where, as, bs)
-	}
-	if (as.Extra == nil) != (bs.Extra == nil) {
-		t.Fatalf("%s: one release snapshot has no Extra", where)
-	}
-	if as.Extra != nil {
-		codec, ok := scheme.CodecFor(as.Extra)
-		if !ok || !codec.Equal(as.Extra, bs.Extra) {
-			t.Fatalf("%s: release snapshot extras differ", where)
-		}
 	}
 	a.st.Release()
 	b.st.Release()
