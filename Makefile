@@ -125,7 +125,11 @@ fuzz:
 # fig13's Baseline runs leave out; their legs run over the cache the
 # fig13-only legs filled, so line runs must miss past the line-less
 # entries of the same cells — cold at -workers 4, warm, and with the
-# run-level layer off. The per-experiment
+# run-level layer off. Stores publish by rename without a sync, so a
+# machine crash can leave entries torn under their final names: the torn
+# leg cuts every entry of a copy of the warm cache to half its length
+# and requires the same report, with every entry counted corrupt (and
+# recomputed). The per-experiment
 # wall-clock lines are the only legitimate difference in text mode and
 # are filtered before comparison; artifact stats go to stderr and never
 # touch the reports. The cold-vs-warm timing at the end enforces the run-level
@@ -151,6 +155,13 @@ cache-identity:
 	t2=$$(date +%s%3N); \
 	$$tmp/thesaurus -json -cache-dir $$tmp/cache -workers 4 -quick -profiles mcf,omnetpp,xz,gcc fig13 \
 		2>/dev/null >$$tmp/warm.json; \
+	echo "cache-identity: torn cache (a copy with every entry cut to half its length), workers=4"; \
+	cp -R $$tmp/cache $$tmp/torn; n=0; \
+	for f in $$tmp/torn/*.thsa; do truncate -s $$(($$(wc -c <$$f) / 2)) $$f; n=$$((n+1)); done; \
+	$$tmp/thesaurus -cache-dir $$tmp/torn -workers 4 -quick -profiles mcf,omnetpp,xz,gcc fig13 \
+		2>$$tmp/torn.err | sed '/completed in/d' >$$tmp/torn.txt; \
+	if ! grep -q "stores, $$n corrupt," $$tmp/torn.err; then \
+		echo "cache-identity: FAIL: expected all $$n torn entries counted corrupt:"; cat $$tmp/torn.err; exit 1; fi; \
 	echo "cache-identity: warm cache, run-level layer off"; \
 	$$tmp/thesaurus -cache-dir $$tmp/cache -no-run-cache -workers 4 -quick -profiles mcf,omnetpp,xz,gcc fig13 \
 		2>/dev/null | sed '/completed in/d' >$$tmp/norun.txt; \
@@ -187,6 +198,7 @@ cache-identity:
 	cmp $$tmp/ref.txt $$tmp/cold.txt; \
 	cmp $$tmp/ref.txt $$tmp/warm.txt; \
 	cmp $$tmp/ref.json $$tmp/warm.json; \
+	cmp $$tmp/ref.txt $$tmp/torn.txt; \
 	cmp $$tmp/ref.txt $$tmp/norun.txt; \
 	cmp $$tmp/ref.txt $$tmp/dist.txt; \
 	cmp $$tmp/ref.json $$tmp/dist.json; \
@@ -200,7 +212,7 @@ cache-identity:
 	echo "cache-identity: cold $${cold}ms, warm $${warm}ms"; \
 	if [ $$((warm*5)) -gt $$cold ]; then \
 		echo "cache-identity: FAIL: warm quick-campaign rerun not >=5x faster than cold"; exit 1; fi; \
-	echo "cache-identity: OK (byte-identical across cache-off/cold/warm/run-cache-off/distributed/netq/netq-kill, snapshot readers cold/warm/run-cache-off; warm >=5x cold)"
+	echo "cache-identity: OK (byte-identical across cache-off/cold/warm/torn/run-cache-off/distributed/netq/netq-kill, snapshot readers cold/warm/run-cache-off; warm >=5x cold)"
 
 # Remove the default on-disk artifact cache (the -cache-dir default).
 clean-cache:

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/artifact"
 	"repro/internal/bdi"
+	"repro/internal/cpack"
 	"repro/internal/diffenc"
 	"repro/internal/harness"
 	"repro/internal/line"
@@ -72,6 +73,18 @@ func BenchmarkHotPath(b *testing.B) {
 		var enc bdi.Encoded
 		for i := 0; i < b.N; i++ {
 			bdi.CompressInto(&enc, &l)
+		}
+	})
+	// C-Pack sizing, paid by every CPack compression decision and by the
+	// DISH decisions that try C-Pack.
+	row("kernel", "cpack_compress", line.Size, func(b *testing.B) {
+		l := residentLine(3, 0)
+		sink := 0
+		for i := 0; i < b.N; i++ {
+			sink += cpack.CompressLine(&l, nil)
+		}
+		if sink < 0 {
+			b.Fatal("negative compressed size")
 		}
 	})
 	// The byte-distance kernel of every nearest-line search (Ideal-Diff,

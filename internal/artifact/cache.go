@@ -27,6 +27,13 @@ import (
 // reported as misses; write failures degrade to "compute without
 // persisting". No method returns an error for cache trouble — only Open
 // can fail, when the directory itself is unusable.
+//
+// Crash contract: a store publishes its entry by renaming a closed temp
+// file, and nothing is synced. Readers on this host share the page cache
+// and NFS readers get close-to-open consistency, so every reader sees a
+// whole entry or none. A machine crash before writeback may leave a torn
+// entry under its final name; the checksum makes it a miss that is
+// removed, counted in Stats.Corrupt, and recomputed.
 type Cache struct {
 	dir      string
 	maxBytes int64
@@ -187,16 +194,16 @@ func (c *Cache) loadRun(key string) (*RunOutput, bool) {
 }
 
 // StoreRecorded persists rec under key: encode, write to a temp file in
-// the same directory, fsync, rename. A crash at any point leaves either
-// the old entry or a stray temp file — never a torn artifact (torn temp
-// files also fail the checksum if ever read). Failures are swallowed:
-// the caller already has the recording.
+// the same directory, rename. Readers see the whole entry or none; after
+// a machine crash the entry may be torn, which its next load counts as
+// corrupt and recomputes (see Cache). Failures are swallowed: the caller
+// already has the recording.
 func (c *Cache) StoreRecorded(key string, rec *sim.Recorded) {
 	c.store(key, &File{Recorded: rec})
 }
 
 // StoreRunOutput persists a whole run snapshot under key with the same
-// crash-safety and failure policy as StoreRecorded.
+// write, crash contract and failure policy as StoreRecorded.
 func (c *Cache) StoreRunOutput(key string, r *RunOutput) {
 	c.store(key, &File{Run: r})
 }
@@ -220,10 +227,11 @@ func (c *Cache) RawRunOutput(key string) ([]byte, bool) {
 
 // StoreRawRunOutput verifies data as a complete artifact carrying a run
 // section — the CRC-checked decode is the trust boundary for bytes that
-// crossed a network — and persists it under key with the usual
-// crash-safe write. Unlike the in-process store path, failures surface:
-// the caller streamed these bytes precisely because it cannot recompute
-// them locally without paying the run again.
+// crossed a network — and persists it under key with StoreRecorded's
+// temp-file-and-rename write and crash contract. Unlike the in-process
+// store path, failures surface: the caller streamed these bytes
+// precisely because it cannot recompute them locally without paying the
+// run again.
 func (c *Cache) StoreRawRunOutput(key string, data []byte) error {
 	f, err := Decode(data)
 	if err != nil {
@@ -257,25 +265,27 @@ func (c *Cache) store(key string, f *File) {
 	c.evict()
 }
 
-// writeAtomic writes data to path via a same-directory temp file + rename.
+// writeAtomic publishes data at path: it writes a temp file in dir,
+// closes it, and renames it over path, so no reader sees a partial
+// write. It does not sync (see Cache's crash contract). The temp file is
+// removed only when the write, the close or the rename fails; after a
+// rename there is nothing left to remove.
 func writeAtomic(dir, path string, data []byte) error {
 	tmp, err := os.CreateTemp(dir, ".tmp-*")
 	if err != nil {
 		return err
 	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
 	}
-	if err := tmp.Close(); err != nil {
-		return err
+	if err != nil {
+		os.Remove(tmp.Name())
 	}
-	return os.Rename(tmp.Name(), path)
+	return err
 }
 
 // LoadOrRecord returns the recording under key, loading it from disk when

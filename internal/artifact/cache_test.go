@@ -1,7 +1,11 @@
 package artifact
 
 import (
+	"bytes"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -458,13 +462,150 @@ func TestCacheWaiterAdoptsWritersArtifact(t *testing.T) {
 	}
 }
 
+// TestWriteAtomicLeavesNoTemp: writeAtomic leaves no temp file behind,
+// whether the rename succeeds or fails. Renaming a file onto a non-empty
+// directory fails on every platform Go supports.
 func TestWriteAtomicLeavesNoTemp(t *testing.T) {
 	dir := t.TempDir()
 	if err := writeAtomic(dir, filepath.Join(dir, "out"), []byte("x")); err != nil {
 		t.Fatal(err)
 	}
+	busy := filepath.Join(dir, "busy")
+	if err := os.MkdirAll(filepath.Join(busy, "child"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeAtomic(dir, busy, []byte("y")); err == nil {
+		t.Fatal("rename onto a non-empty directory succeeded")
+	}
 	ents, _ := os.ReadDir(dir)
-	if len(ents) != 1 || ents[0].Name() != "out" {
+	if len(ents) != 2 || ents[0].Name() != "busy" || ents[1].Name() != "out" {
 		t.Fatalf("directory contents: %v", ents)
+	}
+	if got, err := os.ReadFile(filepath.Join(dir, "out")); err != nil || string(got) != "x" {
+		t.Fatalf("published entry reads %q, %v", got, err)
+	}
+}
+
+// TestArtifactNeverSyncs: stores publish by rename alone (see Cache's
+// crash contract), so no file in the package names a sync call (Sync,
+// Fsync, Syncfs and the like).
+func TestArtifactNeverSyncs(t *testing.T) {
+	names, err := filepath.Glob("*.go")
+	if err != nil || len(names) == 0 {
+		t.Fatalf("package sources: %v, %v", names, err)
+	}
+	fset := token.NewFileSet()
+	for _, name := range names {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok && strings.Contains(strings.ToLower(sel.Sel.Name), "sync") {
+				t.Errorf("%s: call to %s", fset.Position(sel.Pos()), sel.Sel.Name)
+			}
+			return true
+		})
+	}
+}
+
+// tears are the shapes a machine crash can leave under an entry's final
+// name when the rename reached the disk before the data did.
+var tears = []struct {
+	name string
+	tear func([]byte) []byte
+}{
+	{"empty", func(b []byte) []byte { return b[:0] }},
+	{"header-only", func(b []byte) []byte { return b[:headerLen] }},
+	{"half", func(b []byte) []byte { return b[:len(b)/2] }},
+	{"no-footer", func(b []byte) []byte { return b[:len(b)-footerLen] }},
+	{"zero-tail", func(b []byte) []byte { clear(b[len(b)/2:]); return b }},
+}
+
+// TestCacheTornEntryIsMiss: a torn entry under its final name, of either
+// kind and in every tear shape, is a miss that is counted as corrupt and
+// removed; LoadOrRecord and LoadOrRunOutput meeting one recompute and
+// re-store the entry, so the next load hits.
+func TestCacheTornEntryIsMiss(t *testing.T) {
+	rec := synthRecorded(31, 400)
+	run := synthRunOutput(3)
+	kinds := []struct {
+		name string
+		// load loads key and reports a hit that equals the stored value.
+		load func(c *Cache) bool
+		// loadOrCompute runs the kind's singleflight with a compute that
+		// counts its calls.
+		loadOrCompute func(c *Cache, calls *int) bool
+		store         func(c *Cache)
+	}{
+		{
+			name: "recorded",
+			load: func(c *Cache) bool {
+				got, ok := c.LoadRecorded("k")
+				return ok && RecordedEqual(got, rec)
+			},
+			loadOrCompute: func(c *Cache, calls *int) bool {
+				got, hit := c.LoadOrRecord("k", func() *sim.Recorded { *calls++; return rec })
+				return hit || !RecordedEqual(got, rec)
+			},
+			store: func(c *Cache) { c.StoreRecorded("k", rec) },
+		},
+		{
+			name: "runoutput",
+			load: func(c *Cache) bool {
+				got, ok := c.LoadRunOutput("k")
+				return ok && RunOutputEqual(got, run)
+			},
+			loadOrCompute: func(c *Cache, calls *int) bool {
+				got, hit, err := c.LoadOrRunOutput("k", func() (*RunOutput, error) { *calls++; return run, nil })
+				return hit || err != nil || !RunOutputEqual(got, run)
+			},
+			store: func(c *Cache) { c.StoreRunOutput("k", run) },
+		},
+	}
+	for _, k := range kinds {
+		for _, tc := range tears {
+			t.Run(k.name+"/"+tc.name, func(t *testing.T) {
+				c := testCache(t, 0)
+				k.store(c)
+				whole, err := os.ReadFile(c.path("k"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				torn := tc.tear(bytes.Clone(whole))
+				plant := func() {
+					if err := os.WriteFile(c.path("k"), torn, 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
+				plant()
+				if k.load(c) {
+					t.Fatal("torn entry returned as hit")
+				}
+				if _, err := os.Stat(c.path("k")); !os.IsNotExist(err) {
+					t.Fatal("torn entry not removed")
+				}
+				if st := c.Stats(); st.Corrupt != 1 || st.Misses != 1 {
+					t.Fatalf("after the load: %+v", st)
+				}
+				plant()
+				calls := 0
+				if k.loadOrCompute(c, &calls) || calls != 1 {
+					t.Fatalf("singleflight over a torn entry: wrong result or %d computes", calls)
+				}
+				if st := c.Stats(); st.Corrupt != 2 || st.Stores != 2 {
+					t.Fatalf("after the recompute: %+v", st)
+				}
+				if got, _ := os.ReadFile(c.path("k")); !bytes.Equal(got, whole) {
+					t.Fatal("recompute did not re-store the whole entry")
+				}
+				if !k.load(c) {
+					t.Fatal("re-stored entry missed")
+				}
+			})
+		}
 	}
 }

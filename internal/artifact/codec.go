@@ -160,16 +160,23 @@ const eventBytesHint = 8
 // appendRecorded encodes one sim.Recorded. Events reference line contents
 // through a first-seen pool of unique lines; addresses are zigzag deltas
 // from the previous event; the pool index carries the event kind in its
-// low bit (indices stay far below 2^62, so the shift cannot overflow).
+// low bit. The dedup pass hashes each event's line once and keeps its
+// pool index for the event loop. Indices fit a uint32: a pool that
+// reached 2^32 lines would hold 256 GiB, and the decoder rejects pools
+// over maxPool.
 func appendRecorded(dst []byte, r *sim.Recorded) []byte {
-	pool := make(map[line.Line]uint64, r.UniqueLines)
+	pool := make(map[line.Line]uint32, r.UniqueLines)
 	order := make([]line.Line, 0, r.UniqueLines)
+	index := make([]uint32, len(r.Events))
 	for i := range r.Events {
-		d := r.Events[i].Data
-		if _, ok := pool[d]; !ok {
-			pool[d] = uint64(len(order))
-			order = append(order, d)
+		d := &r.Events[i].Data
+		j, ok := pool[*d]
+		if !ok {
+			j = uint32(len(order))
+			pool[*d] = j
+			order = append(order, *d)
 		}
+		index[i] = j
 	}
 	// Grow once for the header, the pool and typical event varints.
 	dst = slices.Grow(dst, 7*binary.MaxVarintLen64+len(order)*line.Size+len(r.Events)*eventBytesHint)
@@ -189,7 +196,7 @@ func appendRecorded(dst []byte, r *sim.Recorded) []byte {
 		delta := int64(uint64(e.Addr) - uint64(prev))
 		dst = binary.AppendUvarint(dst, uint64(delta)<<1^uint64(delta>>63))
 		dst = binary.AppendUvarint(dst, e.Instrs)
-		dst = binary.AppendUvarint(dst, pool[e.Data]<<1|uint64(e.Kind))
+		dst = binary.AppendUvarint(dst, uint64(index[i])<<1|uint64(e.Kind))
 		prev = e.Addr
 	}
 	return dst

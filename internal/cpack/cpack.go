@@ -67,8 +67,9 @@ func (p Pattern) String() string {
 // compressWord classifies one 32-bit word against the per-line FIFO
 // dictionary, pushing non-zero-pattern words into it as the hardware
 // does. Zero patterns return before the dictionary is consulted or
-// updated; a full match ends the scan early, while partial matches keep
-// scanning for a better entry.
+// updated. The best entry is the one whose XOR with the word is
+// smallest: zero is a full match, below 0x100 matches the top three
+// bytes, and below 0x10000 the top two.
 func compressWord(data uint32, dict *[wordsPerLine]uint32, n *int) Pattern {
 	if data&0xFFFFFF00 == 0 {
 		if data != 0 {
@@ -76,33 +77,22 @@ func compressWord(data uint32, dict *[wordsPerLine]uint32, n *int) Pattern {
 		}
 		return ZZZZ
 	}
-	matched := 0
-	for i := 0; i < *n; i++ {
-		d := dict[i]
-		if d == data {
-			matched = 4
-			break
-		}
-		if matched < 3 {
-			if d&0xFFFFFF00 == data&0xFFFFFF00 {
-				matched = 3
-			} else if matched < 2 && d&0xFFFF0000 == data&0xFFFF0000 {
-				matched = 2
-			}
-		}
+	best := ^uint32(0)
+	for _, d := range dict[:*n] {
+		best = min(best, d^data)
 	}
 	// A full match adds no information; everything else (new literal
 	// bytes) is pushed so later words can match against it.
-	if matched < 4 && *n < len(dict) {
+	if best != 0 && *n < len(dict) {
 		dict[*n] = data
 		*n++
 	}
-	switch matched {
-	case 4:
+	switch {
+	case best == 0:
 		return MMMM
-	case 3:
+	case best < 0x100:
 		return MMMX
-	case 2:
+	case best < 0x10000:
 		return MMXX
 	}
 	return XXXX

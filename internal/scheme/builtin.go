@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"repro/internal/dedupcache"
+	"repro/internal/diffenc"
 	"repro/internal/ideal"
 	"repro/internal/llc"
 	"repro/internal/memory"
@@ -44,6 +45,17 @@ func summarizeCounters(x llc.ExtraSnapshot) string {
 	}
 	return "  " + strings.Join(parts, " ")
 }
+
+// formatLabel names the entries of the Thesaurus summary's ByFormat
+// histogram in index order, from diffenc's own format names, so the
+// labels cannot fall out of step with the formats.
+var formatLabel = func() string {
+	names := make([]string, diffenc.NumFormats)
+	for f := range names {
+		names[f] = strings.ToLower(diffenc.Format(f).String())
+	}
+	return "fmt[" + strings.Join(names, ",") + "]"
+}()
 
 func init() {
 	Register(Scheme{
@@ -84,8 +96,8 @@ func init() {
 				return ""
 			}
 			e := ts.Extra
-			return fmt.Sprintf("  comp%%=%.1f diff=%.1fB bcache=%.3f fmt[raw,b+d,0+d,base,z]=%v fps=%d/%d",
-				100*e.CompressibleFraction(), e.AvgDiffBytes(), ts.BaseCache.HitRate(), e.ByFormat,
+			return fmt.Sprintf("  comp%%=%.1f diff=%.1fB bcache=%.3f %s=%v fps=%d/%d",
+				100*e.CompressibleFraction(), e.AvgDiffBytes(), ts.BaseCache.HitRate(), formatLabel, e.ByFormat,
 				ts.LiveClusters, ts.ValidClusters)
 		},
 	})

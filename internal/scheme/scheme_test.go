@@ -7,9 +7,12 @@ package scheme_test
 
 import (
 	"reflect"
+	"regexp"
+	"strings"
 	"testing"
 
 	"repro/internal/artifact"
+	"repro/internal/diffenc"
 	"repro/internal/harness"
 	"repro/internal/line"
 	"repro/internal/memory"
@@ -85,6 +88,33 @@ func TestEverySchemeIsComplete(t *testing.T) {
 				t.Fatalf("decode(encode(x)) != x for %T:\n got %+v\nwant %+v", snap.Extra, f.Run.Snap.Extra, snap.Extra)
 			}
 		})
+	}
+}
+
+// TestThesaurusSummaryNamesEveryFormat: the Thesaurus summary labels its
+// encoding histogram with one name per diffenc format, in index order,
+// and prints one count under each.
+func TestThesaurusSummaryNamesEveryFormat(t *testing.T) {
+	s, ok := scheme.Lookup("Thesaurus")
+	if !ok {
+		t.Fatal("Thesaurus is not registered")
+	}
+	c, err := scheme.Build(s.Name, memory.NewStore())
+	if err != nil {
+		t.Fatal(err)
+	}
+	exercise(c)
+	out := s.Summary(c.Release().Extra)
+	m := regexp.MustCompile(`fmt\[([^]]*)\]=\[([^]]*)\]`).FindStringSubmatch(out)
+	if m == nil {
+		t.Fatalf("summary %q has no format histogram", out)
+	}
+	want := make([]string, diffenc.NumFormats)
+	for f := range want {
+		want[f] = strings.ToLower(diffenc.Format(f).String())
+	}
+	if names, counts := strings.Split(m[1], ","), strings.Fields(m[2]); !reflect.DeepEqual(names, want) || len(counts) != len(want) {
+		t.Fatalf("summary %q: labels %q over %d counts, want %q over %d", out, names, len(counts), want, len(want))
 	}
 }
 

@@ -86,26 +86,29 @@ var DISH = Compressor{
 }
 
 // fitDISH sizes data with the default scheme, switching on the fly to the
-// other one when the default does not compress it.
+// other scheme, which it sizes only then, when the default does not
+// compress the line.
 func fitDISH(data *line.Line, resident *[NumClasses]int, counts []uint64) (int, uint8) {
-	_, bdiSize := bdi.Classify(data)
-	segs := [NumClasses]int{
-		dishRaw:   rawSegs,
-		dishCPack: segsOf(cpack.CompressLine(data, nil)),
-		dishBDI:   segsOf(bdiSize),
-	}
 	def, alt := uint8(dishCPack), uint8(dishBDI)
 	if resident[dishBDI] > resident[dishCPack] {
 		def, alt = alt, def
 	}
-	class := uint8(dishRaw)
-	switch {
-	case segs[def] < rawSegs:
-		class = def
-	case segs[alt] < rawSegs:
+	class, segs := uint8(dishRaw), rawSegs
+	if s := dishSegs(data, def); s < rawSegs {
+		class, segs = def, s
+	} else if s := dishSegs(data, alt); s < rawSegs {
 		counts[dishOTF]++
-		class = alt
+		class, segs = alt, s
 	}
 	counts[class]++
-	return segs[class], class
+	return segs, class
+}
+
+// dishSegs sizes data with one of DISH's two schemes.
+func dishSegs(data *line.Line, scheme uint8) int {
+	if scheme == dishBDI {
+		_, size := bdi.Classify(data)
+		return segsOf(size)
+	}
+	return segsOf(cpack.CompressLine(data, nil))
 }

@@ -93,8 +93,8 @@ func (r *Rand) Intn(n int) int {
 	return int(r.Uint64n(uint64(n)))
 }
 
-// Uint64n returns a uniform value in [0, n) using Lemire's multiply-shift
-// rejection method. It panics if n == 0.
+// Uint64n returns a uniform value in [0, n) by modulo with rejection. It
+// panics if n == 0.
 func (r *Rand) Uint64n(n uint64) uint64 {
 	if n == 0 {
 		panic("xrand: Uint64n with zero n")
@@ -103,12 +103,12 @@ func (r *Rand) Uint64n(n uint64) uint64 {
 	if n&(n-1) == 0 {
 		return r.Uint64() & (n - 1)
 	}
-	// Classic modulo-with-rejection; the rejection zone is tiny for the
-	// small n used in this repository.
-	limit := ^uint64(0) - (^uint64(0) % n)
+	// A draw is kept when it is at most ^uint64(0) - ^uint64(0)%n. Every
+	// v <= ^uint64(0)-n is below that limit, so only the top n values pay
+	// the division that computes it; the stream is the same.
 	for {
 		v := r.Uint64()
-		if v <= limit {
+		if v <= ^uint64(0)-n || v <= ^uint64(0)-^uint64(0)%n {
 			return v % n
 		}
 	}

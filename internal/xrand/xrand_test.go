@@ -55,6 +55,36 @@ func TestUint64nRange(t *testing.T) {
 	}
 }
 
+// TestUint64nMatchesLimitFormula pins Uint64n's stream to the rejection
+// rule it has always had: keep a draw v when v <= ^uint64(0) -
+// ^uint64(0)%n. The n range over small ones, the 1462 data sets a
+// default Thesaurus draws victim sets from, and ones whose rejection zone
+// is up to half the draws.
+func TestUint64nMatchesLimitFormula(t *testing.T) {
+	for _, n := range []uint64{3, 5, 7, 1000, 1462, 1<<40 + 3, 1<<63 + 1, math.MaxUint64 - 1, math.MaxUint64} {
+		got, ref := New(n), New(n)
+		limit := uint64(math.MaxUint64) - math.MaxUint64%n
+		for i := 0; i < 100_000; i++ {
+			v := ref.Uint64()
+			for v > limit {
+				v = ref.Uint64()
+			}
+			if g := got.Uint64n(n); g != v%n {
+				t.Fatalf("n=%d draw %d: %d, want %d", n, i, g, v%n)
+			}
+		}
+	}
+}
+
+func BenchmarkUint64n(b *testing.B) {
+	r := New(1)
+	var sink uint64
+	for i := 0; i < b.N; i++ {
+		sink += r.Uint64n(1462)
+	}
+	_ = sink
+}
+
 func TestIntnPanicsOnNonPositive(t *testing.T) {
 	defer func() {
 		if recover() == nil {
