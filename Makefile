@@ -1,13 +1,16 @@
 # Repository verification targets. `make ci` is the gate: formatting,
-# vet, the determinism lint suite, build, the full test suite, and a
-# race-detector pass over the packages that own the campaign worker
-# pools.
+# vet, build, the full test suite, and a race-detector pass over the
+# packages that own the campaign worker pools. The test suite includes
+# the lint suite (internal/lint, docs/static-analysis.md):
+# TestRepoIsLintClean runs every analyzer over the module against
+# lint.allow, and TestRepoEscapeBudget diffs the compiler's hot-path
+# escapes against alloc.budget.
 
 GO ?= go
 
-.PHONY: ci vet fmtcheck lint allocgate alloc-budget lint-fix-check registry-check build test race fuzz bench benchsmoke bench-check bench-json bench-diff cache-identity clean-cache
+.PHONY: ci vet fmtcheck alloc-budget registry-check build test race fuzz bench benchsmoke bench-check bench-json bench-diff cache-identity clean-cache
 
-ci: fmtcheck vet lint allocgate lint-fix-check registry-check build test race benchsmoke bench-check cache-identity
+ci: fmtcheck vet registry-check build test race benchsmoke bench-check cache-identity
 
 vet:
 	$(GO) vet ./...
@@ -17,35 +20,10 @@ fmtcheck:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# thesauruslint mechanically enforces the determinism contract
-# (docs/determinism.md): no wall-clock/env/math-rand inputs in
-# simulation packages, no map iteration feeding ordered output, no
-# shared-state mutation from worker goroutines, config-derived PRNG
-# seeds, no order-dependent float reductions, and no reads of a released
-# resource (docs/performance.md, releaseuse). Audited exceptions live
-# in lint.allow.
-lint:
-	$(GO) run ./cmd/thesauruslint ./...
-
-# The allocation gate for the zero-alloc hot path
-# (docs/static-analysis.md): the AST pass flags allocation constructs
-# reachable from //thesaurus:hotpath roots (run standalone here with an
-# empty allowlist so entries for the other analyzers don't read as
-# stale), and the escape pass diffs the compiler's -gcflags=-m escape
-# diagnostics on those functions against the committed alloc.budget.
-allocgate:
-	$(GO) run ./cmd/thesauruslint -allow /dev/null -analyzers allocgate,hotpath-pragma ./...
-	$(GO) run ./cmd/thesauruslint -escapes
-
 # Regenerate alloc.budget from the current tree. Review the diff before
 # committing: a count moving up is a new hot-path heap allocation.
 alloc-budget:
-	$(GO) run ./cmd/thesauruslint -escapes -write-budget
-
-# -fix must converge in one pass and never splice overlapping edits;
-# these are the regression tests that pin both properties.
-lint-fix-check:
-	$(GO) test -run 'TestFixIdempotence|TestApplyEditsOverlap' ./internal/lint
+	$(GO) test -count=1 -run '^TestRepoEscapeBudget$$' ./internal/lint -update
 
 # Registry completeness (internal/scheme): every registered design must
 # build by name, report its registered name, and round-trip its release

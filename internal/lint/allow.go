@@ -23,9 +23,10 @@ type AllowEntry struct {
 //
 // The justification is mandatory — an exception nobody can explain is
 // not an exception, it is a latent bug — and stale entries (covering no
-// current finding) are reported so the list cannot rot.
+// current finding) are reported so the list cannot rot. allocgate and
+// hotpath-pragma take no entries: the allocation gate's one exemption is
+// a //thesaurus:allocok <reason> pragma in the code.
 type Allowlist struct {
-	Source  string
 	Entries []*AllowEntry
 }
 
@@ -35,7 +36,7 @@ func ParseAllowlist(path string) (*Allowlist, error) {
 	if err != nil {
 		return nil, err
 	}
-	al := &Allowlist{Source: path}
+	al := &Allowlist{}
 	known := map[string]bool{}
 	for _, a := range Analyzers() {
 		known[a.Name] = true
@@ -52,6 +53,10 @@ func ParseAllowlist(path string) (*Allowlist, error) {
 		}
 		if !known[fields[0]] {
 			return nil, fmt.Errorf("%s:%d: unknown analyzer %q", path, i+1, fields[0])
+		}
+		if fields[0] == AllocGate.Name || fields[0] == HotPathPragma.Name {
+			return nil, fmt.Errorf("%s:%d: %s findings cannot be allowlisted; the allocation gate's one exemption is //thesaurus:allocok <reason> in the code",
+				path, i+1, fields[0])
 		}
 		al.Entries = append(al.Entries, &AllowEntry{
 			Analyzer:      fields[0],
@@ -84,46 +89,4 @@ func (al *Allowlist) Stale() []*AllowEntry {
 		}
 	}
 	return out
-}
-
-// Prune rewrites the allowlist source file dropping the entries that
-// suppressed nothing in the last run, preserving comments, blank lines,
-// and the order of surviving entries byte-for-byte. It returns the
-// removed entries; when nothing is stale the file is left untouched.
-func (al *Allowlist) Prune() ([]*AllowEntry, error) {
-	stale := al.Stale()
-	if len(stale) == 0 {
-		return nil, nil
-	}
-	data, err := os.ReadFile(al.Source)
-	if err != nil {
-		return nil, err
-	}
-	drop := map[int]bool{}
-	for _, e := range stale {
-		drop[e.Line] = true
-	}
-	lines := strings.Split(string(data), "\n")
-	if n := len(lines); n > 0 && lines[n-1] == "" {
-		lines = lines[:n-1] // trailing newline, restored below
-	}
-	var b strings.Builder
-	for i, ln := range lines {
-		if drop[i+1] {
-			continue
-		}
-		b.WriteString(ln)
-		b.WriteString("\n")
-	}
-	if err := os.WriteFile(al.Source, []byte(b.String()), 0o644); err != nil {
-		return nil, err
-	}
-	var kept []*AllowEntry
-	for _, e := range al.Entries {
-		if !drop[e.Line] {
-			kept = append(kept, e)
-		}
-	}
-	al.Entries = kept
-	return stale, nil
 }

@@ -112,13 +112,6 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	return fn
 }
 
-// isPkgFunc reports whether call invokes the package-level function
-// pkgPath.name.
-func isPkgFunc(info *types.Info, call *ast.CallExpr, pkgPath, name string) bool {
-	fn := calleeFunc(info, call)
-	return fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == pkgPath && fn.Name() == name && fn.Type().(*types.Signature).Recv() == nil
-}
-
 // isAppend reports whether call is the append built-in.
 func isAppend(info *types.Info, call *ast.CallExpr) bool {
 	id, ok := ast.Unparen(call.Fun).(*ast.Ident)

@@ -192,7 +192,9 @@ func parseEscapes(out string) []EscapeSite {
 			continue
 		}
 		sites = append(sites, EscapeSite{
-			File: filepath.ToSlash(parts[0]),
+			// The compiler prints root-package files as ./x.go; ScanHotFuncs
+			// records them as x.go.
+			File: filepath.ToSlash(filepath.Clean(parts[0])),
 			Line: line,
 			Col:  col,
 			Msg:  strings.TrimSpace(parts[3]),

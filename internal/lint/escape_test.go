@@ -17,37 +17,48 @@ func TestParseEscapes(t *testing.T) {
 		"internal/foo/foo.go:30:13: leaking param: p",
 		"not a diagnostic line",
 		"internal/foo/foo.go:bad:1: x escapes to heap",
+		"# repro",
+		"./repro.go:7:2: moved to heap: x",
 		"", // blank
 	}, "\n")
 	got := parseEscapes(out)
 	want := []EscapeSite{
 		{File: "internal/foo/foo.go", Line: 9, Col: 2, Msg: "moved to heap: buf"},
 		{File: "internal/foo/foo.go", Line: 30, Col: 13, Msg: "make([]byte, n) escapes to heap"},
+		{File: "repro.go", Line: 7, Col: 2, Msg: "moved to heap: x"},
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("parseEscapes = %v, want %v", got, want)
 	}
 }
 
+// TestAttributeEscapes attributes by file and line span, including a
+// root-package function: ScanHotFuncs records its file as m.go, and the
+// compiler's ./m.go must reach it through parseEscapes.
 func TestAttributeEscapes(t *testing.T) {
 	funcs := []HotFunc{
 		{Key: "m/p.Hot", File: "p/p.go", StartLine: 10, EndLine: 20, Dir: "p"},
 		{Key: "m/p.(*T).Cold", File: "p/p.go", StartLine: 30, EndLine: 40, Dir: "p"},
+		{Key: "m.Root", File: "m.go", StartLine: 5, EndLine: 9, Dir: "."},
 	}
 	sites := []EscapeSite{
 		{File: "p/p.go", Line: 15, Col: 3, Msg: "x escapes to heap"},
 		{File: "p/p.go", Line: 25, Col: 3, Msg: "between functions, dropped"},
 		{File: "p/other.go", Line: 15, Col: 3, Msg: "other file, dropped"},
 	}
+	sites = append(sites, parseEscapes("./m.go:7:2: moved to heap: y\n")...)
 	got := AttributeEscapes(funcs, sites)
-	if len(got) != 2 {
-		t.Fatalf("attributed %d keys, want 2 (zero-escape functions must still appear)", len(got))
+	if len(got) != 3 {
+		t.Fatalf("attributed %d keys, want 3 (zero-escape functions must still appear)", len(got))
 	}
 	if n := len(got["m/p.Hot"]); n != 1 {
 		t.Errorf("m/p.Hot got %d sites, want 1", n)
 	}
 	if n := len(got["m/p.(*T).Cold"]); n != 0 {
 		t.Errorf("m/p.(*T).Cold got %d sites, want 0", n)
+	}
+	if n := len(got["m.Root"]); n != 1 {
+		t.Errorf("m.Root got %d sites, want 1", n)
 	}
 }
 
@@ -182,9 +193,10 @@ func testOnly() {}
 	}
 }
 
-// TestRepoEscapeBudget is the CI gate in test form: the committed
-// alloc.budget must exactly match what the compiler proves about the
-// tree's hot functions.
+// TestRepoEscapeBudget is the escape gate: the committed alloc.budget
+// must exactly match what the compiler proves about the tree's hot
+// functions. With -update it rewrites alloc.budget from the tree
+// instead (`make alloc-budget`).
 func TestRepoEscapeBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("rebuilds hot packages with -gcflags=-m")
@@ -208,11 +220,18 @@ func TestRepoEscapeBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	budget, err := ParseBudget(filepath.Join(moduleDir, "alloc.budget"))
+	attributed := AttributeEscapes(funcs, sites)
+	path := filepath.Join(moduleDir, "alloc.budget")
+	if *update {
+		if err := os.WriteFile(path, FormatBudget(attributed), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	budget, err := ParseBudget(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range DiffBudget(budget, AttributeEscapes(funcs, sites)) {
+	for _, f := range DiffBudget(budget, attributed) {
 		t.Error(f)
 	}
 }

@@ -9,6 +9,11 @@
 // lifecycle (docs/performance.md): once a cache or store is Released,
 // only its returned snapshot may be read.
 //
+// The suite runs as this package's tests: `go test ./internal/lint`
+// lints the whole module against lint.allow (TestRepoIsLintClean) and
+// diffs the compiler's hot-path escapes against alloc.budget
+// (TestRepoEscapeBudget).
+//
 // The suite is built only on the standard library (go/parser, go/ast,
 // go/types with the source importer); there is no dependency on
 // golang.org/x/tools.
@@ -26,83 +31,13 @@ import (
 
 // Diagnostic is one finding, addressed by position and analyzer.
 type Diagnostic struct {
-	Analyzer string `json:"analyzer"`
+	Analyzer string
 	// File is the path relative to the module root (or absolute when
 	// outside it).
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Col     int    `json:"col"`
-	Message string `json:"message"`
-	// Suppressed is set when an allowlist entry covers the finding.
-	Suppressed bool `json:"suppressed,omitempty"`
-	// Fixes holds machine-applicable rewrites that resolve the finding,
-	// when the analyzer can construct one (see SuggestedFix).
-	Fixes []SuggestedFix `json:"fixes,omitempty"`
-}
-
-// SuggestedFix is one machine-applicable resolution of a finding: apply
-// every edit (byte spans into the original file contents) and the
-// diagnostic disappears. Edits within a fix never overlap and are sorted
-// by offset, so a tool can apply them back-to-front without tracking
-// displacement.
-type SuggestedFix struct {
-	Message string     `json:"message"`
-	Edits   []TextEdit `json:"edits"`
-}
-
-// TextEdit replaces the half-open byte range [Offset, End) of File with
-// NewText (Offset == End inserts).
-type TextEdit struct {
-	// File is the path the span indexes into, relativized like
-	// Diagnostic.File.
-	File    string `json:"file"`
-	Offset  int    `json:"offset"`
-	End     int    `json:"end"`
-	NewText string `json:"new_text"`
-}
-
-// ApplyEdits returns src with the edits applied. Edits use offsets into
-// the original src, so they are applied in reverse offset order. Exact
-// duplicates are applied once: fixes from different findings in one file
-// may each carry the same prerequisite edit (e.g. adding an import).
-// Edits that overlap an already-applied edit are dropped — two fixes
-// rewriting intersecting spans cannot both be honored, and applying the
-// second into the first's replacement text would corrupt the file; the
-// surviving diagnostics after the re-lint pass pick up whatever the
-// dropped fix addressed.
-func ApplyEdits(src []byte, edits []TextEdit) []byte {
-	sorted := append([]TextEdit(nil), edits...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Offset != sorted[j].Offset {
-			return sorted[i].Offset > sorted[j].Offset
-		}
-		// A replacement and an insertion can share a start offset (the
-		// maporder rewrite inserts the collection loop exactly where the
-		// rewritten `for` begins); the replacement must be applied first
-		// so the insertion ends up before it, not inside it.
-		if sorted[i].End != sorted[j].End {
-			return sorted[i].End > sorted[j].End
-		}
-		return sorted[i].NewText > sorted[j].NewText
-	})
-	out := append([]byte(nil), src...)
-	// minApplied is the lowest original offset any applied edit touched;
-	// a later (lower-offset) edit whose span crosses it overlaps.
-	minApplied := len(src)
-	for i, e := range sorted {
-		if i > 0 && e == sorted[i-1] {
-			continue
-		}
-		if e.Offset < 0 || e.End < e.Offset || e.End > len(out) {
-			continue
-		}
-		if e.End > minApplied {
-			continue
-		}
-		out = append(out[:e.Offset], append([]byte(e.NewText), out[e.End:]...)...)
-		minApplied = e.Offset
-	}
-	return out
+	File    string
+	Line    int
+	Col     int
+	Message string
 }
 
 // String renders the conventional file:line:col: analyzer: message form.
@@ -136,11 +71,6 @@ func (p *Pass) InTestFile(pos token.Pos) bool {
 
 // Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.ReportFixf(pos, nil, format, args...)
-}
-
-// ReportFixf records a finding at pos carrying machine-applicable fixes.
-func (p *Pass) ReportFixf(pos token.Pos, fixes []SuggestedFix, format string, args ...any) {
 	pp := p.Fset.Position(pos)
 	p.report(Diagnostic{
 		Analyzer: p.analyzer,
@@ -148,7 +78,6 @@ func (p *Pass) ReportFixf(pos token.Pos, fixes []SuggestedFix, format string, ar
 		Line:     pp.Line,
 		Col:      pp.Column,
 		Message:  fmt.Sprintf(format, args...),
-		Fixes:    fixes,
 	})
 }
 
@@ -173,17 +102,6 @@ func Analyzers() []*Analyzer {
 	}
 }
 
-// AnalyzerByName resolves names (comma-separated lists accepted by the
-// CLI) to analyzers.
-func AnalyzerByName(name string) (*Analyzer, error) {
-	for _, a := range Analyzers() {
-		if a.Name == name {
-			return a, nil
-		}
-	}
-	return nil, fmt.Errorf("lint: unknown analyzer %q", name)
-}
-
 // simPackage reports whether the determinism contract applies to the
 // import path: the root package and everything under internal/ except
 // the lint suite itself. cmd/ and examples/ are interactive front-ends
@@ -200,27 +118,24 @@ func simPackage(modulePath, path string) bool {
 	return rest != "lint" && !strings.HasPrefix(rest, "lint/")
 }
 
-// Runner drives the suite over a module.
+// Runner drives the full suite over a module.
 type Runner struct {
-	Loader    *Loader
-	Analyzers []*Analyzer
-	Allow     *Allowlist
+	Loader *Loader
+	Allow  *Allowlist
 }
 
-// NewRunner builds a Runner with the full suite over the module rooted
-// at moduleDir.
+// NewRunner builds a Runner over the module rooted at moduleDir.
 func NewRunner(moduleDir string) (*Runner, error) {
 	l, err := NewLoader(moduleDir)
 	if err != nil {
 		return nil, err
 	}
-	return &Runner{Loader: l, Analyzers: Analyzers()}, nil
+	return &Runner{Loader: l}, nil
 }
 
-// CheckDirs lints the given package directories and returns all
-// diagnostics sorted by file, line, column, analyzer. Allowlisted
-// findings are returned with Suppressed set rather than dropped, so the
-// JSON mode can expose audited exceptions.
+// CheckDirs lints the given package directories and returns the
+// diagnostics no allowlist entry covers, sorted by file, line, column,
+// analyzer.
 func (r *Runner) CheckDirs(dirs []string) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, dir := range dirs {
@@ -235,14 +150,16 @@ func (r *Runner) CheckDirs(dirs []string) ([]Diagnostic, error) {
 		diags = append(diags, ds...)
 	}
 	diags = sortAndDedupe(diags)
-	if r.Allow != nil {
-		for i := range diags {
-			if r.Allow.Covers(diags[i]) {
-				diags[i].Suppressed = true
-			}
+	if r.Allow == nil {
+		return diags, nil
+	}
+	kept := diags[:0]
+	for _, d := range diags {
+		if !r.Allow.Covers(d) {
+			kept = append(kept, d)
 		}
 	}
-	return diags, nil
+	return kept, nil
 }
 
 // CheckDirAs lints a single directory under a pretend import path; the
@@ -299,7 +216,7 @@ func (r *Runner) checkDir(dir, asPath string) ([]Diagnostic, error) {
 	}
 	var diags []Diagnostic
 	for _, u := range units {
-		for _, a := range r.Analyzers {
+		for _, a := range Analyzers() {
 			pass := &Pass{
 				Fset:       r.Loader.Fset,
 				Path:       u.Path,
@@ -311,18 +228,8 @@ func (r *Runner) checkDir(dir, asPath string) ([]Diagnostic, error) {
 				loader:     r.Loader,
 			}
 			pass.report = func(d Diagnostic) {
-				rel := func(p string) string {
-					if rp, err := filepath.Rel(r.Loader.ModuleDir, p); err == nil && !strings.HasPrefix(rp, "..") {
-						return filepath.ToSlash(rp)
-					}
-					return p
-				}
-				d.File = rel(d.File)
-				for fi := range d.Fixes {
-					for ei := range d.Fixes[fi].Edits {
-						e := &d.Fixes[fi].Edits[ei]
-						e.File = rel(e.File)
-					}
+				if rp, err := filepath.Rel(r.Loader.ModuleDir, d.File); err == nil && !strings.HasPrefix(rp, "..") {
+					d.File = filepath.ToSlash(rp)
 				}
 				diags = append(diags, d)
 			}

@@ -43,17 +43,15 @@ func checkFixture(t *testing.T, r *Runner, name, asPath string) []string {
 	return out
 }
 
-// TestFixtureGolden pins the exact diagnostics — analyzer, position, and
-// wording — each analyzer produces on the violation fixture. The fixture
-// pairs every violation with a clean counterpart (collect-then-sort,
-// write-by-index, config-derived seeds), so an analyzer that overreaches
-// shows up here as an unexpected extra line.
-func TestFixtureGolden(t *testing.T) {
-	r := testRunner(t)
-	lines := checkFixture(t, r, "fixsim", "repro/internal/fixsim")
+// goldenFixture lints testdata/src/<name> as repro/internal/<name> and
+// requires its diagnostics to equal testdata/<name>.golden (rewritten
+// under -update). It returns the diagnostic lines.
+func goldenFixture(t *testing.T, r *Runner, name string) []string {
+	t.Helper()
+	lines := checkFixture(t, r, name, "repro/internal/"+name)
 	got := strings.Join(lines, "\n") + "\n"
 
-	golden := filepath.Join("testdata", "fixsim.golden")
+	golden := filepath.Join("testdata", name+".golden")
 	if *update {
 		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
@@ -66,13 +64,36 @@ func TestFixtureGolden(t *testing.T) {
 	if got != string(want) {
 		t.Errorf("diagnostics differ from %s\ngot:\n%s\nwant:\n%s", golden, got, want)
 	}
+	return lines
+}
+
+// TestFixtureGolden pins the exact diagnostics — analyzer, position, and
+// wording — the suite produces on each violation fixture. fixsim pairs
+// every violation with a clean counterpart (collect-then-sort,
+// write-by-index, config-derived seeds), so an analyzer that overreaches
+// shows up here as an unexpected extra line. fixmaporder and fixparmap
+// hold more shapes of the maporder and parmap-discipline violations:
+// struct and named key types, a map operand that is a call, a file that
+// already imports sort, and worker closures with and without an index
+// parameter, with two appends, and over a slice with no capacity.
+func TestFixtureGolden(t *testing.T) {
+	r := testRunner(t)
+	var simLines []string
+	for _, name := range []string{"fixsim", "fixmaporder", "fixparmap"} {
+		t.Run(name, func(t *testing.T) {
+			lines := goldenFixture(t, r, name)
+			if name == "fixsim" {
+				simLines = lines
+			}
+		})
+	}
 
 	// Every analyzer in the suite must both catch something in the
 	// violation fixture and stay quiet on its clean counterparts — the
 	// golden encodes the latter by omission, the former is asserted here.
 	for _, a := range Analyzers() {
 		found := false
-		for _, ln := range lines {
+		for _, ln := range simLines {
 			if strings.Contains(ln, ": "+a.Name+": ") {
 				found = true
 				break
@@ -94,24 +115,7 @@ func TestFixtureGolden(t *testing.T) {
 // finding means the fixture (or an analyzer) overreached.
 func TestFixtureAllocGolden(t *testing.T) {
 	r := testRunner(t)
-	lines := checkFixture(t, r, "fixalloc", "repro/internal/fixalloc")
-	got := strings.Join(lines, "\n") + "\n"
-
-	golden := filepath.Join("testdata", "fixalloc.golden")
-	if *update {
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (run `go test -run Golden -update ./internal/lint` to create)", err)
-	}
-	if got != string(want) {
-		t.Errorf("diagnostics differ from %s\ngot:\n%s\nwant:\n%s", golden, got, want)
-	}
-
-	for _, ln := range lines {
+	for _, ln := range goldenFixture(t, r, "fixalloc") {
 		if !strings.Contains(ln, ": allocgate: ") && !strings.Contains(ln, ": hotpath-pragma: ") {
 			t.Errorf("non-hot-path analyzer fired in the alloc fixture: %s", ln)
 		}
@@ -156,18 +160,6 @@ func TestSimPackage(t *testing.T) {
 	}
 }
 
-func TestAnalyzerByName(t *testing.T) {
-	for _, a := range Analyzers() {
-		got, err := AnalyzerByName(a.Name)
-		if err != nil || got != a {
-			t.Errorf("AnalyzerByName(%s) = %v, %v", a.Name, got, err)
-		}
-	}
-	if _, err := AnalyzerByName("nope"); err == nil {
-		t.Error("AnalyzerByName(nope) did not error")
-	}
-}
-
 func TestAllowlist(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "lint.allow")
@@ -198,62 +190,6 @@ func TestAllowlist(t *testing.T) {
 	}
 }
 
-// TestAllowlistPrune: pruning drops exactly the stale entries, preserves
-// comments, blank lines, and live entries byte-for-byte, and the pruned
-// file round-trips through the parser.
-func TestAllowlistPrune(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "lint.allow")
-	content := "# header comment\n\n" +
-		"maporder internal/foo/foo.go iteration audited, order provably irrelevant\n" +
-		"xrand-seed internal/bar/bar.go correlation is the property under test\n"
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	al, err := ParseAllowlist(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	al.Covers(Diagnostic{Analyzer: "maporder", File: "internal/foo/foo.go"})
-
-	removed, err := al.Prune()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(removed) != 1 || removed[0].Analyzer != "xrand-seed" {
-		t.Fatalf("removed = %+v, want the stale xrand-seed entry", removed)
-	}
-	got, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := "# header comment\n\n" +
-		"maporder internal/foo/foo.go iteration audited, order provably irrelevant\n"
-	if string(got) != want {
-		t.Errorf("pruned file:\n%q\nwant:\n%q", got, want)
-	}
-
-	reparsed, err := ParseAllowlist(path)
-	if err != nil {
-		t.Fatalf("pruned file does not round-trip: %v", err)
-	}
-	if len(reparsed.Entries) != 1 || reparsed.Entries[0].Analyzer != "maporder" {
-		t.Fatalf("round trip entries = %+v", reparsed.Entries)
-	}
-
-	// Nothing stale: a second prune is a no-op that leaves the bytes alone.
-	reparsed.Covers(Diagnostic{Analyzer: "maporder", File: "internal/foo/foo.go"})
-	if removed, err := reparsed.Prune(); err != nil || len(removed) != 0 {
-		t.Fatalf("second prune removed %+v, err %v", removed, err)
-	}
-	again, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(again) != want {
-		t.Errorf("no-op prune changed the file:\n%q", again)
-	}
-}
-
 func TestAllowlistRejectsBadEntries(t *testing.T) {
 	dir := t.TempDir()
 	cases := []struct {
@@ -262,6 +198,10 @@ func TestAllowlistRejectsBadEntries(t *testing.T) {
 	}{
 		{"missing justification", "maporder internal/foo/foo.go\n"},
 		{"unknown analyzer", "typo internal/foo/foo.go some reason here\n"},
+		// The allocation gate's exemption is //thesaurus:allocok in the
+		// code; an allowlist entry would hide a hot-path allocation.
+		{"allocgate entry", "allocgate internal/line/line.go some reason here\n"},
+		{"hotpath-pragma entry", "hotpath-pragma internal/line/line.go some reason here\n"},
 	}
 	for _, c := range cases {
 		path := filepath.Join(dir, strings.ReplaceAll(c.name, " ", "_"))
@@ -276,7 +216,7 @@ func TestAllowlistRejectsBadEntries(t *testing.T) {
 
 // TestRepoIsLintClean runs the suite over the whole module with the
 // checked-in allowlist: the tree itself is the ultimate fixture, and
-// this is the same gate `make ci` applies.
+// this test is the lint gate of `go test ./...` and so of `make ci`.
 func TestRepoIsLintClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads the whole module")
@@ -299,9 +239,7 @@ func TestRepoIsLintClean(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, d := range diags {
-		if !d.Suppressed {
-			t.Errorf("%s", d)
-		}
+		t.Errorf("%s", d)
 	}
 	if r.Allow != nil {
 		for _, e := range r.Allow.Stale() {

@@ -37,7 +37,6 @@ var testLogMethods = map[string]bool{
 
 func runMapOrder(pass *Pass) {
 	for _, f := range pass.Files {
-		file := f
 		walkStack(f, func(n ast.Node, stack []ast.Node) bool {
 			rng, ok := n.(*ast.RangeStmt)
 			if !ok || !isMap(pass.Info.TypeOf(rng.X)) {
@@ -45,7 +44,6 @@ func runMapOrder(pass *Pass) {
 			}
 			c := &mapOrderCheck{
 				pass:    pass,
-				file:    file,
 				rng:     rng,
 				fn:      enclosingFunc(stack),
 				visited: map[*ast.FuncLit]bool{},
@@ -62,36 +60,21 @@ func runMapOrder(pass *Pass) {
 // attributed to the map iteration.
 type mapOrderCheck struct {
 	pass    *Pass
-	file    *ast.File
 	rng     *ast.RangeStmt
 	fn      ast.Node
 	visited map[*ast.FuncLit]bool
 	// locals are extra spans (closure bodies on the call path) whose
 	// declarations count as loop-local rather than outer state.
 	locals []span
-	// fixes caches the collect-keys-sort-iterate rewrite for this range
-	// (built at most once, attached to every finding it would resolve).
-	fixes      []SuggestedFix
-	fixesBuilt bool
 }
 
 type span struct{ lo, hi token.Pos }
-
-// reportf records a finding attributed to this map range, attaching the
-// suggested collect-keys-sort-iterate rewrite when one can be built.
-func (c *mapOrderCheck) reportf(pos token.Pos, format string, args ...any) {
-	if !c.fixesBuilt {
-		c.fixesBuilt = true
-		c.fixes = buildMapOrderFix(c.pass, c.file, c.rng)
-	}
-	c.pass.ReportFixf(pos, c.fixes, format, args...)
-}
 
 func (c *mapOrderCheck) checkBody(body ast.Node) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch s := n.(type) {
 		case *ast.SendStmt:
-			c.reportf(s.Pos(),
+			c.pass.Reportf(s.Pos(),
 				"channel send inside map iteration: receive order follows the randomized map order; "+
 					"iterate a sorted key slice")
 		case *ast.AssignStmt:
@@ -160,7 +143,7 @@ func checkMapRangeAssign(c *mapOrderCheck, s *ast.AssignStmt) {
 		t := pass.Info.TypeOf(s.Lhs[0])
 		if b, ok := t.(*types.Basic); ok && b.Info()&types.IsString != 0 {
 			if obj := c.outerObject(s.Lhs[0]); obj != nil {
-				c.reportf(s.Pos(),
+				pass.Reportf(s.Pos(),
 					"string %s concatenated inside map iteration: output follows the randomized map order; "+
 						"iterate a sorted key slice", obj.Name())
 			}
@@ -179,7 +162,7 @@ func checkMapRangeAssign(c *mapOrderCheck, s *ast.AssignStmt) {
 		if c.fn != nil && sortedAfter(pass, c.fn, c.rng, obj) {
 			continue // key-collection idiom: append then sort
 		}
-		c.reportf(s.Pos(),
+		pass.Reportf(s.Pos(),
 			"append to %s inside map iteration without a subsequent sort: element order follows the "+
 				"randomized map order; sort %s afterwards or iterate a sorted key slice",
 			obj.Name(), obj.Name())
@@ -207,7 +190,7 @@ func checkMapRangeCall(c *mapOrderCheck, call *ast.CallExpr) {
 		if fnObj.Pkg() != nil && fnObj.Pkg().Path() == "fmt" && len(call.Args) > 0 {
 			if _, ok := fmtFormatters[name]; ok && name[0] == 'F' {
 				if obj := c.outerObject(call.Args[0]); obj != nil {
-					c.reportf(call.Pos(),
+					pass.Reportf(call.Pos(),
 						"fmt.%s into %s inside map iteration: output follows the randomized map order; "+
 							"iterate a sorted key slice", name, obj.Name())
 				}
@@ -220,14 +203,14 @@ func checkMapRangeCall(c *mapOrderCheck, call *ast.CallExpr) {
 	// from the embedded testing.common.
 	recvType := pass.Info.TypeOf(sel.X)
 	if testLogMethods[name] && isTestingTB(recvType) {
-		c.reportf(call.Pos(),
+		pass.Reportf(call.Pos(),
 			"%s.%s inside map iteration: test output and failure order follow the randomized map order; "+
 				"iterate a sorted key slice", recvName(sel), name)
 		return
 	}
 	if orderedWriteMethods[name] && isOutputSink(recvType) {
 		if obj := c.outerObject(sel.X); obj != nil {
-			c.reportf(call.Pos(),
+			pass.Reportf(call.Pos(),
 				"%s.%s inside map iteration: output follows the randomized map order; "+
 					"iterate a sorted key slice", obj.Name(), name)
 		}

@@ -94,7 +94,7 @@ func checkConcurrentWrite(pass *Pass, fl *ast.FuncLit, stack []ast.Node, s *ast.
 	}
 	if i < len(s.Rhs) {
 		if call, ok := ast.Unparen(s.Rhs[i]).(*ast.CallExpr); ok && isAppend(pass.Info, call) {
-			pass.ReportFixf(s.Pos(), buildParMapAppendFix(pass, fl, s, obj),
+			pass.Reportf(s.Pos(),
 				"append to captured %s inside a goroutine closure: element order depends on worker "+
 					"completion order (and the append races); write results by index into a preallocated slice",
 				obj.Name())

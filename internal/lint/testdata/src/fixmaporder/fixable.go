@@ -1,12 +1,12 @@
-// Package fixmaporder exercises the maporder suggested-fix builder:
-// every violation in this file should carry a machine-applicable
-// collect-keys-sort-iterate rewrite, while unfixable.go holds the shapes
-// the builder must decline.
+// Package fixmaporder holds maporder violations beyond fixsim's: string,
+// int and package-local named key types and a key-only range here, a
+// file that imports sort in hassort.go, and a struct key and a map
+// operand that is a call in unfixable.go.
 package fixmaporder
 
 import "fmt"
 
-// CountsReport appends in map order: fixable, string key, value used.
+// CountsReport appends in map order: string key, value used.
 func CountsReport(counts map[string]int) []string {
 	var out []string
 	for name, n := range counts {
@@ -15,7 +15,7 @@ func CountsReport(counts map[string]int) []string {
 	return out
 }
 
-// Widths concatenates in map order: fixable, int key, key-only range.
+// Widths concatenates in map order: int key, key-only range.
 func Widths(widths map[int]bool) string {
 	s := ""
 	for w := range widths {
@@ -24,10 +24,10 @@ func Widths(widths map[int]bool) string {
 	return s
 }
 
-// ID is a package-local ordered key type: the fix must name it.
+// ID is a package-local ordered key type.
 type ID uint32
 
-// IDs appends in map order: fixable, named key type.
+// IDs appends in map order: named key type.
 func IDs(m map[ID]string) []ID {
 	var out []ID
 	for id := range m {

@@ -5,8 +5,8 @@ import (
 	"sort"
 )
 
-// Labels appends in map order: fixable, and the file already imports
-// sort, so the rewrite must not add a second import.
+// Labels appends in map order in a file that imports sort, but never
+// sorts out: flagged.
 func Labels(m map[uint64]string) []string {
 	var out []string
 	for id, lab := range m {

@@ -3,8 +3,8 @@ package fixmaporder
 // Pair is an unordered (struct) key type.
 type Pair struct{ A, B int }
 
-// PairSums is flagged, but carries no fix: struct keys have no < for the
-// sort the rewrite relies on.
+// PairSums appends in map order over a struct key type, which has no <
+// to sort by: flagged.
 func PairSums(m map[Pair]int) []int {
 	var out []int
 	for p, v := range m {
@@ -13,8 +13,8 @@ func PairSums(m map[Pair]int) []int {
 	return out
 }
 
-// FromCall is flagged, but carries no fix: the map operand is a call,
-// which the rewrite would have to evaluate three times.
+// FromCall appends in map order over a map that a call returns:
+// flagged.
 func FromCall() []string {
 	var out []string
 	for k := range load() {

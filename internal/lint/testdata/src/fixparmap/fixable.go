@@ -1,13 +1,13 @@
-// Package fixparmap exercises the parmap-discipline suggested-fix
-// builder: the violation in this file should carry the machine-applicable
-// write-by-index rewrite, while unfixable.go holds the shapes the builder
-// must decline.
+// Package fixparmap holds parmap-discipline violations beyond fixsim's:
+// worker goroutines that append their results to a captured slice, with
+// and without a worker-index parameter, twice per worker, and over a
+// slice made with and without a capacity.
 package fixparmap
 
 import "sync"
 
-// Squares gathers worker results by appending to a captured slice:
-// fixable — single int-parameter closure, capacity-only make, sole write.
+// Squares gathers worker results by appending to a captured slice from
+// a closure with one int parameter, over a capacity-only make.
 func Squares(n int) []int {
 	out := make([]int, 0, n)
 	var wg sync.WaitGroup

@@ -2,8 +2,8 @@ package fixparmap
 
 import "sync"
 
-// NoIndex appends from a closure with no worker-index parameter: flagged,
-// but no slot to write into, so no fix is offered.
+// NoIndex appends from a closure with no worker-index parameter:
+// flagged.
 func NoIndex(n int) []int {
 	out := make([]int, 0, n)
 	var wg sync.WaitGroup
@@ -18,8 +18,8 @@ func NoIndex(n int) []int {
 	return out
 }
 
-// SecondWrite appends twice per worker: the length rewrite would drop
-// half the results, so no fix is offered for either append.
+// SecondWrite appends twice per worker: each append is flagged on its
+// own.
 func SecondWrite(n int) []int {
 	out := make([]int, 0, 2*n)
 	var wg sync.WaitGroup
@@ -35,8 +35,8 @@ func SecondWrite(n int) []int {
 	return out
 }
 
-// NoCapacity declares the slice without a capacity: the rewrite cannot
-// know the slot count, so no fix is offered.
+// NoCapacity appends to a slice declared without a capacity:
+// flagged.
 func NoCapacity(n int) []int {
 	var out []int
 	var wg sync.WaitGroup

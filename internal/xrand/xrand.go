@@ -103,12 +103,13 @@ func (r *Rand) Uint64n(n uint64) uint64 {
 	if n&(n-1) == 0 {
 		return r.Uint64() & (n - 1)
 	}
-	// A draw is kept when it is at most ^uint64(0) - ^uint64(0)%n. Every
-	// v <= ^uint64(0)-n is below that limit, so only the top n values pay
-	// the division that computes it; the stream is the same.
+	// A draw is kept when it is below ^uint64(0) - ^uint64(0)%n, so the
+	// kept range is an exact multiple of n. Every v <= ^uint64(0)-n is
+	// below that limit, so only the top n values pay the division that
+	// computes it; the stream is the same.
 	for {
 		v := r.Uint64()
-		if v <= ^uint64(0)-n || v <= ^uint64(0)-^uint64(0)%n {
+		if v <= ^uint64(0)-n || v < ^uint64(0)-^uint64(0)%n {
 			return v % n
 		}
 	}

@@ -55,23 +55,52 @@ func TestUint64nRange(t *testing.T) {
 	}
 }
 
-// TestUint64nMatchesLimitFormula pins Uint64n's stream to the rejection
-// rule it has always had: keep a draw v when v <= ^uint64(0) -
-// ^uint64(0)%n. The n range over small ones, the 1462 data sets a
-// default Thesaurus draws victim sets from, and ones whose rejection zone
-// is up to half the draws.
+// TestUint64nMatchesLimitFormula pins Uint64n's stream to its rejection
+// rule: keep a draw v when v < ^uint64(0) - ^uint64(0)%n. The n range
+// over small ones, the 1462 data sets a default Thesaurus draws victim
+// sets from, and ones whose rejection zone is up to half the draws.
 func TestUint64nMatchesLimitFormula(t *testing.T) {
 	for _, n := range []uint64{3, 5, 7, 1000, 1462, 1<<40 + 3, 1<<63 + 1, math.MaxUint64 - 1, math.MaxUint64} {
 		got, ref := New(n), New(n)
 		limit := uint64(math.MaxUint64) - math.MaxUint64%n
 		for i := 0; i < 100_000; i++ {
 			v := ref.Uint64()
-			for v > limit {
+			for v >= limit {
 				v = ref.Uint64()
 			}
 			if g := got.Uint64n(n); g != v%n {
 				t.Fatalf("n=%d draw %d: %d, want %d", n, i, g, v%n)
 			}
+		}
+	}
+}
+
+// TestUint64nRejectsTopResidue forces the next Uint64 to
+// y = ^uint64(0) - ^uint64(0)%n, the largest multiple of n below 2^64.
+// Keeping draws up to and including y would give 0 one preimage more
+// than any other value, so Uint64n must reject y and draw again. Uint64
+// returns rotl(s[1]*5, 7)*9, so s[1] = rotr(y*9⁻¹, 7)*5⁻¹ (mod 2^64)
+// yields y.
+func TestUint64nRejectsTopResidue(t *testing.T) {
+	inv9, inv5 := uint64(0x8e38e38e38e38e39), uint64(0xcccccccccccccccd)
+	if inv9*9 != 1 || inv5*5 != 1 {
+		t.Fatal("9⁻¹ or 5⁻¹ mod 2^64 is wrong")
+	}
+	for _, n := range []uint64{3, 1462, 1<<63 + 1} {
+		limit := uint64(math.MaxUint64) - math.MaxUint64%n
+		r := New(n)
+		r.s[1] = rotl(limit*inv9, 64-7) * inv5
+		ref := *r
+		if v := ref.Uint64(); v != limit {
+			t.Fatalf("n=%d: forced draw %#x, want %#x", n, v, limit)
+		}
+		v := ref.Uint64()
+		for v >= limit {
+			v = ref.Uint64()
+		}
+		if got := r.Uint64n(n); got != v%n || r.s != ref.s {
+			t.Errorf("n=%d: Uint64n returned %d with state %x, want %d with state %x (the draw %#x must be rejected)",
+				n, got, r.s, v%n, ref.s, limit)
 		}
 	}
 }
