@@ -33,13 +33,15 @@ alloc-budget:
 # fills staged with Store.Stage match fills written with Poke read by
 # read, and sim.Replay with Verify on returns every recorded value. And
 # a design built from the arrays a released instance parked must replay
-# exactly like one built from fresh allocations. Every design that
+# exactly like one built from fresh allocations, and once its pools are
+# warm a whole cell of it (store, Build, Replay, both Releases) must
+# allocate at most 16 KiB, however long the recording. Every design that
 # releases llc.Counters must report a non-empty view with unique names
 # after a write-heavy replay, and its decision histograms (BΔI kinds,
 # C-Pack patterns, DISH fills) must add up to its insertions plus its
 # write hits.
 registry-check:
-	$(GO) test -run 'TestRegistryOrderAndHarnessAgreement|TestEverySchemeIsComplete|TestEverySchemeReplaysExactly|TestRecycledSchemesMatchFresh|TestCounterSnapshotsAreConsistent' ./internal/scheme
+	$(GO) test -run 'TestRegistryOrderAndHarnessAgreement|TestEverySchemeIsComplete|TestEverySchemeReplaysExactly|TestRecycledSchemesMatchFresh|TestWarmCellsAllocateLittle|TestCounterSnapshotsAreConsistent' ./internal/scheme
 
 build:
 	$(GO) build ./...
@@ -52,13 +54,14 @@ test:
 # the parallel campaign paths — including the per-worker scratch arenas
 # the Thesaurus caches carry, the singleflight run coalescing, and
 # the release lifecycle's pools (docs/performance.md): the pooled base
-# tables, and the cache.Pool free lists every design parks its arrays in,
-# which concurrent workers share. Short trace lengths keep this a smoke
+# tables, the cache.Pool free lists every design parks its arrays in, and
+# the backing store's page pool and page-map pool (internal/memory), all
+# of which concurrent workers share. Short trace lengths keep this a smoke
 # pass, not a full campaign. netq, the distributed-campaign queue, is
 # goroutine-heavy too: leases, heartbeats, reconnects
 # (docs/distribution.md).
 race:
-	$(GO) test -race -count=1 ./internal/harness ./internal/experiments ./internal/thesaurus ./internal/netq ./internal/cache
+	$(GO) test -race -count=1 ./internal/harness ./internal/experiments ./internal/thesaurus ./internal/netq ./internal/cache ./internal/memory
 
 # Compile-and-run the micro-benchmarks once, every BenchmarkHotPath row
 # included: catches benchmarks broken by API changes without paying full

@@ -75,6 +75,8 @@ func ExampleMustNewCache() {
 	}
 
 	fp := cache.Footprint()
+	cache.Release()
+	mem.Release()
 	fmt.Println("resident lines:", fp.ResidentLines)
 	fmt.Println("compresses at least 3x:", fp.CompressionRatio() > 3)
 	// Output:

@@ -31,6 +31,8 @@ func main() {
 			cache.Read(repro.Addr(i * repro.LineSize))
 		}
 		st := cache.AdaptiveStats()
+		cache.Release()
+		mem.Release()
 		fmt.Printf("adaptive on a streaming workload: %d/%d epochs ran uncompressed (%d raw placements)\n",
 			st.DisabledEpochs, st.Epochs, st.DisabledPlacements)
 	}
@@ -53,7 +55,10 @@ func main() {
 				mem.Poke(repro.Addr(i*repro.LineSize), l)
 				cache.Read(repro.Addr(i * repro.LineSize))
 			}
-			return cache.Footprint().CompressionRatio()
+			ratio := cache.Footprint().CompressionRatio()
+			cache.Release()
+			mem.Release()
+			return ratio
 		}
 		fmt.Printf("intra-line fallback on unclustered BΔI-friendly lines: %.2fx -> %.2fx\n",
 			run(false), run(true))

@@ -63,5 +63,9 @@ func main() {
 		}
 		fmt.Printf("%-14s %9.2fx %9.0f%% %8.2f %8.3f\n",
 			d.name, res.CompressionRatio, 100*res.Occupancy, res.MPKI, res.IPC)
+		// The result is a copy: release the cache and the memory, so the
+		// next design reuses their storage.
+		c.Release()
+		mem.Release()
 	}
 }

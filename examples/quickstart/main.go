@@ -52,4 +52,9 @@ func main() {
 	fmt.Printf("avg diff size:         %.1f bytes\n", extra.AvgDiffBytes())
 	fmt.Printf("encodings [raw b+d 0+d base zero]: %v\n", extra.ByFormat)
 	fmt.Printf("base cache hit rate:   %.1f%%\n", 100*cache.BaseCache().HitRate())
+
+	// Whoever builds a cache and its memory releases them, once, after
+	// the last read; a campaign's next cell reuses their storage.
+	cache.Release()
+	mem.Release()
 }

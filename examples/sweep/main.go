@@ -38,6 +38,10 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
+		// The result is a copy: release the cache and the memory, so the
+		// next configuration reuses their storage.
+		c.Release()
+		mem.Release()
 		return res
 	}
 

@@ -14,7 +14,9 @@ import (
 	"repro/internal/memory"
 	"repro/internal/netq"
 	"repro/internal/scheme"
+	"repro/internal/sim"
 	"repro/internal/thesaurus"
+	"repro/internal/workload"
 )
 
 // BenchmarkHotPath times the paper's §5.4 access paths and the campaign
@@ -175,6 +177,43 @@ func BenchmarkHotPath(b *testing.B) {
 				}
 				c.Release()
 			}
+		}
+	})
+	// One op is a warm campaign cell: a store, a Thesaurus, a replay with
+	// Verify on of a fixed 20k-access write-heavy mcf recording, and both
+	// releases. Its B/op is the garbage a replay loop leaves per cell.
+	warmCellRec := sync.OnceValues(func() (*sim.Recorded, error) {
+		p, err := workload.ProfileByName("mcf")
+		if err != nil {
+			return nil, err
+		}
+		p.Pattern.WriteFraction = 0.6
+		g := p.Generate(20_000)
+		return sim.Record(g.Stream, sim.DefaultSystem(), g.Image), nil
+	})
+	row("lifecycle", "warm_cell", 0, func(b *testing.B) {
+		rec, err := warmCellRec()
+		if err != nil {
+			b.Fatal(err)
+		}
+		opt := sim.DefaultReplayOptions()
+		opt.Verify = true
+		cell := func() {
+			st := memory.NewStore()
+			c, err := scheme.Build("Thesaurus", st)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := sim.Replay(c, rec, st, sim.DefaultSystem(), opt); err != nil {
+				b.Fatal(err)
+			}
+			c.Release()
+			st.Release()
+		}
+		cell() // warm the pools
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			cell()
 		}
 	})
 	row("hot-path", "basetable_pooled_cycle_2p20", 0, func(b *testing.B) {

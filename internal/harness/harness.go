@@ -223,13 +223,18 @@ func runOnce(profile, design string, opt RunOptions, sample, lines bool) (*RunOu
 	if err != nil {
 		return nil, err
 	}
+	// The backing store's pages and page map are only needed during
+	// replay; the statistics the experiments read are copied out of it
+	// first. Releasing it on every return, a failed build or replay
+	// included, keeps long campaigns (one store per design × profile)
+	// within memory.
+	st := memory.NewStore()
+	defer st.Release()
 	var c llc.Cache
-	var st *memory.Store
 	if cfg := effectiveThesaurusConfig(design, opt); cfg != nil {
-		st = memory.NewStore()
 		c, err = thesaurus.New(*cfg, st)
 	} else {
-		c, st, err = BuildLLC(design)
+		c, err = scheme.Build(design, st)
 	}
 	if err != nil {
 		return nil, err
@@ -261,19 +266,17 @@ func runOnce(profile, design string, opt RunOptions, sample, lines bool) (*RunOu
 	}
 	replays.Add(1)
 	res, err := sim.Replay(c, rec, st, sim.DefaultSystem(), ropt)
+	// End of the cache's life, whether or not the replay verified: extract
+	// the immutable statistics snapshot and return the bulk storage to the
+	// design's pools — the Thesaurus base table to the per-size pool for
+	// the next sweep configuration. Nothing may touch c after this point
+	// (the lint suite's releaseuse analyzer checks).
+	snap := c.Release()
 	if err != nil {
 		return nil, err
 	}
 	out.Res = res
-	// End of the cache's life: extract the immutable statistics snapshot
-	// and free the bulk storage — the Thesaurus base table returns to the
-	// per-size pool for the next sweep configuration. Nothing may touch c
-	// after this point (thesauruslint's releaseuse analyzer checks).
-	out.Snap = c.Release()
-	// Likewise the backing store's content map is only needed during
-	// replay; the statistics the experiments read survive a release. This
-	// keeps long campaigns (one store per design × profile) within memory.
-	st.Release()
+	out.Snap = snap
 	return out, nil
 }
 

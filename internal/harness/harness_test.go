@@ -5,13 +5,17 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/line"
 	"repro/internal/llc"
+	"repro/internal/memory"
+	"repro/internal/scheme"
 	"repro/internal/sim"
 	"repro/internal/thesaurus"
 	"repro/internal/uncomp"
@@ -32,6 +36,44 @@ func TestBuildAllDesigns(t *testing.T) {
 	}
 	if _, _, err := BuildLLC("nonsense"); err == nil {
 		t.Fatal("unknown design built")
+	}
+}
+
+// TestReplayErrorReleasesCell: a replay that fails Verify still releases
+// its cache and store, so the design's next Build is served from the
+// pool. The recording reads one line twice with different values and no
+// write between, so the second read hits and returns the first value.
+func TestReplayErrorReleasesCell(t *testing.T) {
+	const profile, accesses = "stale-read", 2
+	key := fmt.Sprintf("%s/%d", profile, accesses)
+	var first, second line.Line
+	first[0], second[0] = 1, 2
+	recordedCache.Store(key, &sim.Recorded{Events: []sim.Event{
+		{Kind: sim.EventRead, Addr: 0x40, Data: first},
+		{Kind: sim.EventRead, Addr: 0x40, Data: second},
+	}})
+	t.Cleanup(func() { recordedCache.Delete(key) })
+	opt := quickOpt()
+	opt.Accesses = accesses
+	opt.Replay.Verify = true
+	cache.DrainPools()
+	if _, err := runOnce(profile, "Baseline", opt, false, false); err == nil {
+		t.Fatal("a replay that returned a stale line passed Verify")
+	}
+	// A fresh Baseline allocates its 1 MiB tag array; a pooled one does
+	// not.
+	st := memory.NewStore()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c, err := scheme.Build("Baseline", st)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Release()
+	st.Release()
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+		t.Fatalf("Build after a failed replay allocated %d bytes: the failed cell's arrays did not return to the pool", got)
 	}
 }
 

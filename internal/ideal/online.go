@@ -58,14 +58,13 @@ type Cache struct {
 	// computed once and shared by cost, store and indexLine.
 	slots [line.WordsPerLine]int
 	sig   signature
-	// queue lists the tags the current search has queued for a diff.
-	queue []int
 
 	stats llc.Stats
 }
 
-// tagArrays is the per-tag bulk state beside the tag array, parked in
-// arrayPool by tag count when a cache is released.
+// tagArrays is the per-tag bulk state beside the tag array, and the
+// search queue, parked in arrayPool by tag count when a cache is
+// released.
 type tagArrays struct {
 	lines []line.Line // contents by tag index
 	state []tagState  // search state by tag index
@@ -77,6 +76,9 @@ type tagArrays struct {
 	// (lazily cleaned: a reference whose tag no longer holds the word
 	// leaves its list only when a scan reaches it).
 	words wordTable
+	// queue lists the tags the current search has queued for a diff;
+	// each search cuts it to [:0].
+	queue []int
 }
 
 // Pools of released bulk state, keyed by geometry (docs/performance.md,
@@ -104,6 +106,9 @@ func New(cfg Config, mem *memory.Store) *Cache {
 			state:  make([]tagState, cfg.TagEntries),
 			valid:  make([]uint64, (cfg.TagEntries+63)/64),
 			queued: make([]uint64, (cfg.TagEntries+63)/64),
+			// At most maxCandidates+1 visits, one more per later word
+			// once the scan has broken off, and the random probes.
+			queue: make([]int, 0, maxCandidates+line.WordsPerLine+randomProbes),
 		}
 	}
 	return &Cache{
@@ -116,9 +121,6 @@ func New(cfg Config, mem *memory.Store) *Cache {
 		rng:       xrand.New(cfg.Seed),
 		idBits:    idBits,
 		idMask:    1<<idBits - 1,
-		// At most maxCandidates+1 visits, one more per later word once
-		// the scan has broken off, and the random probes.
-		queue: make([]int, 0, maxCandidates+line.WordsPerLine+randomProbes),
 	}
 }
 
@@ -403,6 +405,5 @@ func (c *Cache) Release() llc.StatsSnapshot {
 	arrayPool.Put(c.cfg.TagEntries, c.tagArrays)
 	c.tags = nil
 	c.tagArrays = tagArrays{}
-	c.queue = nil
 	return llc.StatsSnapshot{Design: c.Name(), Stats: c.stats}
 }

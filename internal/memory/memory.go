@@ -10,9 +10,10 @@ package memory
 
 import (
 	"math/bits"
-	"sort"
+	"slices"
 	"sync"
 
+	"repro/internal/cache"
 	"repro/internal/dram"
 	"repro/internal/line"
 )
@@ -96,25 +97,27 @@ func getPage() *page {
 	return &page{}
 }
 
-// putPages recycles pages. Each page is zeroed before it is offered so
-// a recycled page is indistinguishable from a fresh one. Only the
-// present lines need clearing: set is the only writer of a page's lines
-// and always marks the line present, so every other line is still zero.
-// Replays populate a few lines per page, so this touches a fraction of
-// the 4 KiB a whole-page clear would.
-func putPages(pages []*page) {
+// putPages recycles the pages held under the indices pis, in that
+// order. Each page is zeroed before it is offered so a recycled page is
+// indistinguishable from a fresh one. Only the present lines need
+// clearing: set is the only writer of a page's lines and always marks
+// the line present, so every other line is still zero. Replays populate
+// a few lines per page, so this touches a fraction of the 4 KiB a
+// whole-page clear would.
+func putPages(pages map[uint64]*page, pis []uint64) {
 	pagePool.mu.Lock()
-	for _, p := range pages {
+	defer pagePool.mu.Unlock()
+	for _, pi := range pis {
 		if len(pagePool.free) >= pagePoolCap {
-			break
+			return
 		}
+		p := pages[pi]
 		for m := p.present; m != 0; m &= m - 1 {
 			p.lines[bits.TrailingZeros64(m)] = line.Line{}
 		}
 		p.present = 0
 		pagePool.free = append(pagePool.free, p)
 	}
-	pagePool.mu.Unlock()
 }
 
 // pagePoolSize reports the freelist length (test hook).
@@ -131,10 +134,27 @@ func drainPagePool() {
 	pagePool.mu.Unlock()
 }
 
+// pageMap is a store's page index: the map from page index to page, and
+// the indices it holds in the order they were first touched. A released
+// store parks its emptied pageMap in mapPool for the next store, so a
+// replay loop does not grow and drop a map (and sort buffers) per cell.
+type pageMap struct {
+	pages map[uint64]*page
+	held  []uint64
+	// fits is the most pages the map has held or was reserved for: a Go
+	// map never shrinks, so it holds that many again without growing.
+	fits int
+}
+
+// mapPool holds the emptied page maps of released stores, one per
+// worker that can release at once (cache.Pool); cache.DrainPools
+// empties it.
+var mapPool = cache.NewPool[struct{}, pageMap]()
+
 // Store is a sparse DRAM image at cacheline granularity. Unpopulated
 // lines read as zero, as freshly mapped pages do.
 type Store struct {
-	pages     map[uint64]*page
+	pageMap
 	populated int
 	stats     Stats
 	// latency prices demand accesses; nil means the simulator's flat
@@ -180,14 +200,37 @@ func (s *Store) set(addr line.Addr, data line.Line) {
 	pi, si := locate(addr)
 	p := s.pages[pi]
 	if p == nil {
-		p = getPage()
-		s.pages[pi] = p
+		p = s.newPage(pi)
 	}
 	if bit := uint64(1) << si; p.present&bit == 0 {
 		p.present |= bit
 		s.populated++
 	}
 	p.lines[si] = data
+}
+
+// newPage materializes page pi. A released store takes a page map from
+// the pool again on its first write.
+func (s *Store) newPage(pi uint64) *page {
+	if s.pages == nil {
+		s.adoptMap()
+	}
+	p := getPage()
+	s.pages[pi] = p
+	s.held = append(s.held, pi)
+	return p
+}
+
+// adoptMap gives s an empty page map: a parked one when the pool has
+// one, else a fresh one.
+//
+//thesaurus:allocok cold pool refill: NewStore, or the first write after a Release, takes a parked map; only an empty pool makes one
+func (s *Store) adoptMap() {
+	m, ok := mapPool.Get(struct{}{})
+	if !ok {
+		m.pages = make(map[uint64]*page)
+	}
+	s.pageMap = m
 }
 
 // AttachLatencyModel prices subsequent demand accesses (fills and
@@ -201,9 +244,12 @@ func (s *Store) DemandCycles() (float64, bool) {
 	return s.demandCycles, s.latency != nil
 }
 
-// NewStore returns an empty store.
+// NewStore returns an empty store. Its page map is one a released store
+// parked, when there is one.
 func NewStore() *Store {
-	return &Store{pages: make(map[uint64]*page)}
+	s := &Store{}
+	s.adoptMap()
+	return s
 }
 
 // Read returns the content of the line containing addr and counts one
@@ -268,10 +314,14 @@ func (s *Store) Populated() int { return s.populated }
 // a caller that Pokes a known working set pays the map's growth once.
 // sim.Replay does not call it (it stages fills with Stage); the
 // benchmark's per-operation LLC probe, which Pokes fills, does. Existing
-// content is preserved.
+// content is preserved, and a recycled map that has already held that
+// many pages is kept as it is.
 func (s *Store) Reserve(n int) {
 	hint := n / pageLines
-	if hint <= len(s.pages) {
+	if s.pages == nil {
+		s.adoptMap()
+	}
+	if hint <= max(len(s.pages), s.fits) {
 		return
 	}
 	pages := make(map[uint64]*page, hint)
@@ -279,29 +329,43 @@ func (s *Store) Reserve(n int) {
 		pages[pi] = p
 	}
 	s.pages = pages
+	s.fits = hint
 }
 
 // Release drops the content pages and the fill latch, keeping the access
 // statistics. Long experiment campaigns call this once a replay is
 // finished and only the counters are still needed; subsequent reads
-// observe zero lines. The pages return to the package pool for the next
-// replay.
+// observe zero lines. The pages return to the package pool and the
+// emptied page map to mapPool, for the next store. Release allocates
+// nothing, and its cost follows the pages held (a sort of their
+// indices), not the size the map has grown to.
 func (s *Store) Release() {
-	// Collect in sorted page-index order so the pool's stack order (and
-	// therefore which physical page a later store receives) never depends
-	// on map iteration order. Recycled pages are zeroed, so this is pure
-	// hygiene — but determinism hygiene is this repository's contract.
-	pis := make([]uint64, 0, len(s.pages))
-	for pi := range s.pages {
-		pis = append(pis, pi)
+	if s.pages != nil {
+		// Recycle in sorted page-index order so the pool's stack order
+		// (and therefore which physical page a later store receives)
+		// never depends on the order pages were first touched. Recycled
+		// pages are zeroed, so this is pure hygiene — but determinism
+		// hygiene is this repository's contract.
+		slices.Sort(s.held)
+		putPages(s.pages, s.held)
+		// Empty the map in O(pages held). A clear walks every slot the
+		// map has grown, so it pays only while the map holds at least an
+		// eighth of the most it has held; below that, delete the held
+		// keys. Deletes from a full group of a Go map leave tombstones
+		// that would grow a recycled map over many lives, but at that
+		// load a group is almost never full, and each clear drops them.
+		s.fits = max(s.fits, len(s.pages))
+		if len(s.held) >= s.fits/8 {
+			clear(s.pages)
+		} else {
+			for _, pi := range s.held {
+				delete(s.pages, pi)
+			}
+		}
+		s.held = s.held[:0]
+		mapPool.Put(struct{}{}, s.pageMap)
+		s.pageMap = pageMap{}
 	}
-	sort.Slice(pis, func(i, j int) bool { return pis[i] < pis[j] })
-	recycle := make([]*page, len(pis))
-	for i, pi := range pis {
-		recycle[i] = s.pages[pi]
-	}
-	putPages(recycle)
-	s.pages = make(map[uint64]*page)
 	s.populated = 0
 	s.latched = false
 	s.latch = line.Line{}

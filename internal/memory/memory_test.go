@@ -1,10 +1,13 @@
 package memory
 
 import (
+	"sync"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/dram"
 	"repro/internal/line"
+	"repro/internal/xrand"
 )
 
 func TestReadWriteAccounting(t *testing.T) {
@@ -256,4 +259,150 @@ func TestStoreIntegration(t *testing.T) {
 	if cyc, _ := st.DemandCycles(); cyc != 0 {
 		t.Fatal("reset did not clear demand cycles")
 	}
+}
+
+// TestReleaseAllocatesNothing: once the pools are warm, a store's whole
+// life — Reserve, writing a few pages, Release, and writing again after
+// the Release — takes its page map and pages from the pools and
+// allocates nothing, and a recycled map that has held the reserved
+// working set is kept by Reserve instead of rebuilt.
+func TestReleaseAllocatesNothing(t *testing.T) {
+	s := NewStore()
+	life := func() {
+		s.Reserve(8 * pageLines)
+		fillStore(s, 0x40000, 5*pageLines)
+		s.Release()
+	}
+	life()
+	if allocs := testing.AllocsPerRun(50, life); allocs != 0 {
+		t.Fatalf("a warm store life allocates %.1f objects", allocs)
+	}
+}
+
+// TestRecycledStoreMatchesFresh: a store whose page map a previous store
+// filled with thousands of pages and released behaves exactly like a
+// store on a fresh map. Both run the same random sequence of Write,
+// Poke, Stage, Read, Peek, Reserve and Release calls, and every read,
+// Populated, Stats, DemandCycles and the page images must agree.
+func TestRecycledStoreMatchesFresh(t *testing.T) {
+	const heldPages = 4096
+	for seed := uint64(1); seed <= 4; seed++ {
+		used := NewStore()
+		for i := 0; i < heldPages; i++ {
+			var l line.Line
+			l[0], l[1] = byte(i), 0x5A
+			used.Poke(line.Addr(i*pageLines*line.Size), l)
+		}
+		used.Release()
+		recycled := NewStore()
+		if recycled.fits < heldPages {
+			t.Fatalf("NewStore did not take the released map (it has held %d pages)", recycled.fits)
+		}
+		cache.DrainPools()
+		fresh := NewStore()
+		if fresh.fits != 0 {
+			t.Fatal("NewStore took a map after the pools were drained")
+		}
+		recycled.AttachLatencyModel(dram.New(dram.DDR3_1066()))
+		fresh.AttachLatencyModel(dram.New(dram.DDR3_1066()))
+		runStoreOps(t, xrand.New(seed), recycled, fresh)
+	}
+}
+
+// runStoreOps drives a and b through one random operation sequence over
+// 48 pages, some of which the recycled map held in its previous life,
+// and fails at the first observation on which they differ.
+func runStoreOps(t *testing.T, rng *xrand.Rand, a, b *Store) {
+	t.Helper()
+	const ops = 6000
+	addr := func() line.Addr {
+		return line.Addr((rng.Intn(48)*pageLines*17 + rng.Intn(pageLines)) * line.Size)
+	}
+	data := func() line.Line {
+		var l line.Line
+		l[rng.Intn(line.Size)] = byte(1 + rng.Intn(255))
+		return l
+	}
+	kind := func() AccessKind { return AccessKind(rng.Intn(int(numKinds))) }
+	for i := 0; i < ops; i++ {
+		switch op := rng.Intn(100); {
+		case op < 25:
+			x, d, k := addr(), data(), kind()
+			a.Write(x, d, k)
+			b.Write(x, d, k)
+		case op < 40:
+			x, d := addr(), data()
+			a.Poke(x, d)
+			b.Poke(x, d)
+		case op < 55:
+			x, d := addr(), data()
+			a.Stage(x, d)
+			b.Stage(x, d)
+		case op < 75:
+			x, k := addr(), kind()
+			if ra, rb := a.Read(x, k), b.Read(x, k); ra != rb {
+				t.Fatalf("op %d: Read(%#x) differs", i, uint64(x))
+			}
+		case op < 95:
+			x := addr()
+			if pa, pb := a.Peek(x), b.Peek(x); pa != pb {
+				t.Fatalf("op %d: Peek(%#x) differs", i, uint64(x))
+			}
+		case op < 98:
+			n := rng.Intn(64 * pageLines)
+			a.Reserve(n)
+			b.Reserve(n)
+		default:
+			a.Release()
+			b.Release()
+		}
+		if a.Populated() != b.Populated() || a.Stats() != b.Stats() {
+			t.Fatalf("op %d: Populated %d vs %d, Stats %+v vs %+v", i,
+				a.Populated(), b.Populated(), a.Stats(), b.Stats())
+		}
+		ca, _ := a.DemandCycles()
+		cb, _ := b.DemandCycles()
+		if ca != cb {
+			t.Fatalf("op %d: DemandCycles %v vs %v", i, ca, cb)
+		}
+		if i%64 == 0 && !PagesEqual(a, b) {
+			t.Fatalf("op %d: page images differ", i)
+		}
+	}
+	if !PagesEqual(a, b) {
+		t.Fatal("page images differ after the sequence")
+	}
+}
+
+// TestConcurrentStoreLifecycles: stores built, filled and released on
+// several goroutines at once share the page pool and the map pool, and
+// each reads back exactly what it wrote. make race runs it under -race.
+func TestConcurrentStoreLifecycles(t *testing.T) {
+	const workers, lives = 4, 40
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for life := 0; life < lives; life++ {
+				s := NewStore()
+				base := line.Addr(w*1024+life) * pageLines * line.Size
+				n := (1 + (w+life)%4) * pageLines
+				fillStore(s, base, n)
+				for i := 0; i < n; i++ {
+					got := s.Peek(base + line.Addr(i*line.Size))
+					if got[0] != byte(i) || got[1] != byte(i>>8) || got[2] != 0xA5 {
+						t.Errorf("worker %d life %d: line %d reads back wrong", w, life, i)
+						return
+					}
+				}
+				if s.Populated() != n {
+					t.Errorf("worker %d life %d: Populated %d, want %d", w, life, s.Populated(), n)
+					return
+				}
+				s.Release()
+			}
+		}(w)
+	}
+	wg.Wait()
 }

@@ -146,15 +146,25 @@ type Cache struct {
 
 var _ llc.Cache = (*Cache)(nil)
 
-// tagPool parks released tag arrays for the next cache of the same
+// tagPool parks released tag arrays, and usedPool released per-set
+// segment counters keyed by set count, for the next cache of the same
 // geometry, whichever design it runs (docs/performance.md, "The release
 // lifecycle").
-var tagPool = cache.NewArrayPool[tagPayload]()
+var (
+	tagPool  = cache.NewArrayPool[tagPayload]()
+	usedPool = cache.NewPool[int, []int]()
+)
 
 // New builds comp's LLC over mem.
 func New(cfg Config, comp Compressor, mem *memory.Store) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	used, ok := usedPool.Get(cfg.Sets)
+	if ok {
+		clear(used)
+	} else {
+		used = make([]int, cfg.Sets)
 	}
 	return &Cache{
 		cfg:  cfg,
@@ -162,7 +172,7 @@ func New(cfg Config, comp Compressor, mem *memory.Store) (*Cache, error) {
 		tags: tagPool.New(cache.Config{
 			Entries: cfg.Sets * cfg.TagWays, Ways: cfg.TagWays, Policy: "plru",
 		}),
-		usedSegs: make([]int, cfg.Sets),
+		usedSegs: used,
 		mem:      mem,
 		counts:   make([]uint64, numCommon+len(comp.Counters)),
 	}, nil
@@ -300,8 +310,9 @@ func (c *Cache) Footprint() llc.Footprint {
 }
 
 // Release implements llc.Cache: it extracts the counters (the common
-// ones, then the Compressor's) and parks the tag array for the next cache
-// of the same geometry. The cache must not be used afterwards.
+// ones, then the Compressor's) and parks the tag array and the per-set
+// segment counters for the next cache of the same geometry. The cache
+// must not be used afterwards.
 func (c *Cache) Release() llc.StatsSnapshot {
 	if c.tags == nil {
 		panic("segcache: Release called twice")
@@ -314,6 +325,7 @@ func (c *Cache) Release() llc.StatsSnapshot {
 		counters = append(counters, llc.Counter{Name: name, Value: c.counts[numCommon+i]})
 	}
 	tagPool.Put(c.tags)
+	usedPool.Put(c.cfg.Sets, c.usedSegs)
 	c.tags = nil
 	c.usedSegs = nil
 	return llc.StatsSnapshot{Design: c.Name(), Stats: c.stats, Extra: counters}

@@ -173,10 +173,25 @@ type BaseCache struct {
 	LowPriorityInsert bool
 }
 
-// NewBaseCache builds a base cache with the given geometry.
+// baseCacheGeom keys baseCachePool.
+type baseCacheGeom struct{ sets, ways int }
+
+// baseCachePool parks released base caches for the next NewBaseCache of
+// the same geometry (docs/performance.md, "The release lifecycle").
+var baseCachePool = cache.NewPool[baseCacheGeom, *BaseCache]()
+
+// NewBaseCache builds a base cache with the given geometry, reusing a
+// parked one of the same geometry when one is available. A recycled base
+// cache is reset to exactly the state a fresh one starts in.
 func NewBaseCache(sets, ways int) *BaseCache {
 	if err := plru.Check("plru", ways); err != nil {
 		panic(err)
+	}
+	if bc, ok := baseCachePool.Get(baseCacheGeom{sets, ways}); ok {
+		clear(bc.entries)
+		clear(bc.tree)
+		*bc = BaseCache{sets: sets, ways: ways, entries: bc.entries, tree: bc.tree}
+		return bc
 	}
 	return &BaseCache{
 		sets:    sets,
@@ -184,6 +199,12 @@ func NewBaseCache(sets, ways int) *BaseCache {
 		entries: make([]baseCacheEntry, sets*ways),
 		tree:    make([]uint64, sets),
 	}
+}
+
+// Release parks the base cache for the next NewBaseCache of the same
+// geometry. The caller must not touch it afterwards.
+func (bc *BaseCache) Release() {
+	baseCachePool.Put(baseCacheGeom{bc.sets, bc.ways}, bc)
 }
 
 // Entries returns the total entry count (the Fig. 20 sweep variable).

@@ -230,14 +230,22 @@ var _ llc.Cache = (*Cache)(nil)
 // geometry (docs/performance.md, "The release lifecycle").
 var tagPool = cache.NewArrayPool[tagPayload]()
 
+// hasherPool parks released hashers for the next cache of the same LSH
+// configuration. A hasher is immutable, so a parked one needs no reset;
+// parking it spares every cache the projection-matrix draw.
+var hasherPool = cache.NewPool[lsh.Config, *lsh.Hasher]()
+
 // New builds a Thesaurus LLC over mem.
 func New(cfg Config, mem *memory.Store) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	hasher, err := lsh.New(cfg.LSH)
-	if err != nil {
-		return nil, err
+	hasher, ok := hasherPool.Get(cfg.LSH)
+	if !ok {
+		var err error
+		if hasher, err = lsh.New(cfg.LSH); err != nil {
+			return nil, err
+		}
 	}
 	c := &Cache{
 		cfg:    cfg,
@@ -776,9 +784,10 @@ func (s *Snapshot) Clone() llc.ExtraSnapshot {
 
 // Release implements llc.Cache: it extracts the immutable statistics
 // snapshot and parks the cache's bulk storage — the tag array, the data
-// array and the base table — in their pools for the next cache of the
-// same geometry. Nothing on the cache may be used afterwards; only the
-// returned snapshot survives.
+// array, the base table and the base cache — in their pools for the next
+// cache of the same geometry, and the hasher for the next cache of the
+// same LSH configuration. Nothing on the cache may be used afterwards;
+// only the returned snapshot survives.
 func (c *Cache) Release() llc.StatsSnapshot {
 	if c.table == nil {
 		panic("thesaurus: Release called twice")
@@ -801,10 +810,13 @@ func (c *Cache) Release() llc.StatsSnapshot {
 	c.table.Release()
 	tagPool.Put(c.tags)
 	c.data.Release()
+	c.bcache.Release()
+	hasherPool.Put(c.cfg.LSH, c.hasher)
 	c.table = nil
 	c.tags = nil
 	c.data = nil
 	c.bcache = nil
+	c.hasher = nil
 	c.diffSeries = nil
 	return llc.StatsSnapshot{Design: c.Name(), Stats: c.stats, Extra: snap}
 }
