@@ -99,9 +99,12 @@ fuzz:
 # the run-level layer on or off, serial, parallel, or distributed across
 # worker processes over the netq TCP work queue (docs/distribution.md):
 # -distribute alone (loopback), -serve with spawned workers sharing the
-# cache dir (key-only completions), and workers with private per-worker
-# dirs (artifact streaming), even when one is killed -9 mid-campaign (its
-# leases requeue and the survivor finishes). The snapshot readers (Figs.
+# cache dir, and workers with private per-worker dirs, even when one is
+# killed -9 mid-campaign (its leases requeue and the survivor finishes).
+# Every worker sends each cell's run output home, so in each distributed
+# leg the coordinator's own stats line must read 0 misses: a report that
+# matches only because the coordinator recomputed every dropped result
+# fails here. The snapshot readers (Figs.
 # 1, 2, 5) ask for Baseline runs that keep their resident lines, which
 # fig13's Baseline runs leave out; their legs run over the cache the
 # fig13-only legs filled, so line runs must miss past the line-less
@@ -148,24 +151,29 @@ cache-identity:
 		2>/dev/null | sed '/completed in/d' >$$tmp/norun.txt; \
 	echo "cache-identity: distributed (-distribute 2), fresh cache"; \
 	$$tmp/thesaurus -distribute 2 -cache-dir $$tmp/dcache -workers 1 -quick -profiles mcf,omnetpp,xz,gcc fig13 \
-		2>/dev/null | sed '/completed in/d' >$$tmp/dist.txt; \
+		2>$$tmp/dist.txt.err | sed '/completed in/d' >$$tmp/dist.txt; \
 	$$tmp/thesaurus -json -distribute 2 -cache-dir $$tmp/dcache -workers 1 -quick -profiles mcf,omnetpp,xz,gcc fig13 \
-		2>/dev/null >$$tmp/dist.json; \
-	echo "cache-identity: netq loopback (-serve + 2 workers, shared cache dir), fresh cache"; \
+		2>$$tmp/dist.json.err >$$tmp/dist.json; \
+	echo "cache-identity: netq loopback (-serve + 2 spawned workers sharing the cache dir), fresh cache"; \
 	$$tmp/thesaurus -serve 127.0.0.1:0 -addr-file $$tmp/addr1 -distribute 2 \
 		-cache-dir $$tmp/ncache -workers 1 -quick -profiles mcf,omnetpp,xz,gcc fig13 \
-		2>/dev/null | sed '/completed in/d' >$$tmp/netq.txt; \
+		2>$$tmp/netq.txt.err | sed '/completed in/d' >$$tmp/netq.txt; \
 	$$tmp/thesaurus -json -serve 127.0.0.1:0 -addr-file $$tmp/addr1 -distribute 2 \
 		-cache-dir $$tmp/ncache -workers 1 -quick -profiles mcf,omnetpp,xz,gcc fig13 \
-		2>/dev/null >$$tmp/netq.json; \
-	echo "cache-identity: netq streaming (workers with private cache dirs), one worker killed mid-campaign"; \
+		2>$$tmp/netq.json.err >$$tmp/netq.json; \
+	echo "cache-identity: netq with private worker cache dirs, one worker killed mid-campaign"; \
 	$$tmp/thesaurus -connect @$$tmp/addr2 -cache-dir $$tmp/w1cache 2>/dev/null & w1=$$!; \
 	$$tmp/thesaurus -connect @$$tmp/addr2 -cache-dir $$tmp/w2cache 2>/dev/null & w2=$$!; \
 	( sleep 3; kill -9 $$w2 2>/dev/null ) & killer=$$!; \
 	$$tmp/thesaurus -serve 127.0.0.1:0 -addr-file $$tmp/addr2 -lease 5s -serve-grace 30s \
 		-cache-dir $$tmp/nkcache -workers 1 -quick -profiles mcf,omnetpp,xz,gcc fig13 \
-		2>/dev/null | sed '/completed in/d' >$$tmp/netqkill.txt; \
+		2>$$tmp/netqkill.txt.err | sed '/completed in/d' >$$tmp/netqkill.txt; \
 	wait $$w1 $$killer 2>/dev/null || true; \
+	for leg in dist.txt dist.json netq.txt netq.json netqkill.txt; do \
+		if ! grep -q "artifact cache: [0-9]* hits, 0 misses," $$tmp/$$leg.err; then \
+			echo "cache-identity: FAIL: the $$leg coordinator recomputed cells its workers ran:"; \
+			cat $$tmp/$$leg.err; exit 1; fi; \
+	done; \
 	echo "cache-identity: snapshot readers (fig1 fig2 fig5 fig13), cache-off serial (reference)"; \
 	$$tmp/thesaurus -json -no-cache -workers 1 -quick -profiles mcf,omnetpp,xz,gcc fig1 fig2 fig5 fig13 \
 		2>/dev/null >$$tmp/snapref.json; \
@@ -193,7 +201,7 @@ cache-identity:
 	echo "cache-identity: cold $${cold}ms, warm $${warm}ms"; \
 	if [ $$((warm*5)) -gt $$cold ]; then \
 		echo "cache-identity: FAIL: warm quick-campaign rerun not >=5x faster than cold"; exit 1; fi; \
-	echo "cache-identity: OK (byte-identical across cache-off/cold/warm/torn/run-cache-off/distributed/netq/netq-kill, snapshot readers cold/warm/run-cache-off; warm >=5x cold)"
+	echo "cache-identity: OK (byte-identical across cache-off/cold/warm/torn/run-cache-off/distributed/netq/netq-kill, snapshot readers cold/warm/run-cache-off; distributed coordinators 0 misses; warm >=5x cold)"
 
 # Remove the default on-disk artifact cache (the -cache-dir default).
 clean-cache:

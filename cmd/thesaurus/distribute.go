@@ -54,102 +54,37 @@ func taskRunOptions(t netq.Task) harness.RunOptions {
 }
 
 // runCell executes one task's design × profile cell via the normal
-// harness path, which persists the RunOutput artifact into the cache
-// under the cross-process singleflight. Run failures ride the outcome
-// (the task is marked failed, the coordinator recomputes in-process);
-// they never stop the worker's drain loop.
+// harness path and returns its run output encoded exactly as the
+// artifact cache stores it, for the coordinator to store. Run failures
+// ride the outcome (the task is marked failed, the coordinator
+// recomputes in-process); they never stop the worker's drain loop.
 func runCell(t netq.Task) netq.Outcome {
-	_, err := harness.Run(t.Profile, t.Design, taskRunOptions(t))
+	out, err := harness.Run(t.Profile, t.Design, taskRunOptions(t))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "thesaurus worker: task %d (%s/%s): %v\n",
 			t.ID, t.Profile, t.Design, err)
+		return netq.Outcome{Err: err}
 	}
-	return netq.Outcome{Err: err}
-}
-
-// workerCacheStats snapshots the installed cache's counters in the
-// schema workers report back to the coordinator.
-func workerCacheStats() netq.CacheStats {
-	st, ok := harness.ArtifactStats()
-	if !ok {
-		return netq.CacheStats{}
-	}
-	return netq.CacheStats{
-		Hits:          st.Hits,
-		Misses:        st.Misses,
-		Stores:        st.Stores,
-		Corrupt:       st.Corrupt,
-		Evictions:     st.Evictions,
-		TouchFailures: st.TouchFailures,
-		BytesLoaded:   st.BytesLoaded,
-		BytesStored:   st.BytesStored,
-	}
-}
-
-// reportMergedStats prints one coordinator-side summary of every
-// reporting worker's cache counters — the replacement for N workers
-// interleaving their own stats lines on a shared stderr.
-func reportMergedStats(workers int, s netq.CacheStats) {
-	if workers == 0 {
-		return
-	}
-	fmt.Fprintf(os.Stderr,
-		"artifact cache (%d workers): %d hits, %d misses, %d stores, %d corrupt, %d evicted, %.1f MiB loaded, %.1f MiB stored\n",
-		workers, s.Hits, s.Misses, s.Stores, s.Corrupt, s.Evictions,
-		float64(s.BytesLoaded)/(1<<20), float64(s.BytesStored)/(1<<20))
-	if s.TouchFailures > 0 {
-		fmt.Fprintf(os.Stderr,
-			"artifact cache (workers): %d LRU touch failure(s) — entries age as if idle; check cache-dir permissions\n",
-			s.TouchFailures)
-	}
+	return netq.Outcome{Artifact: artifact.Encode(nil, &artifact.File{Run: out})}
 }
 
 // runWorker connects to a netq coordinator and drains its queue.
 // connect is host:port, or @file naming a file that will hold the
 // address (the coordinator's -addr-file; polled briefly so workers can
-// start before the coordinator binds its port). Completed tasks report
-// their RunOutput content key, plus the raw artifact bytes when the
-// handshake proved the coordinator's cache directory is not ours.
-func runWorker(connect string, cache *artifact.Cache) error {
+// start before the coordinator binds its port). Every completed task
+// sends its encoded run output home, whatever this worker's own cache
+// settings.
+func runWorker(connect string) error {
 	addr, err := resolveConnectAddr(connect)
 	if err != nil {
 		return err
 	}
-	copt := netq.ClientOptions{FinalStats: workerCacheStats}
-	if cache != nil {
-		copt.CacheDir = cache.Dir()
-	}
-	cli, err := netq.Dial(addr, copt)
+	cli, err := netq.Dial(addr, netq.ClientOptions{FinalStats: cacheStats})
 	if err != nil {
 		return err
 	}
 	defer cli.Close()
-	stream := cli.StreamArtifacts()
-	return netq.Drain(cli, netq.HeartbeatEvery, func(t netq.Task) netq.Outcome {
-		out := runCell(t)
-		if out.Err != nil {
-			return out
-		}
-		key, err := harness.DefaultRunContentKey(t.Profile, t.Design, taskRunOptions(t))
-		if err != nil {
-			// The cell ran; only the key derivation failed. Report success
-			// without a key — the coordinator recomputes from its cache.
-			fmt.Fprintf(os.Stderr, "thesaurus worker: task %d content key: %v\n", t.ID, err)
-			return out
-		}
-		out.Key = key
-		if stream && cache != nil {
-			if raw, ok := cache.RawRunOutput(key); ok {
-				out.Artifact = raw
-			} else {
-				// Nothing persisted to stream (run cache disabled or
-				// evicted already): the completion still counts, the
-				// coordinator just recomputes this cell in-process.
-				fmt.Fprintf(os.Stderr, "thesaurus worker: task %d: no artifact to stream (run cache off?)\n", t.ID)
-			}
-		}
-		return out
-	})
+	return netq.Drain(cli, netq.HeartbeatEvery, runCell)
 }
 
 // resolveConnectAddr turns a -connect value into a dialable address,

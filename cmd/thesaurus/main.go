@@ -49,15 +49,15 @@ import (
 	"repro/internal/artifact"
 	"repro/internal/experiments"
 	"repro/internal/harness"
+	"repro/internal/netq"
 	"repro/internal/workload"
 )
 
 // setupArtifacts installs the on-disk artifact cache and returns it (nil
-// when disabled) so the coordinator can hand the exact same cache to
-// worker processes and the netq transports can read and store raw
-// artifact bytes. The cache is an accelerator only, so any setup failure
-// just disables it with a note on stderr — stdout (the report
-// byte-identity surface) is never touched.
+// when disabled) so the coordinator can hand its directory to spawned
+// workers and store the run outputs workers send back. The cache is an
+// accelerator only, so any setup failure just disables it with a note on
+// stderr — stdout (the report byte-identity surface) is never touched.
 func setupArtifacts(dir string, maxBytes int64, disabled, verify bool) *artifact.Cache {
 	if disabled {
 		return nil
@@ -80,21 +80,43 @@ func setupArtifacts(dir string, maxBytes int64, disabled, verify bool) *artifact
 	return c
 }
 
-// reportArtifactStats summarizes cache activity on stderr (stderr so the
-// deterministic reports stay byte-identical across cache modes).
-func reportArtifactStats() {
-	st, ok := harness.ArtifactStats()
-	if !ok {
-		return
+// cacheStats snapshots this process's artifact-cache counters (zero
+// when no cache is installed) in the schema workers report back to the
+// coordinator.
+func cacheStats() netq.CacheStats {
+	st, _ := harness.ArtifactStats()
+	return netq.CacheStats{
+		Hits:          st.Hits,
+		Misses:        st.Misses,
+		Stores:        st.Stores,
+		Corrupt:       st.Corrupt,
+		Evictions:     st.Evictions,
+		TouchFailures: st.TouchFailures,
+		BytesLoaded:   st.BytesLoaded,
+		BytesStored:   st.BytesStored,
 	}
+}
+
+// reportArtifactStats summarizes this process's cache activity.
+func reportArtifactStats() {
+	if _, ok := harness.ArtifactStats(); ok {
+		printCacheStats("artifact cache", cacheStats())
+	}
+}
+
+// printCacheStats writes one cache summary, headed by label, on stderr
+// (stderr so the deterministic reports stay byte-identical across cache
+// modes). A coordinator prints its own line and one merged line for
+// every worker that reported, instead of N interleaved ones.
+func printCacheStats(label string, s netq.CacheStats) {
 	fmt.Fprintf(os.Stderr,
-		"artifact cache: %d hits, %d misses, %d stores, %d corrupt, %d evicted, %.1f MiB loaded, %.1f MiB stored\n",
-		st.Hits, st.Misses, st.Stores, st.Corrupt, st.Evictions,
-		float64(st.BytesLoaded)/(1<<20), float64(st.BytesStored)/(1<<20))
-	if st.TouchFailures > 0 {
+		"%s: %d hits, %d misses, %d stores, %d corrupt, %d evicted, %.1f MiB loaded, %.1f MiB stored\n",
+		label, s.Hits, s.Misses, s.Stores, s.Corrupt, s.Evictions,
+		float64(s.BytesLoaded)/(1<<20), float64(s.BytesStored)/(1<<20))
+	if s.TouchFailures > 0 {
 		fmt.Fprintf(os.Stderr,
-			"artifact cache: %d LRU touch failure(s) — entries age as if idle; check cache-dir permissions\n",
-			st.TouchFailures)
+			"%s: %d LRU touch failure(s) — entries age as if idle; check cache-dir permissions\n",
+			label, s.TouchFailures)
 	}
 }
 
@@ -135,7 +157,7 @@ func main() {
 		// Workers do not print their own cache stats: the goodbye frame
 		// carries them back and the coordinator prints one merged line
 		// instead of N interleaved.
-		if err := runWorker(*connect, cache); err != nil {
+		if err := runWorker(*connect); err != nil {
 			fail(err)
 		}
 		return

@@ -37,14 +37,16 @@ func serveCampaign(addr, addrFile string, lease, grace time.Duration,
 	}
 	tasks := campaignTasks(opt)
 	srv, err := netq.NewServer(addr, tasks, netq.ServerOptions{
-		Lease:         lease,
-		CacheDir:      cache.Dir(),
-		StoreArtifact: cache.StoreRawRunOutput,
-		// Streamed artifacts are stored under the key the coordinator
-		// derives from its own task table — the worker-reported key is
-		// untrusted input on an unauthenticated listener and is ignored.
-		TaskKey: func(t netq.Task) (string, error) {
-			return harness.DefaultRunContentKey(t.Profile, t.Design, taskRunOptions(t))
+		Lease: lease,
+		// Every result is stored under the key derived from the
+		// coordinator's own copy of the task: on an unauthenticated
+		// listener, nothing a worker sends names a file.
+		Store: func(t netq.Task, data []byte) error {
+			key, err := harness.DefaultRunContentKey(t.Profile, t.Design, taskRunOptions(t))
+			if err != nil {
+				return err
+			}
+			return cache.StoreRawRunOutput(key, data)
 		},
 	})
 	if err != nil {
@@ -96,7 +98,9 @@ func serveCampaign(addr, addrFile string, lease, grace time.Duration,
 			"serve: workers gone with %d tasks outstanding — degrading to in-process recompute\n",
 			sum.Pending+sum.Leased)
 	}
-	reportMergedStats(sum.StatsWorkers, sum.Stats)
+	if sum.StatsWorkers > 0 {
+		printCacheStats(fmt.Sprintf("artifact cache (%d workers)", sum.StatsWorkers), sum.Stats)
+	}
 	return nil
 }
 

@@ -50,7 +50,11 @@ func main() {
 		fp.DataBytesUsed, fp.ResidentLines*repro.LineSize)
 	fmt.Printf("compression ratio:     %.2fx\n", fp.CompressionRatio())
 	fmt.Printf("avg diff size:         %.1f bytes\n", extra.AvgDiffBytes())
-	fmt.Printf("encodings [raw b+d 0+d base zero]: %v\n", extra.ByFormat)
+	fmt.Print("encodings:            ")
+	for f, n := range extra.ByFormat {
+		fmt.Printf(" %v=%d", repro.Format(f), n)
+	}
+	fmt.Println()
 	fmt.Printf("base cache hit rate:   %.1f%%\n", 100*cache.BaseCache().HitRate())
 
 	// Whoever builds a cache and its memory releases them, once, after

@@ -159,8 +159,9 @@ func BenchmarkHotPath(b *testing.B) {
 	// multi-megabyte make-and-zero.
 	row("lifecycle", "thesaurus_new_release", 0, func(b *testing.B) {
 		cfg := thesaurus.DefaultConfig()
+		mem := memory.NewStore()
 		for i := 0; i < b.N; i++ {
-			c := thesaurus.MustNew(cfg, memory.NewStore())
+			c := thesaurus.MustNew(cfg, mem)
 			c.Release()
 		}
 	})
@@ -277,16 +278,19 @@ func BenchmarkHotPath(b *testing.B) {
 	}
 
 	// One op is a full task round trip over loopback TCP: claim (request +
-	// task reply), then result (key-only report + ack), including the
-	// coordinator's lease bookkeeping. This bounds the per-cell queue
-	// overhead of a -serve/-connect campaign; it must stay microseconds,
-	// noise next to even a -quick cell's compute.
+	// task reply), then result (a run output's worth of artifact bytes +
+	// ack), including the coordinator's lease bookkeeping; the store
+	// callback drops the bytes. This bounds the per-cell queue overhead of
+	// a -serve/-connect campaign; it must stay microseconds, noise next to
+	// even a -quick cell's compute.
 	row("transport", "netq_task_roundtrip", 0, func(b *testing.B) {
 		tasks := make([]netq.Task, b.N)
 		for i := range tasks {
 			tasks[i] = netq.Task{ID: i, Profile: "mcf", Design: "Baseline"}
 		}
-		srv, err := netq.NewServer("127.0.0.1:0", tasks, netq.ServerOptions{})
+		srv, err := netq.NewServer("127.0.0.1:0", tasks, netq.ServerOptions{
+			Store: func(netq.Task, []byte) error { return nil },
+		})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -296,13 +300,14 @@ func BenchmarkHotPath(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer cli.Close()
+		out := netq.Outcome{Artifact: make([]byte, 256)}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			t, ok, err := cli.Claim()
 			if err != nil || !ok {
 				b.Fatalf("claim %d: ok=%v err=%v", i, ok, err)
 			}
-			if err := cli.Finish(t, netq.Outcome{Key: "bench"}); err != nil {
+			if err := cli.Finish(t, out); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -208,28 +208,11 @@ func (c *Cache) StoreRunOutput(key string, r *RunOutput) {
 	c.store(key, &File{Run: r})
 }
 
-// RawRunOutput returns the encoded bytes of the run artifact stored
-// under key, validated end to end (checksum intact, run section
-// present), for streaming to another process. It deliberately bypasses
-// the hit/miss counters and the LRU touch: it re-reads an entry the
-// caller just produced, not a cache lookup in its own right.
-func (c *Cache) RawRunOutput(key string) ([]byte, bool) {
-	data, err := os.ReadFile(c.path(key))
-	if err != nil {
-		return nil, false
-	}
-	f, err := Decode(data)
-	if err != nil || f.Run == nil {
-		return nil, false
-	}
-	return data, true
-}
-
 // StoreRawRunOutput verifies data as a complete artifact carrying a run
 // section — the CRC-checked decode is the trust boundary for bytes that
 // crossed a network — and persists it under key with StoreRecorded's
 // temp-file-and-rename write and crash contract. Unlike the in-process
-// store path, failures surface: the caller streamed these bytes
+// store path, failures surface: the caller received these bytes
 // precisely because it cannot recompute them locally without paying the
 // run again.
 func (c *Cache) StoreRawRunOutput(key string, data []byte) error {

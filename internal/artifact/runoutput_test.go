@@ -668,3 +668,33 @@ func FuzzRunOutputCodecRoundtrip(f *testing.F) {
 		}
 	})
 }
+
+// TestStoreRawRunOutputVerifies: bytes received from another process are
+// stored only when they decode to a whole artifact with a run section,
+// and a stored entry loads back as the run output the sender encoded.
+func TestStoreRawRunOutputVerifies(t *testing.T) {
+	c := testCache(t, 0)
+	want := synthRunOutput(3)
+	enc := Encode(nil, &File{Run: want})
+	for _, bad := range []struct {
+		name string
+		data []byte
+	}{
+		{"torn", enc[:len(enc)/2]},
+		{"recording only", Encode(nil, &File{Recorded: synthRecorded(1, 30)})},
+	} {
+		if err := c.StoreRawRunOutput("k", bad.data); err == nil {
+			t.Errorf("%s: stored", bad.name)
+		}
+	}
+	if _, ok := c.LoadRunOutput("k"); ok {
+		t.Fatal("a refused entry was stored")
+	}
+	if err := c.StoreRawRunOutput("k", enc); err != nil {
+		t.Fatal(err)
+	}
+	got, ok := c.LoadRunOutput("k")
+	if !ok || !RunOutputEqual(got, want) {
+		t.Fatal("stored run output does not load back")
+	}
+}

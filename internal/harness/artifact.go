@@ -105,10 +105,8 @@ func effectiveThesaurusConfig(design string, opt RunOptions) *thesaurus.Config {
 // DefaultRunContentKey returns the run-level artifact content key a
 // memoized default-configuration run of (profile, design) stores under —
 // the exact key runOrLoad computes on the sample=true path that campaign
-// cells take. Distribution transports use it to name a completed task's
-// artifact without re-running anything: a netq worker reports the key in
-// its result frame (and streams the bytes stored under it when the cache
-// is not shared).
+// cells take. A netq coordinator uses it to name the run output a worker
+// sends back for a campaign cell without re-running anything.
 func DefaultRunContentKey(profile, design string, opt RunOptions) (string, error) {
 	p, err := workload.ProfileByName(profile)
 	if err != nil {

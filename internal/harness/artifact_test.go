@@ -394,10 +394,10 @@ func TestRunWithLinesAcrossPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.RawRunOutput(key); ok {
+	if _, ok := c.LoadRunOutput(key); ok {
 		t.Fatal("a line run was stored under the plain run's key")
 	}
-	if _, ok := c.RawRunOutput(artifact.LinesKey(key)); !ok {
+	if _, ok := c.LoadRunOutput(artifact.LinesKey(key)); !ok {
 		t.Fatal("line run not stored under LinesKey of the plain run's key")
 	}
 	before := replays.Load()
@@ -413,10 +413,10 @@ func TestRunWithLinesAcrossPaths(t *testing.T) {
 	}
 }
 
-// TestDefaultRunContentKeyNamesCampaignCells: the key a netq worker
-// reports for a campaign cell (and the coordinator uses as its task key)
-// is the key the cell's Run stores under, for every design — line runs
-// of the same cell in the same process do not move it.
+// TestDefaultRunContentKeyNamesCampaignCells: the key a netq coordinator
+// stores a campaign cell's streamed run output under is the key the
+// cell's Run stores under, for every design — line runs of the same cell
+// in the same process do not move it.
 func TestDefaultRunContentKeyNamesCampaignCells(t *testing.T) {
 	const prof = "xz"
 	opt := DefaultRunOptions()
@@ -443,15 +443,11 @@ func TestDefaultRunContentKeyNamesCampaignCells(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		raw, ok := c.RawRunOutput(key)
+		run, ok := c.LoadRunOutput(key)
 		if !ok {
-			t.Fatalf("%s: no artifact under DefaultRunContentKey", d)
+			t.Fatalf("%s: no run output under DefaultRunContentKey", d)
 		}
-		f, err := artifact.Decode(raw)
-		if err != nil || f.Run == nil {
-			t.Fatalf("%s: stored artifact does not decode to a run: %v", d, err)
-		}
-		if !artifact.RunOutputEqual(f.Run, matrix[RunKey{prof, d}]) {
+		if !artifact.RunOutputEqual(run, matrix[RunKey{prof, d}]) {
 			t.Fatalf("%s: artifact under DefaultRunContentKey is not the cell's run", d)
 		}
 	}

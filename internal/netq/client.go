@@ -2,24 +2,16 @@ package netq
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/base64"
 	"errors"
 	"fmt"
 	"net"
-	"os"
-	"path/filepath"
 	"sync"
 	"time"
 )
 
 // ClientOptions configures a worker-side connection.
 type ClientOptions struct {
-	// CacheDir is the worker's artifact cache directory, probed against
-	// the coordinator's session token to detect a shared filesystem.
-	// Empty means never shared (always stream artifacts).
-	CacheDir string
-
 	// IOTimeout bounds each dial, send, and reply read. 0 means 30s.
 	IOTimeout time.Duration
 
@@ -50,7 +42,6 @@ type Client struct {
 	mu      sync.Mutex
 	conn    net.Conn
 	br      *bufio.Reader
-	shared  bool
 	backoff int // consecutive failed connects (jittered exponential)
 }
 
@@ -73,18 +64,6 @@ func Dial(addr string, opt ClientOptions) (*Client, error) {
 	}
 	return c, nil
 }
-
-// SharedCache reports whether the handshake proved the coordinator's
-// cache directory and ours are the same filesystem location.
-func (c *Client) SharedCache() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.shared
-}
-
-// StreamArtifacts reports whether outcomes must carry artifact bytes:
-// exactly when the cache is not shared.
-func (c *Client) StreamArtifacts() bool { return !c.SharedCache() }
 
 // Close drops the connection.
 func (c *Client) Close() {
@@ -129,19 +108,7 @@ func (c *Client) connectLocked() error {
 		return fmt.Errorf("netq: handshake: unexpected %q", m.Type)
 	}
 	c.conn, c.br = conn, br
-	c.shared = c.probeSharedDir(m.TokenFile, m.Token)
 	return nil
-}
-
-// probeSharedDir reports whether the coordinator's session token file is
-// visible — with identical content — under our own cache directory,
-// which proves both -cache-dir flags name one filesystem location.
-func (c *Client) probeSharedDir(tokenFile, token string) bool {
-	if c.opt.CacheDir == "" || tokenFile == "" || token == "" {
-		return false
-	}
-	data, err := os.ReadFile(filepath.Join(c.opt.CacheDir, filepath.Base(tokenFile)))
-	return err == nil && bytes.Equal(data, []byte(token))
 }
 
 // sleepBackoff sleeps the jittered exponential backoff for the n-th
@@ -260,9 +227,9 @@ func (c *Client) Heartbeat(t Task) error {
 }
 
 // resultEnvelope overestimates every non-artifact byte of a result
-// frame: the JSON field names, the task ID, the key, and the error
-// string. Anything this loose bound plus the base64-expanded artifact
-// leaves under MaxFrame is guaranteed to frame.
+// frame: the JSON field names, the task ID, and the error string.
+// Anything this loose bound plus the base64-expanded artifact leaves
+// under MaxFrame is guaranteed to frame.
 const resultEnvelope = 4096
 
 // Finish delivers t's outcome and waits for the coordinator's ack so a
@@ -270,15 +237,14 @@ const resultEnvelope = 4096
 // an error means the coordinator could not record the completion (it
 // will recompute); the worker moves on.
 func (c *Client) Finish(t Task, out Outcome) error {
-	m := &message{Type: msgResult, ID: t.ID, Key: out.Key, Artifact: out.Artifact}
+	m := &message{Type: msgResult, ID: t.ID, Artifact: out.Artifact}
 	if out.Err != nil {
 		m.Err = out.Err.Error()
 	}
 	// An artifact too large to frame would fail WriteFrame permanently no
 	// matter how often do retries, aborting the whole drain loop. Degrade
-	// to a key-only completion instead: the completion still counts, and
-	// the coordinator recomputes that one cell in-process, exactly as when
-	// the worker had nothing to stream.
+	// to a bare completion instead: the completion still counts, and the
+	// coordinator recomputes that one cell in-process.
 	if len(m.Artifact) > 0 && base64.StdEncoding.EncodedLen(len(m.Artifact))+resultEnvelope > MaxFrame {
 		m.Artifact = nil
 	}

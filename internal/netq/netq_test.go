@@ -6,8 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -22,8 +20,13 @@ func testTasks(n int) []Task {
 	return tasks
 }
 
+// newTestServer starts a server on loopback; a nil Store accepts and
+// drops every artifact.
 func newTestServer(t *testing.T, tasks []Task, opt ServerOptions) *Server {
 	t.Helper()
+	if opt.Store == nil {
+		opt.Store = func(Task, []byte) error { return nil }
+	}
 	srv, err := NewServer("127.0.0.1:0", tasks, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -319,46 +322,17 @@ func TestWorkerReconnect(t *testing.T) {
 	}
 }
 
-// TestSharedDirProbe: a worker whose cache directory is the
-// coordinator's sees the session token and negotiates key-only results;
-// a worker with its own directory must stream artifacts.
-func TestSharedDirProbe(t *testing.T) {
-	dir := t.TempDir()
-	srv := newTestServer(t, testTasks(1), ServerOptions{CacheDir: dir})
-	shared := dialTest(t, srv, ClientOptions{CacheDir: dir})
-	if !shared.SharedCache() || shared.StreamArtifacts() {
-		t.Fatal("same cache dir not detected as shared")
-	}
-	foreign := dialTest(t, srv, ClientOptions{CacheDir: t.TempDir()})
-	if foreign.SharedCache() || !foreign.StreamArtifacts() {
-		t.Fatal("distinct cache dir detected as shared")
-	}
-	noDir := dialTest(t, srv, ClientOptions{})
-	if noDir.SharedCache() {
-		t.Fatal("empty cache dir detected as shared")
-	}
-	// The token file is scoped to the session and removed at Close.
-	matches, _ := filepath.Glob(filepath.Join(dir, ".netq-session-*"))
-	if len(matches) != 1 {
-		t.Fatalf("session token files = %v, want exactly one", matches)
-	}
-	srv.Close()
-	if _, err := os.Stat(matches[0]); !errors.Is(err, os.ErrNotExist) {
-		t.Fatal("session token file survived Close")
-	}
-}
-
-// TestArtifactStreaming: a streamed result reaches StoreArtifact keyed
-// and byte-identical, and the task completes; a coordinator without a
-// store hook fails the task instead of silently dropping the bytes.
+// TestArtifactStreaming: a streamed result reaches Store byte-identical
+// and the task completes; a coordinator without Store is refused at
+// NewServer instead of dropping results at run time.
 func TestArtifactStreaming(t *testing.T) {
 	var mu sync.Mutex
-	stored := map[string][]byte{}
+	stored := map[int][]byte{}
 	srv := newTestServer(t, testTasks(1), ServerOptions{
-		StoreArtifact: func(key string, data []byte) error {
+		Store: func(task Task, data []byte) error {
 			mu.Lock()
 			defer mu.Unlock()
-			stored[key] = append([]byte(nil), data...)
+			stored[task.ID] = append([]byte(nil), data...)
 			return nil
 		},
 	})
@@ -368,11 +342,11 @@ func TestArtifactStreaming(t *testing.T) {
 		t.Fatalf("claim: ok=%v err=%v", ok, err)
 	}
 	payload := bytes.Repeat([]byte{0x42, 0x00, 0x7F}, 1000)
-	if err := cli.Finish(task, Outcome{Key: "ab12cd34", Artifact: payload}); err != nil {
+	if err := cli.Finish(task, Outcome{Artifact: payload}); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
-	got := stored["ab12cd34"]
+	got := stored[task.ID]
 	mu.Unlock()
 	if !bytes.Equal(got, payload) {
 		t.Fatalf("stored %d bytes, want the %d-byte payload intact", len(got), len(payload))
@@ -381,36 +355,30 @@ func TestArtifactStreaming(t *testing.T) {
 		t.Fatalf("progress = %+v", p)
 	}
 
-	refuser := newTestServer(t, testTasks(1), ServerOptions{})
-	rcli := dialTest(t, refuser, ClientOptions{})
-	rtask, ok, err := rcli.Claim()
-	if err != nil || !ok {
-		t.Fatalf("claim: ok=%v err=%v", ok, err)
-	}
-	if err := rcli.Finish(rtask, Outcome{Key: "ab", Artifact: []byte{1}}); err != nil {
-		t.Fatal(err)
-	}
-	sum := refuser.Wait(time.Second, nil)
-	if sum.Failed != 1 {
-		t.Fatalf("summary = %+v, want the streamed result refused as a failure", sum)
+	if srv, err := NewServer("127.0.0.1:0", testTasks(1), ServerOptions{}); err == nil {
+		srv.Close()
+		t.Fatal("NewServer accepted options without Store")
 	}
 }
 
-// TestStoreKeyDerivedCoordinatorSide: with TaskKey configured the
-// coordinator names streamed artifacts from its own task table; the
-// worker-supplied wire key — here a path-traversal attempt — is ignored.
+// TestStoreKeyDerivedCoordinatorSide: Store receives the coordinator's
+// own copy of the task, so the caller names the entry from it. A result
+// frame carries only the task ID: whatever else the worker believes about
+// the task — here a path-traversal profile — never reaches Store, and the
+// bytes arrive intact.
 func TestStoreKeyDerivedCoordinatorSide(t *testing.T) {
+	tasks := testTasks(2)
 	var mu sync.Mutex
-	stored := map[string][]byte{}
-	srv := newTestServer(t, testTasks(1), ServerOptions{
-		StoreArtifact: func(key string, data []byte) error {
+	var gotTask Task
+	var gotData []byte
+	calls := 0
+	srv := newTestServer(t, tasks, ServerOptions{
+		Store: func(task Task, data []byte) error {
 			mu.Lock()
 			defer mu.Unlock()
-			stored[key] = append([]byte(nil), data...)
+			gotTask, gotData = task, append([]byte(nil), data...)
+			calls++
 			return nil
-		},
-		TaskKey: func(task Task) (string, error) {
-			return fmt.Sprintf("derived-%d", task.ID), nil
 		},
 	})
 	cli := dialTest(t, srv, ClientOptions{})
@@ -418,45 +386,42 @@ func TestStoreKeyDerivedCoordinatorSide(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("claim: ok=%v err=%v", ok, err)
 	}
-	payload := []byte{0xDE, 0xAD}
-	if err := cli.Finish(task, Outcome{Key: "../../etc/poison", Artifact: payload}); err != nil {
+	forged := task
+	forged.Profile, forged.Design, forged.Accesses = "../../etc/poison", "X", 1
+	payload := []byte{0xDE, 0xAD, 0x00, 0xBE, 0xEF}
+	if err := cli.Finish(forged, Outcome{Artifact: payload}); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if !bytes.Equal(stored["derived-0"], payload) {
-		t.Fatalf("stored keys = %v, want the artifact under the derived key", stored)
+	if calls != 1 {
+		t.Fatalf("Store called %d times, want once", calls)
 	}
-	if len(stored) != 1 {
-		t.Fatalf("stored keys = %v, want exactly the derived key (wire key ignored)", stored)
+	if gotTask != tasks[task.ID] {
+		t.Fatalf("Store got task %+v, want the coordinator's %+v", gotTask, tasks[task.ID])
+	}
+	if !bytes.Equal(gotData, payload) {
+		t.Fatalf("Store got % x, want % x", gotData, payload)
 	}
 }
 
-// TestMalformedWireKeyRejected: without TaskKey the wire key is used,
-// but only when it has the bare content-hash shape — a traversal path
-// never reaches StoreArtifact; the task fails and recomputes in-process.
-func TestMalformedWireKeyRejected(t *testing.T) {
-	called := false
+// TestStoreFailureFailsTask: a result the coordinator cannot store fails
+// its task, so the in-process pass recomputes the cell.
+func TestStoreFailureFailsTask(t *testing.T) {
 	srv := newTestServer(t, testTasks(1), ServerOptions{
-		StoreArtifact: func(key string, data []byte) error {
-			called = true
-			return nil
-		},
+		Store: func(Task, []byte) error { return errors.New("disk full") },
 	})
 	cli := dialTest(t, srv, ClientOptions{})
 	task, ok, err := cli.Claim()
 	if err != nil || !ok {
 		t.Fatalf("claim: ok=%v err=%v", ok, err)
 	}
-	if err := cli.Finish(task, Outcome{Key: "../../escape", Artifact: []byte{1}}); err != nil {
+	if err := cli.Finish(task, Outcome{Artifact: []byte{1}}); err != nil {
 		t.Fatal(err)
 	}
-	if called {
-		t.Fatal("StoreArtifact called with a malformed key")
-	}
 	sum := srv.Wait(time.Second, nil)
-	if sum.Failed != 1 || !strings.Contains(sum.Failures[0], "malformed artifact key") {
-		t.Fatalf("summary = %+v, want the malformed key refused as a failure", sum)
+	if sum.Failed != 1 || !strings.Contains(sum.Failures[0], "disk full") {
+		t.Fatalf("summary = %+v, want the unstorable result recorded as a failure", sum)
 	}
 }
 
@@ -564,18 +529,19 @@ func TestSuccessOverwritesFailure(t *testing.T) {
 	}
 }
 
-// TestOversizeArtifactDegradesToKeyOnly: an artifact whose base64 form
-// cannot fit one frame is dropped before the send — the completion
-// still lands (key-only; the coordinator recomputes that cell) and the
-// drain loop survives instead of dying on a permanent WriteFrame error.
-func TestOversizeArtifactDegradesToKeyOnly(t *testing.T) {
+// TestOversizeArtifactDegradesToBareCompletion: an artifact whose base64
+// form cannot fit one frame is dropped before the send — the completion
+// still lands without bytes (the coordinator recomputes that cell) and
+// the drain loop survives instead of dying on a permanent WriteFrame
+// error.
+func TestOversizeArtifactDegradesToBareCompletion(t *testing.T) {
 	var mu sync.Mutex
-	storedKeys := []string{}
+	stores := 0
 	srv := newTestServer(t, testTasks(1), ServerOptions{
-		StoreArtifact: func(key string, data []byte) error {
+		Store: func(Task, []byte) error {
 			mu.Lock()
 			defer mu.Unlock()
-			storedKeys = append(storedKeys, key)
+			stores++
 			return nil
 		},
 	})
@@ -586,16 +552,16 @@ func TestOversizeArtifactDegradesToKeyOnly(t *testing.T) {
 	}
 	// Base64 expands 4/3×, so this cannot fit MaxFrame after encoding.
 	huge := make([]byte, MaxFrame-1<<20)
-	if err := cli.Finish(task, Outcome{Key: "abcd1234", Artifact: huge}); err != nil {
+	if err := cli.Finish(task, Outcome{Artifact: huge}); err != nil {
 		t.Fatalf("oversize artifact aborted Finish: %v", err)
 	}
 	if p := srv.Progress(); p.Done != 1 || p.Failed != 0 {
-		t.Fatalf("progress = %+v, want a key-only completion", p)
+		t.Fatalf("progress = %+v, want a bare completion", p)
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if len(storedKeys) != 0 {
-		t.Fatalf("stored %v, want no artifact stored for the degraded completion", storedKeys)
+	if stores != 0 {
+		t.Fatalf("Store called %d times, want none for the degraded completion", stores)
 	}
 }
 

@@ -7,27 +7,21 @@
 // The coordinator (cmd/thesaurus -serve or -distribute) listens on a TCP
 // port, holds the campaign's task list, and hands out time-leased tasks;
 // workers (cmd/thesaurus -connect) pull tasks, heartbeat their leases
-// while computing (Drain), and report outcomes. Results travel one of two
-// ways, negotiated per connection at handshake:
-//
-//   - shared cache directory: the worker proves it sees the coordinator's
-//     -cache-dir (it reads back a session token file the coordinator
-//     wrote there) and completions carry only the RunOutput content key —
-//     the artifact is already in the shared cache.
-//   - artifact streaming: without that proof, the worker streams the raw
-//     CRC-checked artifact bytes in the completion frame and the
-//     coordinator verifies and stores them into its own cache, so report
-//     assembly stays byte-identical-by-construction either way.
+// while computing (Drain), and report outcomes. A successful outcome
+// carries the cell's encoded run output, and the coordinator alone
+// decides where it goes: ServerOptions.Store receives the coordinator's
+// own copy of the task with the bytes, so nothing a worker sends names a
+// file, and a worker needs no cache of its own to contribute.
 //
 // Completion is at-least-once with idempotent effect: a lease that
 // expires (no heartbeat) or whose connection drops re-queues its task for
 // the surviving workers, and a duplicate completion of the same task is
-// harmless because the run result is content-addressed — both executions
-// produce the same artifact under the same key. Workers reconnect with
-// exponential backoff plus jitter, and when the workers are gone the
-// coordinator degrades to in-process recompute: the queue partitions
-// work, the content-addressed cache is the result channel, so a transport
-// failure costs redundant work, never correctness.
+// harmless because the run is deterministic — both executions produce
+// the same bytes. Workers reconnect with exponential backoff plus
+// jitter, and when the workers are gone the coordinator degrades to
+// in-process recompute: the queue partitions work, the coordinator's
+// content-addressed cache collects the results, so a transport failure
+// costs redundant work, never correctness.
 //
 // Wire format: length-prefixed JSON frames — a 4-byte big-endian payload
 // length, then the JSON-encoded message. The first exchange is a
@@ -36,10 +30,9 @@
 //
 // The listener is unauthenticated: bind it to loopback or a trusted
 // network only. The server is defensive about worker input — frames are
-// length-capped, results for unknown task IDs are ignored, and streamed
-// artifacts are stored under coordinator-derived keys (ServerOptions.
-// TaskKey), never under the worker-reported name — but it cannot tell a
-// wrong result from a right one; see docs/distribution.md's trust model.
+// length-capped and results for unknown task IDs are ignored — but it
+// cannot tell a wrong result from a right one; see docs/distribution.md's
+// trust model.
 package netq
 
 import (
@@ -56,9 +49,10 @@ import (
 // both sides reject a mismatch with an explicit error.
 const ProtoVersion = 1
 
-// MaxFrame bounds one frame's payload. Streamed run artifacts are the
-// largest legitimate payload (a few MiB); the bound exists so a corrupt
-// or hostile length prefix cannot make a reader allocate gigabytes.
+// MaxFrame bounds one frame's payload. Result frames, which carry a run
+// output, are the largest legitimate payload (a few hundred bytes for a
+// campaign cell); the bound exists so a corrupt or hostile length prefix
+// cannot make a reader allocate gigabytes.
 const MaxFrame = 64 << 20
 
 // Message types. The protocol is strict request/response from the
@@ -66,14 +60,14 @@ const MaxFrame = 64 << 20
 // result→ack; heartbeat and goodbye are fire-and-forget.
 const (
 	msgHello     = "hello"     // worker → coordinator: version + identity
-	msgWelcome   = "welcome"   // coordinator → worker: accepted; shared-dir probe
+	msgWelcome   = "welcome"   // coordinator → worker: accepted
 	msgReject    = "reject"    // coordinator → worker: handshake refused (version skew)
 	msgClaim     = "claim"     // worker → coordinator: give me a task
 	msgTask      = "task"      // coordinator → worker: leased task
 	msgWait      = "wait"      // coordinator → worker: nothing claimable now, poll again
 	msgDrained   = "drained"   // coordinator → worker: every task is terminal, disconnect
 	msgHeartbeat = "heartbeat" // worker → coordinator: lease extension
-	msgResult    = "result"    // worker → coordinator: task outcome (+ streamed artifact)
+	msgResult    = "result"    // worker → coordinator: task outcome + encoded run output
 	msgAck       = "ack"       // coordinator → worker: result recorded
 	msgGoodbye   = "goodbye"   // worker → coordinator: final cache stats
 )
@@ -86,14 +80,6 @@ type message struct {
 	Type  string `json:"type"`
 	Proto int    `json:"proto,omitempty"`
 
-	// Welcome: the shared-cache-dir probe. The coordinator writes Token
-	// into TokenFile under its own cache directory; a worker that reads
-	// the same bytes from TokenFile under *its* cache directory has
-	// proven both point at one filesystem location, so completions can
-	// carry bare content keys instead of streamed artifacts.
-	TokenFile string `json:"token_file,omitempty"`
-	Token     string `json:"token,omitempty"`
-
 	Task *Task `json:"task,omitempty"`
 
 	// ID names the task a heartbeat/result/ack refers to. IDs are
@@ -104,9 +90,7 @@ type message struct {
 	// a recording problem the coordinator wants the worker to know (ack).
 	Err string `json:"err,omitempty"`
 
-	// Key is the RunOutput content address of a completed task; Artifact
-	// is the raw encoded artifact — present only in streaming mode.
-	Key      string `json:"key,omitempty"`
+	// Artifact is a successful result's encoded run output.
 	Artifact []byte `json:"artifact,omitempty"`
 
 	Stats *CacheStats `json:"stats,omitempty"`

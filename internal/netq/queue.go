@@ -3,8 +3,8 @@ package netq
 import "time"
 
 // Task is one design × profile cell of a campaign matrix, carrying every
-// run parameter the worker needs to reproduce the coordinator's exact
-// content key (the replay scalars mirror sim.ReplayOptions).
+// run parameter the worker needs to run the coordinator's exact cell
+// (the replay scalars mirror sim.ReplayOptions).
 type Task struct {
 	ID       int    `json:"id"`
 	Profile  string `json:"profile"`
@@ -17,14 +17,11 @@ type Task struct {
 }
 
 // Outcome is what a worker reports back for a finished task. Err carries
-// the run failure, if any. Key is the RunOutput content address the run
-// produced (informational on a shared cache; the lookup handle for a
-// streamed artifact). Artifact is the raw encoded artifact bytes, set
-// only when the worker streams (Client.StreamArtifacts) — the receiver
-// CRC-verifies them before storing.
+// the run failure, if any. Artifact is the encoded run output of a
+// successful run, which the coordinator verifies and stores under a name
+// it derives from its own copy of the task (ServerOptions.Store).
 type Outcome struct {
 	Err      error
-	Key      string
 	Artifact []byte
 }
 

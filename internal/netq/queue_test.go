@@ -61,7 +61,7 @@ func TestDrainRunsEveryTask(t *testing.T) {
 		if task.ID == 1 {
 			return Outcome{Err: boom}
 		}
-		return Outcome{Key: "k"}
+		return Outcome{Artifact: []byte{byte(task.ID)}}
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -2,12 +2,9 @@ package netq
 
 import (
 	"bufio"
-	"crypto/rand"
-	"encoding/hex"
+	"errors"
 	"fmt"
 	"net"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"time"
@@ -20,35 +17,12 @@ type ServerOptions struct {
 	// heartbeat interval (HeartbeatEvery); 0 means 2 minutes.
 	Lease time.Duration
 
-	// IdleTimeout bounds how long a connected worker may stay silent
-	// (a live worker polls or heartbeats far more often). On expiry the
-	// connection is dropped and its leases re-queue, so a partitioned
-	// worker cannot hold the coordinator's worker count up forever.
-	// 0 means max(2×Lease, 30s).
-	IdleTimeout time.Duration
-
-	// CacheDir, when non-empty, enables the shared-cache-dir probe: a
-	// random session token is written there and offered to every worker
-	// in the welcome message. Workers that read it back skip artifact
-	// streaming.
-	CacheDir string
-
-	// StoreArtifact persists one streamed, already-framed artifact under
-	// its content key (the caller verifies/decodes; netq does not know
-	// the codec). nil refuses streamed results — completions then carry
-	// keys only, which is correct when every worker shares the cache.
-	StoreArtifact func(key string, data []byte) error
-
-	// TaskKey derives, coordinator-side, the content key a streamed
-	// artifact for task t must be stored under. The listener is
-	// unauthenticated, so the key a worker reports on the wire is
-	// untrusted input: when TaskKey is set it is ignored entirely for
-	// storage — a hostile or confused worker can neither traverse paths
-	// (StoreArtifact implementations join the key into a directory) nor
-	// poison a different task's cache entry. nil falls back to the wire
-	// key, which is then required to look like a bare content hash
-	// (lowercase hex) before it gets anywhere near a filename.
-	TaskKey func(t Task) (string, error)
+	// Store persists one successful result: the coordinator's own copy of
+	// the task and the artifact bytes the worker sent, which the caller
+	// verifies and names (netq knows neither the codec nor the cache
+	// layout). Required. An error fails the task, and the coordinator
+	// recomputes it in-process.
+	Store func(t Task, artifact []byte) error
 }
 
 // Progress is a point-in-time snapshot of the queue's state.
@@ -91,11 +65,15 @@ type lease struct {
 // states, and the lease table. All exported methods are safe for
 // concurrent use.
 type Server struct {
-	opt       ServerOptions
-	ln        net.Listener
-	token     string
-	tokenFile string // full path of the session token file ("" when disabled)
-	stop      chan struct{}
+	opt ServerOptions
+	ln  net.Listener
+	// idle bounds how long a connected worker may stay silent (a live
+	// worker polls or heartbeats far more often): max(2×Lease, 30s). On
+	// expiry the connection is dropped and its leases re-queue, so a
+	// partitioned worker cannot hold the coordinator's worker count up
+	// forever.
+	idle time.Duration
+	stop chan struct{}
 
 	mu           sync.Mutex
 	conns        map[net.Conn]bool
@@ -117,17 +95,13 @@ type Server struct {
 }
 
 // NewServer listens on addr (host:port; port 0 picks a free one), loads
-// the queue with tasks, and starts serving. Close releases the listener
-// and the session token file.
+// the queue with tasks, and starts serving. Close releases the listener.
 func NewServer(addr string, tasks []Task, opt ServerOptions) (*Server, error) {
+	if opt.Store == nil {
+		return nil, errors.New("netq: ServerOptions.Store is required")
+	}
 	if opt.Lease <= 0 {
 		opt.Lease = 2 * time.Minute
-	}
-	if opt.IdleTimeout <= 0 {
-		opt.IdleTimeout = 2 * opt.Lease
-		if opt.IdleTimeout < 30*time.Second {
-			opt.IdleTimeout = 30 * time.Second
-		}
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -136,6 +110,7 @@ func NewServer(addr string, tasks []Task, opt ServerOptions) (*Server, error) {
 	s := &Server{
 		opt:     opt,
 		ln:      ln,
+		idle:    max(2*opt.Lease, 30*time.Second),
 		stop:    make(chan struct{}),
 		conns:   map[net.Conn]bool{},
 		tasks:   make(map[int]Task, len(tasks)),
@@ -148,38 +123,17 @@ func NewServer(addr string, tasks []Task, opt ServerOptions) (*Server, error) {
 	for _, t := range tasks {
 		s.tasks[t.ID] = t
 	}
-	if opt.CacheDir != "" {
-		if err := s.writeToken(); err != nil {
-			ln.Close()
-			return nil, err
-		}
-	}
 	s.wg.Add(2)
 	go s.acceptLoop()
 	go s.leaseScan()
 	return s, nil
 }
 
-// writeToken creates the shared-cache-dir probe token.
-func (s *Server) writeToken() error {
-	var raw [16]byte
-	if _, err := rand.Read(raw[:]); err != nil {
-		return fmt.Errorf("netq: session token: %w", err)
-	}
-	s.token = hex.EncodeToString(raw[:])
-	s.tokenFile = ".netq-session-" + s.token[:8]
-	path := filepath.Join(s.opt.CacheDir, s.tokenFile)
-	if err := os.WriteFile(path, []byte(s.token), 0o644); err != nil {
-		return fmt.Errorf("netq: session token: %w", err)
-	}
-	return nil
-}
-
 // Addr returns the listener's address (useful with port 0).
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// Close stops accepting, drops every worker, and removes the token file.
-// Safe to call more than once.
+// Close stops accepting and drops every worker. Safe to call more than
+// once.
 func (s *Server) Close() {
 	s.mu.Lock()
 	already := s.closed
@@ -194,9 +148,6 @@ func (s *Server) Close() {
 	close(s.stop)
 	s.ln.Close()
 	s.wg.Wait()
-	if s.tokenFile != "" {
-		os.Remove(filepath.Join(s.opt.CacheDir, s.tokenFile))
-	}
 }
 
 // Progress snapshots the queue state.
@@ -354,12 +305,12 @@ func (s *Server) handleConn(conn net.Conn) {
 	defer conn.Close()
 	br := bufio.NewReader(conn)
 
-	deadline := func() { conn.SetReadDeadline(time.Now().Add(s.opt.IdleTimeout)) }
+	deadline := func() { conn.SetReadDeadline(time.Now().Add(s.idle)) }
 	// send bounds every reply write too: a peer that stops reading with a
 	// full socket buffer would otherwise pin this goroutine (and the
 	// worker count Wait's degrade logic watches) until Close.
 	send := func(m *message) error {
-		conn.SetWriteDeadline(time.Now().Add(s.opt.IdleTimeout))
+		conn.SetWriteDeadline(time.Now().Add(s.idle))
 		return writeMsg(conn, m)
 	}
 	deadline()
@@ -372,8 +323,7 @@ func (s *Server) handleConn(conn net.Conn) {
 			Err: fmt.Sprintf("netq: protocol version skew: coordinator speaks v%d, worker spoke v%d", ProtoVersion, hello.Proto)})
 		return
 	}
-	if err := send(&message{Type: msgWelcome, Proto: ProtoVersion,
-		TokenFile: s.tokenFile, Token: s.token}); err != nil {
+	if err := send(&message{Type: msgWelcome, Proto: ProtoVersion}); err != nil {
 		return
 	}
 
@@ -470,8 +420,7 @@ func (s *Server) heartbeat(conn net.Conn, id int) {
 // only the current lease holder may fail a task (a stale worker's error
 // must not pin the task failed while the live holder is still
 // computing), and a success always supersedes an earlier failure — the
-// result is content-addressed, so whoever computed it computed the same
-// thing.
+// run is deterministic, so whoever computed it computed the same bytes.
 func (s *Server) result(conn net.Conn, m *message) *message {
 	s.mu.Lock()
 	task, known := s.tasks[m.ID]
@@ -506,17 +455,12 @@ func (s *Server) result(conn net.Conn, m *message) *message {
 	s.mu.Unlock()
 
 	// Store outside the lock: artifact writes hit the disk. Idempotence
-	// holds because a duplicate store writes identical bytes under the
-	// same content key.
+	// holds because a duplicate store writes identical bytes for the same
+	// task. A success without bytes is an artifact too large to frame
+	// (Client.Finish): it completes the task, and the coordinator
+	// recomputes that cell in-process.
 	if len(m.Artifact) > 0 {
-		if s.opt.StoreArtifact == nil {
-			return s.failResult(m.ID, "coordinator does not accept streamed artifacts")
-		}
-		key, err := s.storeKey(task, m.Key)
-		if err != nil {
-			return s.failResult(m.ID, err.Error())
-		}
-		if err := s.opt.StoreArtifact(key, m.Artifact); err != nil {
+		if err := s.opt.Store(task, m.Artifact); err != nil {
 			return s.failResult(m.ID, fmt.Sprintf("store streamed artifact: %v", err))
 		}
 	}
@@ -530,41 +474,6 @@ func (s *Server) result(conn net.Conn, m *message) *message {
 		s.done[m.ID] = true
 	}
 	return &message{Type: msgAck, ID: m.ID}
-}
-
-// storeKey names the cache entry a streamed artifact lands under. With
-// TaskKey configured the key is derived from the coordinator's own copy
-// of the task and the worker-reported wire key is ignored; without it
-// the wire key is used but must have the bare content-hash shape.
-func (s *Server) storeKey(t Task, wire string) (string, error) {
-	if s.opt.TaskKey != nil {
-		key, err := s.opt.TaskKey(t)
-		if err != nil {
-			return "", fmt.Errorf("derive artifact key: %v", err)
-		}
-		return key, nil
-	}
-	if !validWireKey(wire) {
-		return "", fmt.Errorf("malformed artifact key %q", wire)
-	}
-	return wire, nil
-}
-
-// validWireKey accepts exactly the shape artifact content keys have —
-// non-empty lowercase hex, bounded length. Everything else (path
-// separators, dots, uppercase, unicode) is rejected before the key gets
-// anywhere near a filepath.Join.
-func validWireKey(key string) bool {
-	if len(key) == 0 || len(key) > 128 {
-		return false
-	}
-	for i := 0; i < len(key); i++ {
-		c := key[i]
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
 }
 
 // failResult marks a completion that could not be recorded; the final
