@@ -3,8 +3,9 @@
 # packages that own the campaign worker pools. The test suite includes
 # the lint suite (internal/lint, docs/static-analysis.md):
 # TestRepoIsLintClean runs every analyzer over the module against
-# lint.allow, and TestRepoEscapeBudget diffs the compiler's hot-path
-# escapes against alloc.budget.
+# lint.allow, and TestRepoEscapeBudget, the allocation gate, diffs the
+# compiler's escapes in the closure of the hot-path roots against
+# alloc.budget.
 
 GO ?= go
 
@@ -59,9 +60,12 @@ test:
 # of which concurrent workers share. Short trace lengths keep this a smoke
 # pass, not a full campaign. netq, the distributed-campaign queue, is
 # goroutine-heavy too: leases, heartbeats, reconnects
-# (docs/distribution.md).
+# (docs/distribution.md). cmd/thesaurus holds the coordinator glue around
+# it: serve.go's goroutine that reaps spawned workers calls srv.Progress
+# and srv.Close while srv.Wait polls. Its tests re-execute the test
+# binary as coordinator and worker, so both processes run instrumented.
 race:
-	$(GO) test -race -count=1 ./internal/harness ./internal/experiments ./internal/thesaurus ./internal/netq ./internal/cache ./internal/memory
+	$(GO) test -race -count=1 ./internal/harness ./internal/experiments ./internal/thesaurus ./internal/netq ./internal/cache ./internal/memory ./cmd/thesaurus
 
 # Compile-and-run the micro-benchmarks once, every BenchmarkHotPath row
 # included: catches benchmarks broken by API changes without paying full

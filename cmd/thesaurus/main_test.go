@@ -50,11 +50,13 @@ func report(t *testing.T, args ...string) (stdout, stderr string) {
 // TestWorkerWithoutRunCacheContributes: a -connect worker sends every
 // cell's run output home, so one started with -no-cache or -no-run-cache
 // leaves the coordinator nothing to recompute, and the report is the
-// serial one.
+// serial one. The coordinator's summary starts a line of its own, after
+// the live progress line.
 func TestWorkerWithoutRunCacheContributes(t *testing.T) {
 	campaign := []string{"-workers", "1", "-n", "3000", "-profiles", "mcf", "fig13"}
 	want, _ := report(t, append([]string{"-no-cache"}, campaign...)...)
 	misses := regexp.MustCompile(`(?m)^artifact cache: \d+ hits, (\d+) misses,`)
+	summary := regexp.MustCompile(`(?m)^serve: \d+/\d+ done, \d+ failed,`)
 	for _, mode := range [][]string{{"-no-cache"}, {"-no-run-cache"}} {
 		t.Run(mode[0][1:], func(t *testing.T) {
 			dir := t.TempDir()
@@ -76,7 +78,26 @@ func TestWorkerWithoutRunCacheContributes(t *testing.T) {
 			if m := misses.FindStringSubmatch(stderr); m == nil || m[1] != "0" {
 				t.Errorf("coordinator recomputed cells the worker finished:\n%s", stderr)
 			}
+			if !summary.MatchString(stderr) {
+				t.Errorf("coordinator summary does not start its own line:\n%q", stderr)
+			}
 		})
+	}
+}
+
+// TestDistributeMatchesSerial: -distribute spawns its workers from the
+// coordinator's own binary, and the goroutine that reaps them calls
+// Server.Progress and Server.Close while Server.Wait polls (make race).
+// Every cell comes home from a worker, and the report is the serial one.
+func TestDistributeMatchesSerial(t *testing.T) {
+	campaign := []string{"-workers", "1", "-n", "3000", "-profiles", "mcf", "fig13"}
+	want, _ := report(t, append([]string{"-no-cache"}, campaign...)...)
+	got, stderr := report(t, append([]string{"-distribute", "1", "-cache-dir", t.TempDir()}, campaign...)...)
+	if got != want {
+		t.Errorf("report differs from the serial -no-cache run:\n%s\nwant:\n%s", got, want)
+	}
+	if !regexp.MustCompile(`(?m)^artifact cache: \d+ hits, 0 misses,`).MatchString(stderr) {
+		t.Errorf("coordinator recomputed cells its worker ran:\n%s", stderr)
 	}
 }
 

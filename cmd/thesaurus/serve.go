@@ -88,7 +88,8 @@ func serveCampaign(addr, addrFile string, lease, grace time.Duration,
 		fmt.Fprintf(os.Stderr, "serve: %d/%d done, %d leased, %d pending, %d workers\r",
 			p.Done, p.Total, p.Leased, p.Pending, p.Workers)
 	})
-	fmt.Fprintf(os.Stderr, "serve: %d/%d done, %d failed, %d requeued, %d workers over the run\n",
+	// Wait draws at least one live line; end it so the summary starts its own.
+	fmt.Fprintf(os.Stderr, "\nserve: %d/%d done, %d failed, %d requeued, %d workers over the run\n",
 		sum.Done, sum.Total, sum.Failed, sum.Requeues, sum.WorkersEver)
 	for _, m := range sum.Failures {
 		fmt.Fprintf(os.Stderr, "serve: %s (will recompute in-process)\n", m)

@@ -102,19 +102,27 @@ func effectiveThesaurusConfig(design string, opt RunOptions) *thesaurus.Config {
 	return &cfg
 }
 
-// DefaultRunContentKey returns the run-level artifact content key a
-// memoized default-configuration run of (profile, design) stores under —
-// the exact key runOrLoad computes on the sample=true path that campaign
-// cells take. A netq coordinator uses it to name the run output a worker
-// sends back for a campaign cell without re-running anything.
-func DefaultRunContentKey(profile, design string, opt RunOptions) (string, error) {
+// runContentKey is the run-level artifact content key of a run of
+// (profile, design) under opt. Fig. 16 sampling only happens on Thesaurus
+// runs; for every other design the flag changes nothing about the
+// result, so keying it would split identical runs across two cache
+// entries.
+func runContentKey(profile, design string, opt RunOptions, sample bool) (string, error) {
 	p, err := workload.ProfileByName(profile)
 	if err != nil {
 		return "", err
 	}
-	keySample := design == "Thesaurus"
 	return artifact.RunOutputKey(p, sim.DefaultSystem(), design, opt.Accesses,
-		opt.Replay, keySample, effectiveThesaurusConfig(design, opt)), nil
+		opt.Replay, sample && design == "Thesaurus", effectiveThesaurusConfig(design, opt)), nil
+}
+
+// DefaultRunContentKey returns the run-level artifact content key a
+// memoized default-configuration run of (profile, design) stores under:
+// the sampled key that campaign cells take. A netq coordinator uses it to
+// name the run output a worker sends back for a campaign cell without
+// re-running anything.
+func DefaultRunContentKey(profile, design string, opt RunOptions) (string, error) {
+	return runContentKey(profile, design, opt, true)
 }
 
 // runOrLoad is the body of Run's computation behind the in-memory layers:
@@ -131,16 +139,10 @@ func runOrLoad(profile, design string, opt RunOptions, sample, lines bool) (*Run
 	if c == nil || runCacheOff.Load() {
 		return runOnce(profile, design, opt, sample, lines)
 	}
-	p, err := workload.ProfileByName(profile)
+	key, err := runContentKey(profile, design, opt, sample)
 	if err != nil {
 		return nil, err
 	}
-	// Fig. 16 sampling only happens on Thesaurus runs; for every other
-	// design the flag changes nothing about the result, so keying it
-	// would split identical runs across two cache entries.
-	keySample := sample && design == "Thesaurus"
-	key := artifact.RunOutputKey(p, sim.DefaultSystem(), design, opt.Accesses,
-		opt.Replay, keySample, effectiveThesaurusConfig(design, opt))
 	if lines {
 		key = artifact.LinesKey(key)
 	}

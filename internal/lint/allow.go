@@ -23,9 +23,9 @@ type AllowEntry struct {
 //
 // The justification is mandatory — an exception nobody can explain is
 // not an exception, it is a latent bug — and stale entries (covering no
-// current finding) are reported so the list cannot rot. allocgate and
-// hotpath-pragma take no entries: the allocation gate's one exemption is
-// a //thesaurus:allocok <reason> pragma in the code.
+// current finding) are reported so the list cannot rot. hotpath-pragma
+// takes no entries: the allocation gate's one exemption is a
+// //thesaurus:allocok <reason> pragma in the code.
 type Allowlist struct {
 	Entries []*AllowEntry
 }
@@ -54,7 +54,7 @@ func ParseAllowlist(path string) (*Allowlist, error) {
 		if !known[fields[0]] {
 			return nil, fmt.Errorf("%s:%d: unknown analyzer %q", path, i+1, fields[0])
 		}
-		if fields[0] == AllocGate.Name || fields[0] == HotPathPragma.Name {
+		if fields[0] == HotPathPragma.Name {
 			return nil, fmt.Errorf("%s:%d: %s findings cannot be allowlisted; the allocation gate's one exemption is //thesaurus:allocok <reason> in the code",
 				path, i+1, fields[0])
 		}

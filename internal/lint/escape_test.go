@@ -1,9 +1,11 @@
 package lint
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -14,6 +16,8 @@ func TestParseEscapes(t *testing.T) {
 		"internal/foo/foo.go:12:6: can inline Helper",
 		"internal/foo/foo.go:30:13: make([]byte, n) escapes to heap",
 		"internal/foo/foo.go:9:2: moved to heap: buf",
+		"internal/foo/foo.go:30:13: make([]byte, n) escapes to heap", // a second instantiation
+		"<autogenerated>:1: make([]byte, n) escapes to heap",
 		"internal/foo/foo.go:30:13: leaking param: p",
 		"not a diagnostic line",
 		"internal/foo/foo.go:bad:1: x escapes to heap",
@@ -32,33 +36,53 @@ func TestParseEscapes(t *testing.T) {
 	}
 }
 
-// TestAttributeEscapes attributes by file and line span, including a
-// root-package function: ScanHotFuncs records its file as m.go, and the
-// compiler's ./m.go must reach it through parseEscapes.
+// TestAttributeEscapes applies the attribution rules to a hand-built
+// closure: a site counts against every root whose closure holds its
+// function (a root-package one included: the compiler's ./m.go must
+// reach m.go through parseEscapes), except in a panic argument or at the
+// ( of a module call, where a variadic call's "... argument" slice still
+// counts.
 func TestAttributeEscapes(t *testing.T) {
-	funcs := []HotFunc{
-		{Key: "m/p.Hot", File: "p/p.go", StartLine: 10, EndLine: 20, Dir: "p"},
-		{Key: "m/p.(*T).Cold", File: "p/p.go", StartLine: 30, EndLine: 40, Dir: "p"},
-		{Key: "m.Root", File: "m.go", StartLine: 5, EndLine: 9, Dir: "."},
+	c := &Closure{
+		Roots: map[string][]funcSpan{
+			"m/p.Hot":  {{File: "p/p.go", Start: 10, End: 20}, {File: "p/q.go", Start: 5, End: 9}},
+			"m/p.Also": {{File: "p/q.go", Start: 5, End: 9}},
+			"m/p.Idle": {{File: "p/p.go", Start: 30, End: 40}},
+			"m.Root":   {{File: "m.go", Start: 5, End: 9}},
+		},
+		panicArgs: [][2]srcPos{{{"p/p.go", 12, 8}, {"p/p.go", 13, 2}}},
+		moduleCalls: map[srcPos]bool{
+			{"p/p.go", 15, 6}: true,
+			{"p/p.go", 16, 6}: true,
+		},
 	}
 	sites := []EscapeSite{
-		{File: "p/p.go", Line: 15, Col: 3, Msg: "x escapes to heap"},
+		{File: "p/p.go", Line: 11, Col: 3, Msg: "make([]byte, n) escapes to heap"},
+		{File: "p/p.go", Line: 12, Col: 20, Msg: "in a panic argument"},
+		{File: "p/p.go", Line: 13, Col: 1, Msg: "in a panic argument, on its last line"},
+		{File: "p/p.go", Line: 15, Col: 6, Msg: "an inlined callee's escape"},
+		{File: "p/p.go", Line: 16, Col: 6, Msg: "... argument escapes to heap"},
 		{File: "p/p.go", Line: 25, Col: 3, Msg: "between functions, dropped"},
 		{File: "p/other.go", Line: 15, Col: 3, Msg: "other file, dropped"},
+		{File: "p/q.go", Line: 7, Col: 2, Msg: "shared callee"},
 	}
 	sites = append(sites, parseEscapes("./m.go:7:2: moved to heap: y\n")...)
-	got := AttributeEscapes(funcs, sites)
-	if len(got) != 3 {
-		t.Fatalf("attributed %d keys, want 3 (zero-escape functions must still appear)", len(got))
+	got := map[string][]string{}
+	for k, ss := range c.Attribute(sites) {
+		msgs := []string{}
+		for _, s := range ss {
+			msgs = append(msgs, s.Msg)
+		}
+		got[k] = msgs
 	}
-	if n := len(got["m/p.Hot"]); n != 1 {
-		t.Errorf("m/p.Hot got %d sites, want 1", n)
+	want := map[string][]string{
+		"m/p.Hot":  {"make([]byte, n) escapes to heap", "... argument escapes to heap", "shared callee"},
+		"m/p.Also": {"shared callee"},
+		"m/p.Idle": {},
+		"m.Root":   {"moved to heap: y"},
 	}
-	if n := len(got["m/p.(*T).Cold"]); n != 0 {
-		t.Errorf("m/p.(*T).Cold got %d sites, want 0", n)
-	}
-	if n := len(got["m.Root"]); n != 1 {
-		t.Errorf("m.Root got %d sites, want 1", n)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Attribute = %q, want %q", got, want)
 	}
 }
 
@@ -140,88 +164,98 @@ func TestDiffBudget(t *testing.T) {
 	}
 }
 
-// TestScanHotFuncs runs the syntax-only scan on a synthetic module and
-// checks keys, spans, and that test files and non-pragma functions are
-// ignored.
-func TestScanHotFuncs(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name, content string) {
-		t.Helper()
-		path := filepath.Join(dir, name)
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
+// TestFixtureEscapeBudget pins the attribution rules on
+// testdata/src/fixalloc, built with -gcflags=-m: the sites counted
+// against each root, then the calls the walk cannot follow, against
+// testdata/fixalloc.budget.golden (rewritten under -update).
+func TestFixtureEscapeBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the fixture with -gcflags=-m")
 	}
-	write("go.mod", "module example/mod\n\ngo 1.21\n")
-	write("pkg/pkg.go", `package pkg
-
-type T struct{ n int }
-
-//thesaurus:hotpath
-func (t *T) Hot() int {
-	return t.n
-}
-
-func cold() {}
-
-//thesaurus:hotpath
-func Free() {}
-`)
-	write("pkg/pkg_test.go", `package pkg
-
-//thesaurus:hotpath
-func testOnly() {}
-`)
-	funcs, err := ScanHotFuncs(dir)
+	r := testRunner(t)
+	const path = "repro/internal/lint/testdata/src/fixalloc"
+	c, err := WalkClosure(r.Loader, []string{path})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(funcs) != 2 {
-		t.Fatalf("found %d hot funcs, want 2: %+v", len(funcs), funcs)
+	sites, err := CollectEscapes(r.Loader.ModuleDir, c.Dirs)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if funcs[0].Key != "example/mod/pkg.(*T).Hot" || funcs[1].Key != "example/mod/pkg.Free" {
-		t.Errorf("keys = %s, %s", funcs[0].Key, funcs[1].Key)
+	attributed := c.Attribute(sites)
+	roots := make([]string, 0, len(attributed))
+	for k := range attributed {
+		roots = append(roots, k)
 	}
-	if funcs[0].File != "pkg/pkg.go" || funcs[0].StartLine != 6 || funcs[0].EndLine != 8 {
-		t.Errorf("span = %+v", funcs[0])
+	sort.Strings(roots)
+	var b strings.Builder
+	for _, k := range roots {
+		fmt.Fprintf(&b, "%s %d\n", k, len(attributed[k]))
+		for _, s := range attributed[k] {
+			fmt.Fprintf(&b, "\t%s\n", s)
+		}
 	}
-	if dirs := HotPackageDirs(funcs); len(dirs) != 1 || dirs[0] != "pkg" {
-		t.Errorf("HotPackageDirs = %v", dirs)
+	for _, u := range c.Unfollowable {
+		fmt.Fprintln(&b, u)
+	}
+	got := strings.NewReplacer(path+".", "", "internal/lint/testdata/src/fixalloc/", "").Replace(b.String())
+
+	golden := filepath.Join("testdata", "fixalloc.budget.golden")
+	if *update {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("escape budget differs from %s\ngot:\n%s\nwant:\n%s", golden, got, want)
 	}
 }
 
-// TestRepoEscapeBudget is the escape gate: the committed alloc.budget
-// must exactly match what the compiler proves about the tree's hot
-// functions. With -update it rewrites alloc.budget from the tree
-// instead (`make alloc-budget`).
+// TestRepoEscapeBudget is the allocation gate: the committed alloc.budget
+// must exactly match what the compiler proves about the closures of the
+// tree's hot-path roots, and every call in those closures must name its
+// callee. With -update it rewrites alloc.budget from the tree instead
+// (`make alloc-budget`).
 func TestRepoEscapeBudget(t *testing.T) {
 	if testing.Short() {
-		t.Skip("rebuilds hot packages with -gcflags=-m")
+		t.Skip("rebuilds the hot closure's packages with -gcflags=-m")
 	}
-	cwd, err := os.Getwd()
+	r := testRunner(t)
+	dirs, err := ModuleDirs(r.Loader.ModuleDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	moduleDir, err := FindModuleRoot(cwd)
+	// Roots live in simulation packages only (hotpath-pragma).
+	var paths []string
+	for _, dir := range dirs {
+		path, err := r.importPathOf(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if simPackage(r.Loader.ModulePath, path) {
+			paths = append(paths, path)
+		}
+	}
+	c, err := WalkClosure(r.Loader, paths)
 	if err != nil {
 		t.Fatal(err)
 	}
-	funcs, err := ScanHotFuncs(moduleDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(funcs) == 0 {
+	if len(c.Roots) == 0 {
 		t.Fatal("no //thesaurus:hotpath functions in the tree")
 	}
-	sites, err := CollectEscapes(moduleDir, HotPackageDirs(funcs))
+	for _, u := range c.Unfollowable {
+		t.Error(u)
+	}
+	sites, err := CollectEscapes(r.Loader.ModuleDir, c.Dirs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	attributed := AttributeEscapes(funcs, sites)
-	path := filepath.Join(moduleDir, "alloc.budget")
+	attributed := c.Attribute(sites)
+	path := filepath.Join(r.Loader.ModuleDir, "alloc.budget")
 	if *update {
 		if err := os.WriteFile(path, FormatBudget(attributed), 0o644); err != nil {
 			t.Fatal(err)

@@ -33,7 +33,7 @@ func runHotPathPragma(pass *Pass) {
 				case pragmaHotPath:
 					if p.Arg != "" {
 						pass.Reportf(p.Comment.Pos(),
-							"//thesaurus:hotpath takes no argument (got %q); the closure walk needs no configuration", p.Arg)
+							"//thesaurus:hotpath takes no argument (got %q); the escape budget needs no configuration", p.Arg)
 					}
 				case pragmaAllocOK:
 					if p.Arg == "" {

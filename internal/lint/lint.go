@@ -11,8 +11,8 @@
 //
 // The suite runs as this package's tests: `go test ./internal/lint`
 // lints the whole module against lint.allow (TestRepoIsLintClean) and
-// diffs the compiler's hot-path escapes against alloc.budget
-// (TestRepoEscapeBudget).
+// diffs the compiler's escapes in the closure of the hot-path roots
+// against alloc.budget (TestRepoEscapeBudget), the allocation gate.
 //
 // The suite is built only on the standard library (go/parser, go/ast,
 // go/types with the source importer); there is no dependency on
@@ -58,10 +58,6 @@ type Pass struct {
 
 	analyzer string
 	report   func(Diagnostic)
-	// loader gives interprocedural analyzers (allocgate) access to the
-	// bodies of module-internal packages the unit imports. Nil in
-	// hand-built passes; analyzers must tolerate that.
-	loader *Loader
 }
 
 // InTestFile reports whether pos lies in a _test.go file.
@@ -98,7 +94,6 @@ func Analyzers() []*Analyzer {
 		FloatOrder,
 		ReleaseUse,
 		HotPathPragma,
-		AllocGate,
 	}
 }
 
@@ -174,10 +169,9 @@ func (r *Runner) CheckDirAs(dir, asPath string) ([]Diagnostic, error) {
 }
 
 // sortAndDedupe orders diagnostics by file, line, column, analyzer,
-// message and drops exact duplicates. The interprocedural allocgate pass
-// can reach the same construct from hot-path roots in several analysis
-// units (its messages are unit-independent for exactly this reason), so
-// one construct must surface as one finding.
+// message and drops exact duplicates: maporder checks every map range on
+// its own, so a construct inside nested map ranges is reached once per
+// enclosing range, and must surface as one finding.
 func sortAndDedupe(diags []Diagnostic) []Diagnostic {
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
@@ -225,7 +219,6 @@ func (r *Runner) checkDir(dir, asPath string) ([]Diagnostic, error) {
 				Pkg:        u.Pkg,
 				Info:       u.Info,
 				analyzer:   a.Name,
-				loader:     r.Loader,
 			}
 			pass.report = func(d Diagnostic) {
 				if rp, err := filepath.Rel(r.Loader.ModuleDir, d.File); err == nil && !strings.HasPrefix(rp, "..") {

@@ -27,9 +27,9 @@ type Loader struct {
 
 	src  types.ImporterFrom
 	pkgs map[string]*types.Package // import path → typechecked (non-test files only)
-	// units retains the syntax and type information behind pkgs so
-	// interprocedural analyses (allocgate) can follow calls into other
-	// module packages and read the callee bodies.
+	// units retains the syntax and type information behind pkgs so the
+	// escape budget's closure walk can follow calls into other module
+	// packages and read the callee bodies.
 	units map[string]*moduleUnit
 }
 
@@ -60,6 +60,21 @@ func NewLoader(moduleDir string) (*Loader, error) {
 	}
 	l.src = importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
 	return l, nil
+}
+
+// readModulePath extracts the module path from moduleDir's go.mod.
+func readModulePath(moduleDir string) (string, error) {
+	data, err := os.ReadFile(filepath.Join(moduleDir, "go.mod"))
+	if err != nil {
+		return "", fmt.Errorf("lint: reading go.mod: %w", err)
+	}
+	for _, ln := range strings.Split(string(data), "\n") {
+		ln = strings.TrimSpace(ln)
+		if rest, ok := strings.CutPrefix(ln, "module "); ok {
+			return strings.TrimSpace(rest), nil
+		}
+	}
+	return "", fmt.Errorf("lint: no module directive in %s/go.mod", moduleDir)
 }
 
 // FindModuleRoot walks upward from dir to the nearest directory holding
@@ -93,7 +108,7 @@ func (l *Loader) ImportFrom(path, srcDir string, mode types.ImportMode) (*types.
 	if pkg, ok := l.pkgs[path]; ok {
 		return pkg, nil
 	}
-	if path == l.ModulePath || strings.HasPrefix(path, l.ModulePath+"/") {
+	if l.inModule(path) {
 		rel := strings.TrimPrefix(strings.TrimPrefix(path, l.ModulePath), "/")
 		dir := filepath.Join(l.ModuleDir, filepath.FromSlash(rel))
 		files, err := l.parseDir(dir, func(name string) bool {
@@ -120,13 +135,18 @@ func (l *Loader) moduleUnit(path string) *moduleUnit {
 	if u, ok := l.units[path]; ok {
 		return u
 	}
-	if path != l.ModulePath && !strings.HasPrefix(path, l.ModulePath+"/") {
+	if !l.inModule(path) {
 		return nil
 	}
 	if _, err := l.ImportFrom(path, l.ModuleDir, 0); err != nil {
 		return nil
 	}
 	return l.units[path]
+}
+
+// inModule reports whether path is the module's or one of its packages'.
+func (l *Loader) inModule(path string) bool {
+	return path == l.ModulePath || strings.HasPrefix(path, l.ModulePath+"/")
 }
 
 // parseDir parses the .go files of dir that pass keep, in sorted name

@@ -11,12 +11,12 @@ import (
 //	//thesaurus:hotpath
 //	//thesaurus:allocok <reason>
 //
-// hotpath declares the function a hot-path root: allocgate computes the
-// call-graph closure of every root and flags allocation constructs
-// anywhere inside it. allocok marks a function as a sanctioned allocation
-// boundary (cold refill paths, amortized pool growth): the closure walk
-// does not descend into it and nothing inside it is flagged; the reason
-// is mandatory and is the audit trail.
+// hotpath declares the function a hot-path root: the escape budget
+// (escape.go) counts the compiler's proven escapes anywhere in the
+// call-graph closure of every root. allocok marks a function as a
+// sanctioned allocation boundary (cold refill paths, amortized pool
+// growth): a closure stops at it, so nothing inside it is counted; the
+// reason is mandatory and is the audit trail.
 const (
 	pragmaPrefix  = "//thesaurus:"
 	pragmaHotPath = "hotpath"

@@ -1,7 +1,7 @@
 package fixalloc
 
 // Test-only roots gate nothing in production (hotpath-pragma: pragma in
-// a _test.go file; allocgate ignores the root entirely).
+// a _test.go file; the escape budget ignores the root entirely).
 //
 //thesaurus:hotpath
 func testOnlyRoot(n int) []byte {

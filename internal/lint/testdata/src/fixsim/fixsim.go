@@ -205,18 +205,7 @@ func indexedSum(xs []float64) float64 {
 	return sum
 }
 
-// A hot-path root that allocates a fresh result per call (allocgate).
-//
-//thesaurus:hotpath
-func hotCollect(keys []int) []int {
-	out := make([]int, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, k)
-	}
-	return out
-}
-
-// The sanctioned shape reuses a caller-provided scratch slice (clean).
+// A well-formed hot-path root (clean).
 //
 //thesaurus:hotpath
 func hotCollectInto(dst, keys []int) []int {
