@@ -83,20 +83,25 @@ benchsmoke:
 bench-check:
 	cd bench && GOWORK=off $(GO) vet ./... && GOWORK=off $(GO) test ./...
 
-# Short fuzzing smoke over the encoding and fingerprint invariants, over
-# the online Ideal-Diff cache against its straightforward reference
-# implementation (internal/ideal, lockstep_test.go), and over the
-# Thesaurus data array against its slot-per-entry reference
-# (internal/thesaurus, dataarray_ref_test.go); the corpus seeds come from
-# the unit-test vectors, so even a few seconds exercises the interesting
-# shapes.
+# Short fuzzing smoke: every Fuzz target in the module, 5 s each. The
+# targets are discovered with `go test -list`, so a new one cannot be
+# left out. They cover the encoding and fingerprint invariants, the
+# artifact codecs, netq's frame reader (it parses bytes from an
+# unauthenticated listener), the online Ideal-Diff cache against its
+# straightforward reference implementation (internal/ideal,
+# lockstep_test.go) and the Thesaurus data array against its
+# slot-per-entry reference (internal/thesaurus, dataarray_ref_test.go).
+# The corpus seeds come from the unit-test vectors, so even a few seconds
+# exercises the interesting shapes.
 fuzz:
-	$(GO) test -run='^$$' -fuzz=FuzzDiffEncodeRoundtrip -fuzztime=5s ./internal/diffenc
-	$(GO) test -run='^$$' -fuzz=FuzzLSHFingerprintStable -fuzztime=5s ./internal/lsh
-	$(GO) test -run='^$$' -fuzz=FuzzRecordedCodecRoundtrip -fuzztime=5s ./internal/artifact
-	$(GO) test -run='^$$' -fuzz=FuzzRunOutputCodecRoundtrip -fuzztime=5s ./internal/artifact
-	$(GO) test -run='^$$' -fuzz=FuzzIdealMatchesReference -fuzztime=5s ./internal/ideal
-	$(GO) test -run='^$$' -fuzz=FuzzDataArrayMatchesReference -fuzztime=5s ./internal/thesaurus
+	@set -e; list=$$($(GO) test -list '^Fuzz' ./...); \
+	set -- $$(echo "$$list" | awk '/^Fuzz/ { t[++n] = $$1; next } /^ok/ { for (i = 1; i <= n; i++) print $$2, t[i]; n = 0 }'); \
+	n=0; while [ $$# -gt 0 ]; do \
+		echo "fuzz: $$1 $$2"; \
+		$(GO) test -run='^$$' -fuzz="^$$2\$$" -fuzztime=5s $$1; \
+		n=$$((n+1)); shift 2; \
+	done; \
+	echo "fuzz: $$n targets"
 
 # The artifact cache is an accelerator, never an input: campaign reports
 # must be byte-identical whether the cache is off, cold, or warm, with

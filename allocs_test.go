@@ -2,15 +2,18 @@
 // steady-state access paths (docs/performance.md): once a working set is
 // resident and the per-cache scratch buffers have converged, Read/Write
 // hits, LSH fingerprinting, and diff encode/decode round trips must not
-// touch the heap. testing.AllocsPerRun makes the contract mechanical — a
+// touch the heap. alloctest.Mallocs makes the contract mechanical — a
 // regression fails this test instead of showing up only as a slowly
-// degrading campaign wall time.
+// degrading campaign wall time — and exact: it counts every allocation
+// the measured runs make, so an append that grows only once every few
+// runs fails too.
 package repro_test
 
 import (
 	"runtime"
 	"testing"
 
+	"repro/internal/alloctest"
 	"repro/internal/diffenc"
 	"repro/internal/line"
 	"repro/internal/lsh"
@@ -58,7 +61,7 @@ func warmThesaurus(tb testing.TB, cfg thesaurus.Config) *thesaurus.Cache {
 
 func TestThesaurusReadHitAllocFree(t *testing.T) {
 	c := warmThesaurus(t, thesaurus.DefaultConfig())
-	allocs := testing.AllocsPerRun(50, func() {
+	allocs := alloctest.Mallocs(50, func() {
 		for i := 0; i < residentLines; i++ {
 			if _, hit := c.Read(addrOf(i)); !hit {
 				t.Fatal("steady-state read missed")
@@ -66,14 +69,14 @@ func TestThesaurusReadHitAllocFree(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("Read hit allocates: %.2f allocs per %d reads", allocs, residentLines)
+		t.Fatalf("Read hit allocates: %d allocs in 50 runs of %d reads", allocs, residentLines)
 	}
 }
 
 func TestThesaurusWriteHitAllocFree(t *testing.T) {
 	c := warmThesaurus(t, thesaurus.DefaultConfig())
 	v := uint32(0)
-	allocs := testing.AllocsPerRun(50, func() {
+	allocs := alloctest.Mallocs(50, func() {
 		v ^= 1 // alternate content so re-encoding genuinely runs
 		for i := 0; i < residentLines; i++ {
 			if !c.Write(addrOf(i), residentLine(i, v)) {
@@ -82,7 +85,7 @@ func TestThesaurusWriteHitAllocFree(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("Write hit allocates: %.2f allocs per %d writes", allocs, residentLines)
+		t.Fatalf("Write hit allocates: %d allocs in 50 runs of %d writes", allocs, residentLines)
 	}
 }
 
@@ -90,7 +93,7 @@ func TestThesaurusUnchangedWriteHitAllocFree(t *testing.T) {
 	// Re-writes of identical content take the memoized-fingerprint path
 	// (thesaurus.Cache.Write); it too must stay allocation-free.
 	c := warmThesaurus(t, thesaurus.DefaultConfig())
-	allocs := testing.AllocsPerRun(50, func() {
+	allocs := alloctest.Mallocs(50, func() {
 		for i := 0; i < residentLines; i++ {
 			if !c.Write(addrOf(i), residentLine(i, 1)) {
 				t.Fatal("steady-state write missed")
@@ -98,7 +101,7 @@ func TestThesaurusUnchangedWriteHitAllocFree(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("unchanged Write hit allocates: %.2f allocs per %d writes", allocs, residentLines)
+		t.Fatalf("unchanged Write hit allocates: %d allocs in 50 runs of %d writes", allocs, residentLines)
 	}
 }
 
@@ -112,7 +115,7 @@ func TestBDICacheHitAllocFree(t *testing.T) {
 				c.Write(addrOf(i), residentLine(i, v))
 			}
 		}
-		allocs := testing.AllocsPerRun(50, func() {
+		allocs := alloctest.Mallocs(50, func() {
 			for i := 0; i < residentLines; i++ {
 				if _, hit := c.Read(addrOf(i)); !hit {
 					t.Fatal("steady-state read missed")
@@ -123,7 +126,7 @@ func TestBDICacheHitAllocFree(t *testing.T) {
 			}
 		})
 		if allocs != 0 {
-			t.Fatalf("%s hit path allocates: %.2f allocs per %d accesses", comp.Name, allocs, 2*residentLines)
+			t.Fatalf("%s hit path allocates: %d allocs in 50 runs of %d accesses", comp.Name, allocs, 2*residentLines)
 		}
 	}
 }
@@ -135,11 +138,11 @@ func TestBaseTablePooledCycleAllocFree(t *testing.T) {
 	// multi-megabyte make-and-zero per sweep point.
 	mem := memory.NewStore()
 	thesaurus.NewBaseTable(20, mem).Release()
-	allocs := testing.AllocsPerRun(100, func() {
+	allocs := alloctest.Mallocs(100, func() {
 		thesaurus.NewBaseTable(20, mem).Release()
 	})
 	if allocs != 0 {
-		t.Fatalf("pooled base-table cycle allocates: %.2f allocs/op", allocs)
+		t.Fatalf("pooled base-table cycle allocates: %d allocs in 100 cycles", allocs)
 	}
 }
 
@@ -183,18 +186,18 @@ func TestLSHFingerprintAllocFree(t *testing.T) {
 	h := lsh.MustNew(lsh.DefaultConfig())
 	l := residentLine(7, 0)
 	var sink lsh.Fingerprint
-	allocs := testing.AllocsPerRun(1000, func() {
+	allocs := alloctest.Mallocs(1000, func() {
 		sink ^= h.Fingerprint(&l)
 	})
 	if allocs != 0 {
-		t.Fatalf("Fingerprint allocates: %.2f allocs/op", allocs)
+		t.Fatalf("Fingerprint allocates: %d allocs in 1000 calls", allocs)
 	}
 	proj := make([]int, 0, h.Bits())
-	allocs = testing.AllocsPerRun(1000, func() {
+	allocs = alloctest.Mallocs(1000, func() {
 		proj = h.AppendProject(proj[:0], &l)
 	})
 	if allocs != 0 {
-		t.Fatalf("AppendProject with capacity allocates: %.2f allocs/op", allocs)
+		t.Fatalf("AppendProject with capacity allocates: %d allocs in 1000 calls", allocs)
 	}
 }
 
@@ -206,14 +209,14 @@ func TestDiffencRoundTripAllocFree(t *testing.T) {
 	var enc diffenc.Encoded
 	var out line.Line
 	diffenc.EncodeInto(&enc, &l, &base)
-	allocs := testing.AllocsPerRun(1000, func() {
+	allocs := alloctest.Mallocs(1000, func() {
 		diffenc.EncodeInto(&enc, &l, &base)
 		if err := diffenc.DecodeInto(&out, &enc, &base); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("diffenc round trip allocates: %.2f allocs/op", allocs)
+		t.Fatalf("diffenc round trip allocates: %d allocs in 1000 round trips", allocs)
 	}
 	if out != l {
 		t.Fatal("round trip corrupted the line")
@@ -241,7 +244,7 @@ func TestThesaurusEvictionCycleAllocFree(t *testing.T) {
 		}
 	}
 	v := uint32(0)
-	allocs := testing.AllocsPerRun(20, func() {
+	allocs := alloctest.Mallocs(20, func() {
 		v ^= 1
 		for i := 0; i < cycling; i++ {
 			c.Write(addrOf(i), residentLine(i, v))
@@ -249,7 +252,7 @@ func TestThesaurusEvictionCycleAllocFree(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("eviction cycle allocates: %.2f allocs per %d accesses", allocs, 2*cycling)
+		t.Fatalf("eviction cycle allocates: %d allocs in 20 runs of %d accesses", allocs, 2*cycling)
 	}
 	if s := c.Stats(); s.Writes == s.WriteHits || s.Writebacks == 0 {
 		t.Fatalf("cycle did not evict (writes=%d hits=%d writebacks=%d); geometry too large for the pin",

@@ -66,14 +66,15 @@ func main() {
 			p, len(rec.Events), rec.Instructions, rec.LLCAPKI(), time.Since(t0).Seconds())
 		for _, d := range ds {
 			t1 := time.Now()
-			res, snap, err := harness.RunDesign(p, d, opt)
+			out, err := harness.Run(p, d, opt)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "run:", err)
 				os.Exit(1)
 			}
+			res := out.Res
 			extra := ""
-			if s, ok := scheme.Lookup(d); ok && s.Summary != nil && snap.Extra != nil {
-				extra = s.Summary(snap.Extra)
+			if s, ok := scheme.Lookup(d); ok && s.Summary != nil && out.Snap.Extra != nil {
+				extra = s.Summary(out.Snap.Extra)
 			}
 			fmt.Printf("  %-12s CR=%5.2f occ=%.3f MPKI=%7.3f IPC=%.3f hit=%8d miss=%8d (%4.1fs)%s\n",
 				d, res.CompressionRatio, res.Occupancy, res.MPKI, res.IPC,

@@ -36,7 +36,7 @@ func hashKey(buf []byte) string {
 // every input sim.Record's output depends on — the codec version (so a
 // format or semantics bump invalidates everything), the full profile
 // descriptor, the private-level geometry that does the L1/L2 filtering,
-// and the trace length. Timing/DRAM parameters and LLC configuration are
+// and the trace length. Timing parameters and LLC configuration are
 // deliberately excluded: they only affect replay, not the recording.
 func RecordedKey(p workload.Profile, sys sim.SystemConfig, accesses int) string {
 	buf := make([]byte, 0, 256)

@@ -80,15 +80,18 @@ const maxCounters = 1 << 10
 // RunOutputKey derives the content address of a whole run: the SHA-256 of
 // every input the replay's result depends on — both codec versions (the
 // recording feeds the run, so recording-semantics bumps must also miss),
-// the full profile descriptor, the complete SystemConfig (geometry AND
-// timing: unlike a recording, a run's IPC/cycle metrics depend on the
-// latency model), the design name plus the scheme's default-config
-// fragment (so cached runs never alias across a silent default-config
-// change), the trace length, every scalar ReplayOptions field, whether
-// the run sampled the Fig. 16 cluster-size distribution, and — for
-// Thesaurus runs — the effective (normalized) Thesaurus configuration.
-// Workers is deliberately excluded: results are deterministic for any
-// worker count (see harness.runKey).
+// the full profile descriptor, the complete SystemConfig (the private-level
+// geometry and every Timing constant: unlike a recording, a run's
+// IPC/cycle metrics depend on the timing model), the design name plus the
+// scheme's default-config fragment (so cached runs never alias across a
+// silent default-config change), the trace length, every scalar
+// ReplayOptions field, whether the run sampled the Fig. 16 cluster-size
+// distribution, and — for Thesaurus runs — the effective (normalized)
+// Thesaurus configuration. Workers is deliberately excluded: results are
+// deterministic for any worker count (see harness.runKey). So is a DRAM
+// model attached to the backing store (memory.Store.AttachLatencyModel):
+// campaign runs never attach one, so their memory latency is always
+// Timing.MemCycles.
 func RunOutputKey(p workload.Profile, sys sim.SystemConfig, design string, accesses int,
 	replay sim.ReplayOptions, sample bool, thCfg *thesaurus.Config) string {
 	buf := make([]byte, 0, 512)
@@ -103,13 +106,6 @@ func RunOutputKey(p workload.Profile, sys sim.SystemConfig, design string, acces
 		math.Float64bits(sys.Timing.LLCHitCycles),
 		math.Float64bits(sys.Timing.MemCycles),
 		math.Float64bits(sys.Timing.OverlapFactor))
-	if sys.DRAM != nil {
-		buf = append(buf, 'D')
-		buf = keyU64(buf, uint64(sys.DRAM.Banks), uint64(sys.DRAM.RowBytes),
-			math.Float64bits(sys.DRAM.TRCD), math.Float64bits(sys.DRAM.TRP),
-			math.Float64bits(sys.DRAM.TCAS), math.Float64bits(sys.DRAM.TBurst),
-			math.Float64bits(sys.DRAM.Overhead))
-	}
 	buf = keyString(buf, design)
 	if s, ok := scheme.Lookup(design); ok && s.AppendConfigKey != nil {
 		buf = append(buf, 'C')

@@ -131,9 +131,6 @@ func (a *Array[P]) victim(set int) int {
 	return plru.TreeVictim(a.tree[set], a.cfg.Ways)
 }
 
-// Config returns the array configuration.
-func (a *Array[P]) Config() Config { return a.cfg }
-
 // Stats returns a copy of the counters.
 func (a *Array[P]) Stats() Stats { return a.stats }
 

@@ -30,10 +30,6 @@ type Params struct {
 	MinPts int
 }
 
-// DefaultParams returns MinPts=2 with a 16-byte radius (the "nearly all
-// blocks differ by at most 16 bytes" observation of §1).
-func DefaultParams() Params { return Params{Eps: 16, MinPts: 2} }
-
 // Result is a clustering outcome.
 type Result struct {
 	// Labels[i] is the cluster id of lines[i], or Noise.
@@ -394,12 +390,4 @@ func TuneEps(lines []line.Line, target float64, minPts int) (Params, Result) {
 		}
 	}
 	return bestP, bestR
-}
-
-// SizeHistogram buckets cluster sizes; the returned slice is sorted
-// descending (largest cluster first).
-func SizeHistogram(r Result) []int {
-	sizes := append([]int(nil), r.Sizes...)
-	sort.Sort(sort.Reverse(sort.IntSlice(sizes)))
-	return sizes
 }

@@ -31,9 +31,8 @@ func TestTwoCleanClusters(t *testing.T) {
 	if r.NumClusters != 2 {
 		t.Fatalf("found %d clusters, want 2", r.NumClusters)
 	}
-	sizes := SizeHistogram(r)
-	if sizes[0] != 30 || sizes[1] != 20 {
-		t.Fatalf("sizes %v", sizes)
+	if r.Sizes[0] != 20 || r.Sizes[1] != 30 {
+		t.Fatalf("sizes %v", r.Sizes)
 	}
 	if r.MaxClusterSize() != 30 {
 		t.Fatalf("max size %d", r.MaxClusterSize())
@@ -277,7 +276,7 @@ func TestTuneEpsMatchesPerEpsReference(t *testing.T) {
 }
 
 func TestEmptyInput(t *testing.T) {
-	r := Run(nil, DefaultParams())
+	r := Run(nil, Params{Eps: 16, MinPts: 2})
 	if r.NumClusters != 0 || len(r.Labels) != 0 {
 		t.Fatal("empty input")
 	}

@@ -103,14 +103,6 @@ type Encoded struct {
 // Deltas returns the delta bytes of a diff encoding (Payload[:N]).
 func (e *Encoded) Deltas() []byte { return e.Payload[:e.N] }
 
-// NewIntra wraps an intra-line-compressed line: the behavioural model
-// keeps the decoded bytes and accounts sizeBytes of data-array space.
-func NewIntra(l line.Line, sizeBytes int) Encoded {
-	var e Encoded
-	e.SetIntra(&l, sizeBytes)
-	return e
-}
-
 // SetRaw resets e to a raw encoding of l.
 func (e *Encoded) SetRaw(l *line.Line) {
 	e.Format, e.N, e.Mask = FormatRaw, 0, 0
@@ -118,7 +110,8 @@ func (e *Encoded) SetRaw(l *line.Line) {
 }
 
 // SetIntra resets e to an intra-line (BΔI) encoding of l accounting
-// sizeBytes. It is NewIntra for reusable destinations.
+// sizeBytes: the behavioural model keeps the decoded bytes and accounts
+// sizeBytes of data-array space.
 func (e *Encoded) SetIntra(l *line.Line, sizeBytes int) {
 	if sizeBytes <= 0 || sizeBytes > line.Size {
 		panic(fmt.Sprintf("diffenc: intra size %d out of range", sizeBytes))

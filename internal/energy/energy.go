@@ -5,12 +5,8 @@
 // difference including avoided DRAM accesses (Fig. 14).
 //
 // The per-structure constants are calibrated to the values the paper
-// publishes (they came from CACTI on FreePDK45, which we cannot run);
-// the scaling relations — energy ∝ √capacity, leakage ∝ capacity — are
-// standard SRAM models and let the sweeps extrapolate to other sizes.
+// publishes (they came from CACTI on FreePDK45, which we cannot run).
 package energy
-
-import "math"
 
 // Process selects the technology node of Table 3.
 type Process int
@@ -110,28 +106,6 @@ func CachePowerFor(p Process, design string) (CachePower, bool) {
 	return CachePower{}, false
 }
 
-// Scaling anchors from the conventional 1MB and 2MB points at 45nm:
-// E(B) = eA·√B + eB (nJ, B in MB), L(B) = lA·B + lB (W).
-var (
-	eA = (0.78 - 0.50) / (math.Sqrt2 - 1)
-	eB = 0.50 - eA
-	lA = 0.34921 - 0.20547
-	lB = 0.20547 - lA
-)
-
-// ScaledReadEnergy extrapolates conventional-cache read energy (nJ, 45nm)
-// to an arbitrary capacity in bytes, for the sweep experiments.
-func ScaledReadEnergy(capacityBytes int) float64 {
-	mb := float64(capacityBytes) / (1 << 20)
-	return eA*math.Sqrt(mb) + eB
-}
-
-// ScaledLeakage extrapolates conventional-cache leakage (W, 45nm).
-func ScaledLeakage(capacityBytes int) float64 {
-	mb := float64(capacityBytes) / (1 << 20)
-	return lA*mb + lB
-}
-
 // LogicBlock is one row of Table 4: a synthesized logic block of the
 // Thesaurus controller.
 type LogicBlock struct {
@@ -160,15 +134,6 @@ func ThesaurusLogicArea() float64 {
 	total := 0.0
 	for _, b := range Table4() {
 		total += b.AreaMM2
-	}
-	return total
-}
-
-// ThesaurusLogicLeakage returns the added logic's total leakage in watts.
-func ThesaurusLogicLeakage() float64 {
-	total := 0.0
-	for _, b := range Table4() {
-		total += b.LeakageW
 	}
 	return total
 }

@@ -65,34 +65,12 @@ func TestTable3Anchors(t *testing.T) {
 	}
 }
 
-func TestScalingMatchesAnchors(t *testing.T) {
-	if e := ScaledReadEnergy(1 << 20); math.Abs(e-0.50) > 1e-9 {
-		t.Fatalf("1MB energy %v", e)
-	}
-	if e := ScaledReadEnergy(2 << 20); math.Abs(e-0.78) > 1e-9 {
-		t.Fatalf("2MB energy %v", e)
-	}
-	if l := ScaledLeakage(1 << 20); math.Abs(l-0.20547) > 1e-9 {
-		t.Fatalf("1MB leakage %v", l)
-	}
-	if l := ScaledLeakage(2 << 20); math.Abs(l-0.34921) > 1e-9 {
-		t.Fatalf("2MB leakage %v", l)
-	}
-	// Monotone in between.
-	if ScaledReadEnergy(1536<<10) <= 0.50 || ScaledReadEnergy(1536<<10) >= 0.78 {
-		t.Fatal("scaling not monotone")
-	}
-}
-
 func TestTable4Totals(t *testing.T) {
 	if len(Table4()) != 4 {
 		t.Fatal("table 4 rows")
 	}
 	if a := ThesaurusLogicArea(); math.Abs(a-0.061) > 1e-9 {
 		t.Fatalf("logic area %v, want 0.061mm²", a)
-	}
-	if l := ThesaurusLogicLeakage(); math.Abs(l-6.09e-3) > 1e-9 {
-		t.Fatalf("logic leakage %v", l)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/artifact"
+	"repro/internal/scheme"
 	"repro/internal/sim"
 	"repro/internal/thesaurus"
 	"repro/internal/uncomp"
@@ -450,5 +451,60 @@ func TestDefaultRunContentKeyNamesCampaignCells(t *testing.T) {
 		if !artifact.RunOutputEqual(run, matrix[RunKey{prof, d}]) {
 			t.Fatalf("%s: artifact under DefaultRunContentKey is not the cell's run", d)
 		}
+	}
+}
+
+// TestContentKeysPinned holds the hex of the content keys a default
+// campaign stores under: the recordings of mcf and xz, every registered
+// design's default-configuration run of mcf, and Baseline's line run
+// (artifact.LinesKey). A cache warmed by an earlier build serves hits
+// only while these hold, so a key that moves by accident turns every
+// user's warm cache into misses without failing anything else. A
+// deliberate key change bumps Version or RunOutputVersion and refreshes
+// the digests in the same change, as TestRunOutputWireFormatPinned
+// does for the wire format.
+func TestContentKeysPinned(t *testing.T) {
+	want := map[string]string{
+		"recorded/mcf":    "9346f1e6ed4acebc4d6e887ede99aa89d04237b83fd35b972efb67e54854c84b",
+		"recorded/xz":     "52d3036958b67fe8e25d87ff2c64b6218d454d609ee9c2aa8f0c45654439a917",
+		"run/Baseline":    "62a3dee3da1ec551a508bca6b122aaa3fa7a498130a3c8e69fe28bed755264c5",
+		"run/Dedup":       "90ed6f9d8377280959ba5438ec5be8788814b24e7a87a90a99c9e53550bd9a1b",
+		"run/BDI":         "ddf85783c75dc8aeffbb42e5bd41ee5133bb79b82af24f293d9ad7edfd88751b",
+		"run/Thesaurus":   "0456d36b77667fd906c83bb90a35b97ba5d436bcc3032b4d9c076305a5746b83",
+		"run/Ideal":       "d0a0af1816abe8fe01c01e11a9ff0872e9bcb2e694054f1f64e66631e67e1b03",
+		"run/2x Baseline": "645b330f0f03423ba506dd5c00a9d798519acff7651fe20c8009747d4be48cb6",
+		"run/CPack":       "c7d90d4d4ca790efbede91afee5252990d051bd7bb767814c7fa50bbb9414cf7",
+		"run/DISH":        "fead603a27e23a16f83aa8fbdf8704b601d0df8c11e169349119ad60fe29752a",
+		"lines/Baseline":  "65677c314bcc2d299bc3f63865d1660b05994fb6fda40fa036a215b37a3a2e4b",
+	}
+	opt := DefaultRunOptions()
+	var names, keys []string
+	for _, prof := range []string{"mcf", "xz"} {
+		p, err := workload.ProfileByName(prof)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names = append(names, "recorded/"+prof)
+		keys = append(keys, artifact.RecordedKey(p, sim.DefaultSystem(), opt.Accesses))
+	}
+	for _, d := range scheme.Names() {
+		key, err := DefaultRunContentKey("mcf", d, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names = append(names, "run/"+d)
+		keys = append(keys, key)
+		if d == "Baseline" {
+			names = append(names, "lines/Baseline")
+			keys = append(keys, artifact.LinesKey(key))
+		}
+	}
+	for i, name := range names {
+		if keys[i] != want[name] {
+			t.Errorf("%s: key %s, want %s", name, keys[i], want[name])
+		}
+	}
+	if len(names) != len(want) {
+		t.Errorf("%d keys derived, %d pinned", len(names), len(want))
 	}
 }

@@ -19,24 +19,11 @@ import (
 	"repro/internal/uncomp"
 )
 
-// Designs are the design names accepted by BuildLLC, in report order —
+// Designs are the design names scheme.Build accepts, in report order —
 // the scheme registry's registration order, so experiment tables emit
 // one column per registered scheme and newly registered schemes append
 // columns without disturbing existing ones.
 var Designs = scheme.Names()
-
-// BuildLLC constructs the named LLC design over a fresh backing store and
-// returns both, delegating to the scheme registry. All compressed designs
-// are sized iso-silicon with the 1MB baseline (Table 2) by their
-// registered default configurations.
-func BuildLLC(design string) (llc.Cache, *memory.Store, error) {
-	mem := memory.NewStore()
-	c, err := scheme.Build(design, mem)
-	if err != nil {
-		return nil, nil, err
-	}
-	return c, mem, nil
-}
 
 // DefaultAccesses is the trace length for full experiment runs; tests and
 // quick runs use smaller values.
@@ -278,17 +265,6 @@ func runOnce(profile, design string, opt RunOptions, sample, lines bool) (*RunOu
 	out.Res = res
 	out.Snap = snap
 	return out, nil
-}
-
-// RunDesign replays the named profile into the named design and returns
-// the metrics plus the released cache's statistics snapshot (Figs. 15-20
-// read the Thesaurus extras from it). Results are memoized via Run.
-func RunDesign(profile, design string, opt RunOptions) (sim.Result, llc.StatsSnapshot, error) {
-	out, err := Run(profile, design, opt)
-	if err != nil {
-		return sim.Result{}, llc.StatsSnapshot{}, err
-	}
-	return out.Res, out.Snap, nil
 }
 
 // RunKey names one (profile, design) cell of an experiment matrix.

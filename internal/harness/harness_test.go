@@ -29,13 +29,9 @@ func quickOpt() RunOptions {
 
 func TestBuildAllDesigns(t *testing.T) {
 	for _, d := range Designs {
-		c, mem, err := BuildLLC(d)
-		if err != nil || c == nil || mem == nil {
-			t.Fatalf("BuildLLC(%s): %v", d, err)
+		if c, err := scheme.Build(d, memory.NewStore()); err != nil || c == nil {
+			t.Fatalf("scheme.Build(%s): %v", d, err)
 		}
-	}
-	if _, _, err := BuildLLC("nonsense"); err == nil {
-		t.Fatal("unknown design built")
 	}
 }
 
@@ -453,7 +449,8 @@ func TestRunWithLines(t *testing.T) {
 
 		// The resident set, independently: replay a fresh cache and sort
 		// its contents by address.
-		c, st, err := BuildLLC(design)
+		st := memory.NewStore()
+		c, err := scheme.Build(design, st)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -82,16 +82,6 @@ func (l *Line) Equal(m *Line) bool {
 	return *l == *m
 }
 
-// XOR returns l ^ m byte-wise.
-func XOR(l, m *Line) Line {
-	var out Line
-	for i := 0; i < Size; i += 8 {
-		v := binary.LittleEndian.Uint64(l[i:]) ^ binary.LittleEndian.Uint64(m[i:])
-		binary.LittleEndian.PutUint64(out[i:], v)
-	}
-	return out
-}
-
 // DiffMask returns a 64-bit mask with bit i set iff byte i of l differs
 // from byte i of m. Bit 0 corresponds to byte 0. This is the hot operation
 // of the whole simulator, so it works word-at-a-time: XOR the words, then
@@ -133,15 +123,6 @@ func DiffBytes(l, m *Line) int {
 		sum += (y >> 7) & 0x0101010101010101
 	}
 	return int((sum * 0x0101010101010101) >> 56)
-}
-
-// HammingBits returns the number of differing bits between l and m.
-func HammingBits(l, m *Line) int {
-	n := 0
-	for i := 0; i < Size; i += 8 {
-		n += bits.OnesCount64(binary.LittleEndian.Uint64(l[i:]) ^ binary.LittleEndian.Uint64(m[i:]))
-	}
-	return n
 }
 
 // NonZeroMask returns a 64-bit mask with bit i set iff byte i of l is
@@ -197,9 +178,6 @@ type Addr uint64
 
 // LineAddr returns a aligned down to a cacheline boundary.
 func (a Addr) LineAddr() Addr { return a &^ (Size - 1) }
-
-// Offset returns the byte offset of a within its cacheline.
-func (a Addr) Offset() int { return int(a & (Size - 1)) }
 
 // BlockNumber returns the cacheline index (address divided by line size).
 func (a Addr) BlockNumber() uint64 { return uint64(a) / Size }

@@ -84,22 +84,6 @@ func TestDiffBytesSelf(t *testing.T) {
 	}
 }
 
-func TestXOR(t *testing.T) {
-	if err := quick.Check(func(a, b Line) bool {
-		x := XOR(&a, &b)
-		for i := 0; i < Size; i++ {
-			if x[i] != a[i]^b[i] {
-				return false
-			}
-		}
-		// XOR with self is zero.
-		z := XOR(&a, &a)
-		return z.IsZero()
-	}, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestIsZero(t *testing.T) {
 	var z Line
 	if !z.IsZero() {
@@ -179,14 +163,6 @@ func TestPopCountNonZeroMatchesReference(t *testing.T) {
 	}
 }
 
-func TestHammingBits(t *testing.T) {
-	var a, b Line
-	b[0] = 0xFF
-	if h := HammingBits(&a, &b); h != 8 {
-		t.Fatalf("HammingBits = %d, want 8", h)
-	}
-}
-
 func TestFromBytesPanicsOnWrongLength(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -200,9 +176,6 @@ func TestAddrHelpers(t *testing.T) {
 	a := Addr(0x12345)
 	if a.LineAddr() != 0x12340 {
 		t.Fatalf("LineAddr = %#x", uint64(a.LineAddr()))
-	}
-	if a.Offset() != 5 {
-		t.Fatalf("Offset = %d", a.Offset())
 	}
 	if a.BlockNumber() != 0x12345/64 {
 		t.Fatalf("BlockNumber = %d", a.BlockNumber())

@@ -106,14 +106,6 @@ func (s Stats) Misses() uint64 {
 // paper's Figure 13b.
 func (s Stats) ReadMisses() uint64 { return s.Reads - s.ReadHits }
 
-// HitRate returns the overall hit rate.
-func (s Stats) HitRate() float64 {
-	if s.Accesses() == 0 {
-		return 0
-	}
-	return 1 - float64(s.Misses())/float64(s.Accesses())
-}
-
 // Footprint is an occupancy sample: how much data-array space the
 // currently resident addresses use versus the space a conventional cache
 // would need for the same addresses (64 bytes each).
@@ -138,12 +130,4 @@ func (f Footprint) CompressionRatio() float64 {
 		used = f.ResidentLines
 	}
 	return float64(f.ResidentLines*line.Size) / float64(used)
-}
-
-// OccupancyFraction returns used/total data-array space.
-func (f Footprint) OccupancyFraction() float64 {
-	if f.DataBytesTotal == 0 {
-		return 0
-	}
-	return float64(f.DataBytesUsed) / float64(f.DataBytesTotal)
 }

@@ -1,7 +1,6 @@
 package llc
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/line"
@@ -18,22 +17,12 @@ func TestStatsDerivedCounts(t *testing.T) {
 	if s.ReadMisses() != 20 {
 		t.Fatalf("read misses %d", s.ReadMisses())
 	}
-	if hr := s.HitRate(); math.Abs(hr-110.0/150) > 1e-12 {
-		t.Fatalf("hit rate %v", hr)
-	}
-	var empty Stats
-	if empty.HitRate() != 0 {
-		t.Fatal("empty hit rate")
-	}
 }
 
 func TestFootprintCompressionRatio(t *testing.T) {
 	f := Footprint{ResidentLines: 100, DataBytesUsed: 3200, DataBytesTotal: 6400}
 	if r := f.CompressionRatio(); r != 2 {
 		t.Fatalf("ratio %v", r)
-	}
-	if o := f.OccupancyFraction(); o != 0.5 {
-		t.Fatalf("occupancy %v", o)
 	}
 	// Empty cache: ratio defined as 1.
 	if (Footprint{}).CompressionRatio() != 1 {
@@ -43,8 +32,5 @@ func TestFootprintCompressionRatio(t *testing.T) {
 	z := Footprint{ResidentLines: 64, DataBytesUsed: 0, DataBytesTotal: 1000}
 	if r := z.CompressionRatio(); r != float64(line.Size) {
 		t.Fatalf("zero-dominated ratio %v, want %d", r, line.Size)
-	}
-	if (Footprint{ResidentLines: 1}).OccupancyFraction() != 0 {
-		t.Fatal("zero-capacity occupancy")
 	}
 }

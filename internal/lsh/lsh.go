@@ -13,7 +13,6 @@ package lsh
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 
 	"repro/internal/line"
@@ -206,15 +205,8 @@ func MustNew(cfg Config) *Hasher {
 	return h
 }
 
-// Config returns the configuration the hasher was built with.
-func (h *Hasher) Config() Config { return h.cfg }
-
 // Bits returns the fingerprint width in bits.
 func (h *Hasher) Bits() int { return h.cfg.Bits }
-
-// NumFingerprints returns the size of the fingerprint space (2^Bits),
-// which is also the number of base-table entries (§5.2.3).
-func (h *Hasher) NumFingerprints() int { return 1 << uint(h.cfg.Bits) }
 
 // Fingerprint computes the LSH fingerprint of l: for each row, the signed
 // sum of the selected bytes is reduced to one bit (1 if positive).
@@ -321,20 +313,6 @@ func (h *Hasher) AppendProject(dst []int, l *line.Line) []int {
 	return dst
 }
 
-// Project returns the raw signed projection vector (before sign
-// quantization); exposed for analysis and tests. Hot paths should prefer
-// AppendProject with a reused buffer.
-func (h *Hasher) Project(l *line.Line) []int {
-	return h.AppendProject(make([]int, 0, h.cfg.Bits), l)
-}
-
-// HammingFP returns the Hamming distance between two fingerprints over the
-// hasher's bit width.
-func (h *Hasher) HammingFP(a, b Fingerprint) int {
-	mask := uint32(1)<<uint(h.cfg.Bits) - 1
-	return bits.OnesCount32((uint32(a) ^ uint32(b)) & mask)
-}
-
 // HardwareCost describes the synthesized-logic footprint of the hasher in
 // the style of the paper's Table 4 discussion: one adder tree per row plus
 // a sign comparator.
@@ -367,8 +345,7 @@ func (h *Hasher) Cost() HardwareCost {
 
 // BitBias reports, for each fingerprint bit, the fraction of the given
 // lines for which the bit is 1. Bits pinned near 0 or 1 carry no
-// clustering information; the companion EffectiveEntropy aggregates this
-// into one number. These diagnostics exposed the unsigned-byte bias
+// clustering information. This diagnostic exposed the unsigned-byte bias
 // documented in DESIGN.md §4.7.
 func (h *Hasher) BitBias(lines []line.Line) []float64 {
 	ones := make([]int, h.cfg.Bits)
@@ -389,21 +366,6 @@ func (h *Hasher) BitBias(lines []line.Line) []float64 {
 	}
 	return out
 }
-
-// EffectiveEntropy returns the sum of per-bit binary entropies over the
-// given lines, in bits: an upper bound on the fingerprint information the
-// content can realize (Bits for perfectly balanced, independent bits).
-func (h *Hasher) EffectiveEntropy(lines []line.Line) float64 {
-	total := 0.0
-	for _, p := range h.BitBias(lines) {
-		if p > 0 && p < 1 {
-			total += -p*log2(p) - (1-p)*log2(1-p)
-		}
-	}
-	return total
-}
-
-func log2(x float64) float64 { return math.Log2(x) }
 
 // CollisionRate estimates, by sampling, the probability that two lines at
 // the given byte-diff distance share a fingerprint. It perturbs trials

@@ -94,7 +94,7 @@ func TestLocalityProperty(t *testing.T) {
 func TestProjectMatchesFingerprint(t *testing.T) {
 	h := MustNew(DefaultConfig())
 	if err := quick.Check(func(l line.Line) bool {
-		proj := h.Project(&l)
+		proj := h.AppendProject(nil, &l)
 		fp := h.Fingerprint(&l)
 		for i, v := range proj {
 			bit := fp&(1<<uint(i)) != 0
@@ -113,27 +113,6 @@ func TestZeroLineFingerprint(t *testing.T) {
 	// All projections of the zero line are 0 (not > 0) → fingerprint 0.
 	if fp := h.Fingerprint(&line.Zero); fp != 0 {
 		t.Fatalf("zero line fingerprint = %#x", fp)
-	}
-}
-
-func TestNumFingerprints(t *testing.T) {
-	h := MustNew(Config{Bits: 10, NonZeros: 4, Seed: 1})
-	if h.NumFingerprints() != 1024 {
-		t.Fatalf("NumFingerprints = %d", h.NumFingerprints())
-	}
-}
-
-func TestHammingFP(t *testing.T) {
-	h := MustNew(Config{Bits: 12, NonZeros: 6, Seed: 1})
-	if d := h.HammingFP(0xFFF, 0x000); d != 12 {
-		t.Fatalf("HammingFP full = %d", d)
-	}
-	if d := h.HammingFP(0xA, 0x8); d != 1 {
-		t.Fatalf("HammingFP = %d, want 1", d)
-	}
-	// Bits above the configured width are masked off.
-	if d := h.HammingFP(0xFF000, 0); d != 0 {
-		t.Fatalf("HammingFP ignored mask: %d", d)
 	}
 }
 
@@ -197,17 +176,5 @@ func TestBitBiasAndEntropy(t *testing.T) {
 		if p < 0.3 || p > 0.7 {
 			t.Fatalf("bit %d biased to %.3f on random content", b, p)
 		}
-	}
-	ent := h.EffectiveEntropy(lines)
-	if ent < float64(h.Bits())-1 {
-		t.Fatalf("effective entropy %.2f of %d bits", ent, h.Bits())
-	}
-	// Constant content: zero entropy.
-	constLines := []line.Line{lines[0], lines[0], lines[0]}
-	if e := h.EffectiveEntropy(constLines); e != 0 {
-		t.Fatalf("constant content entropy %.2f", e)
-	}
-	if h.EffectiveEntropy(nil) != 0 {
-		t.Fatal("empty entropy")
 	}
 }

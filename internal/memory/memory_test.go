@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/alloctest"
 	"repro/internal/cache"
 	"repro/internal/dram"
 	"repro/internal/line"
@@ -274,8 +275,8 @@ func TestReleaseAllocatesNothing(t *testing.T) {
 		s.Release()
 	}
 	life()
-	if allocs := testing.AllocsPerRun(50, life); allocs != 0 {
-		t.Fatalf("a warm store life allocates %.1f objects", allocs)
+	if allocs := alloctest.Mallocs(50, life); allocs != 0 {
+		t.Fatalf("50 warm store lives allocate %d objects", allocs)
 	}
 }
 

@@ -76,12 +76,6 @@ func Lookup(name string) (Scheme, bool) {
 	return schemes[i], true
 }
 
-// All returns every registered scheme in registration order. The slice
-// is a copy.
-func All() []Scheme {
-	return append([]Scheme(nil), schemes...)
-}
-
 // Build constructs the named design over mem at its default
 // configuration.
 func Build(name string, mem *memory.Store) (llc.Cache, error) {

@@ -6,8 +6,6 @@
 // timing model standing in for the paper's ZSim setup.
 package sim
 
-import "repro/internal/dram"
-
 // SystemConfig describes the simulated system of Table 1.
 type SystemConfig struct {
 	// L1DSizeBytes/L1DWays: private L1 data cache (32KB, 8-way, LRU).
@@ -16,11 +14,6 @@ type SystemConfig struct {
 	L2SizeBytes, L2Ways int
 	// Timing parameterizes the performance model.
 	Timing Timing
-	// DRAM, when non-nil, replaces Timing.MemCycles with an open-page
-	// DDR3 row-buffer model (package dram): attach dram.New(*DRAM) to the
-	// backing store before Replay, which then uses the measured average
-	// fill latency. Nil keeps the flat constant.
-	DRAM *dram.Config
 }
 
 // Timing holds the latency model constants. The paper's system is a

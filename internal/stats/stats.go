@@ -1,12 +1,11 @@
 // Package stats provides the small statistical helpers used by the
-// evaluation harness: geometric means, percentiles, histograms, and
-// fixed-resolution time series for the over-time figures.
+// evaluation harness: geometric and arithmetic means, fixed-resolution
+// time series for the over-time figures, and hit/total counters.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Geomean returns the geometric mean of xs. Non-positive entries are
@@ -37,92 +36,6 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// Percentile returns the p-th percentile (0..100) of xs using linear
-// interpolation between closest ranks. It returns 0 for an empty slice.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if p <= 0 {
-		return s[0]
-	}
-	if p >= 100 {
-		return s[len(s)-1]
-	}
-	rank := p / 100 * float64(len(s)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return s[lo]
-	}
-	frac := rank - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
-}
-
-// Histogram is a fixed-bucket histogram over float64 samples.
-type Histogram struct {
-	Min, Max float64
-	Counts   []uint64
-	Under    uint64 // samples below Min
-	Over     uint64 // samples at or above Max
-	N        uint64
-	Sum      float64
-}
-
-// NewHistogram creates a histogram with buckets equal-width buckets over
-// [min, max). It panics on invalid geometry.
-func NewHistogram(min, max float64, buckets int) *Histogram {
-	if buckets <= 0 || max <= min {
-		panic("stats: invalid histogram geometry")
-	}
-	return &Histogram{Min: min, Max: max, Counts: make([]uint64, buckets)}
-}
-
-// Add records one sample.
-func (h *Histogram) Add(x float64) {
-	h.N++
-	h.Sum += x
-	switch {
-	case x < h.Min:
-		h.Under++
-	case x >= h.Max:
-		h.Over++
-	default:
-		i := int((x - h.Min) / (h.Max - h.Min) * float64(len(h.Counts)))
-		if i >= len(h.Counts) { // float edge
-			i = len(h.Counts) - 1
-		}
-		h.Counts[i]++
-	}
-}
-
-// Mean returns the mean of all recorded samples (including under/over).
-func (h *Histogram) Mean() float64 {
-	if h.N == 0 {
-		return 0
-	}
-	return h.Sum / float64(h.N)
-}
-
-// FractionBelow returns the fraction of in-range samples falling strictly
-// below x (bucket-resolution approximation), counting Under as below and
-// Over as not below.
-func (h *Histogram) FractionBelow(x float64) float64 {
-	if h.N == 0 {
-		return 0
-	}
-	count := h.Under
-	for i, c := range h.Counts {
-		upper := h.Min + (h.Max-h.Min)*float64(i+1)/float64(len(h.Counts))
-		if upper <= x {
-			count += c
-		}
-	}
-	return float64(count) / float64(h.N)
 }
 
 // Series accumulates a long stream of samples into a bounded number of
@@ -176,12 +89,4 @@ func (c *Counter) Observe(hit bool) {
 	if hit {
 		c.Hits++
 	}
-}
-
-// Rate returns Hits/Total, or 0 when no events were observed.
-func (c *Counter) Rate() float64 {
-	if c.Total == 0 {
-		return 0
-	}
-	return float64(c.Hits) / float64(c.Total)
 }

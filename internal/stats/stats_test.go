@@ -50,54 +50,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	if Percentile(xs, 0) != 1 || Percentile(xs, 100) != 5 {
-		t.Fatal("extremes")
-	}
-	if p := Percentile(xs, 50); p != 3 {
-		t.Fatalf("median = %v", p)
-	}
-	if p := Percentile(xs, 25); p != 2 {
-		t.Fatalf("p25 = %v", p)
-	}
-	if Percentile(nil, 50) != 0 {
-		t.Fatal("empty percentile")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	h.Add(-1) // under
-	h.Add(10) // over
-	if h.N != 12 || h.Under != 1 || h.Over != 1 {
-		t.Fatalf("N=%d under=%d over=%d", h.N, h.Under, h.Over)
-	}
-	for i, c := range h.Counts {
-		if c != 1 {
-			t.Fatalf("bucket %d count %d", i, c)
-		}
-	}
-	if f := h.FractionBelow(5); math.Abs(f-6.0/12) > 1e-9 {
-		t.Fatalf("FractionBelow(5) = %v", f)
-	}
-	if m := h.Mean(); math.Abs(m-(45+5-1+10)/12.0) > 1e-9 {
-		t.Fatalf("Mean = %v", m)
-	}
-}
-
-func TestHistogramPanicsOnBadGeometry(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("bad geometry accepted")
-		}
-	}()
-	NewHistogram(5, 5, 10)
-}
-
 func TestSeries(t *testing.T) {
 	s := NewSeries(2)
 	s.Add(1)
@@ -116,13 +68,10 @@ func TestSeries(t *testing.T) {
 
 func TestCounter(t *testing.T) {
 	var c Counter
-	if c.Rate() != 0 {
-		t.Fatal("empty rate")
-	}
 	c.Observe(true)
 	c.Observe(false)
 	c.Observe(true)
-	if c.Rate() != 2.0/3 {
-		t.Fatalf("rate %v", c.Rate())
+	if c.Hits != 2 || c.Total != 3 {
+		t.Fatalf("%d hits of %d, want 2 of 3", c.Hits, c.Total)
 	}
 }

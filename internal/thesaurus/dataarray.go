@@ -99,9 +99,6 @@ func (d *DataArray) Release() {
 // NumSets returns the set count.
 func (d *DataArray) NumSets() int { return len(d.sets) }
 
-// SegmentsPerSet returns the per-set segment count.
-func (d *DataArray) SegmentsPerSet() int { return d.segsPerSet }
-
 // CapacityBytes returns the total data capacity.
 func (d *DataArray) CapacityBytes() int {
 	return len(d.sets) * d.segsPerSet * diffenc.SegmentBytes

@@ -100,7 +100,8 @@ func TestIntraRoundTripViaDiffenc(t *testing.T) {
 	for i := range l {
 		l[i] = byte(i ^ 0x5A)
 	}
-	e := diffenc.NewIntra(l, 20)
+	var e diffenc.Encoded
+	e.SetIntra(&l, 20)
 	if e.Segments() != 3 || e.SizeBytes() != 20 {
 		t.Fatalf("intra geometry: %d segs %d bytes", e.Segments(), e.SizeBytes())
 	}

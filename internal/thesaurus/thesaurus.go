@@ -278,9 +278,6 @@ func MustNew(cfg Config, mem *memory.Store) *Cache {
 // Name implements llc.Cache.
 func (c *Cache) Name() string { return "Thesaurus" }
 
-// Config returns the cache configuration.
-func (c *Cache) Config() Config { return c.cfg }
-
 // BaseCache exposes the base cache for the Fig. 20 sweep.
 func (c *Cache) BaseCache() *BaseCache {
 	return c.bcache

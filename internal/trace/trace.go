@@ -11,14 +11,7 @@
 //   - Event (in package sim): the LLC-level stream after L1/L2 filtering.
 package trace
 
-import (
-	"bufio"
-	"encoding/binary"
-	"fmt"
-	"io"
-
-	"repro/internal/line"
-)
+import "repro/internal/line"
 
 // Access is one core-level memory access.
 type Access struct {
@@ -96,79 +89,4 @@ func Collect(src Source, max int) []Access {
 		out = append(out, a)
 	}
 	return out
-}
-
-// magic and version identify the binary trace format written by Write.
-const (
-	magic   = 0x54524143 // "TRAC"
-	version = 1
-)
-
-// Write serializes accesses to w in a compact binary format
-// (little-endian): a 12-byte header followed by fixed-size records.
-func Write(w io.Writer, accesses []Access) error {
-	bw := bufio.NewWriter(w)
-	var hdr [12]byte
-	binary.LittleEndian.PutUint32(hdr[0:], magic)
-	binary.LittleEndian.PutUint32(hdr[4:], version)
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(accesses)))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	var rec [13 + line.Size]byte
-	for i := range accesses {
-		a := &accesses[i]
-		binary.LittleEndian.PutUint64(rec[0:], uint64(a.Addr))
-		binary.LittleEndian.PutUint32(rec[8:], a.Gap)
-		if a.Write {
-			rec[12] = 1
-		} else {
-			rec[12] = 0
-		}
-		copy(rec[13:], a.Data[:])
-		if _, err := bw.Write(rec[:]); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// Read deserializes a trace written by Write.
-func Read(r io.Reader) ([]Access, error) {
-	br := bufio.NewReader(r)
-	var hdr [12]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("trace: reading header: %w", err)
-	}
-	if m := binary.LittleEndian.Uint32(hdr[0:]); m != magic {
-		return nil, fmt.Errorf("trace: bad magic %#x", m)
-	}
-	if v := binary.LittleEndian.Uint32(hdr[4:]); v != version {
-		return nil, fmt.Errorf("trace: unsupported version %d", v)
-	}
-	n := binary.LittleEndian.Uint32(hdr[8:])
-	out := make([]Access, 0, n)
-	var rec [13 + line.Size]byte
-	for i := uint32(0); i < n; i++ {
-		if _, err := io.ReadFull(br, rec[:]); err != nil {
-			return nil, fmt.Errorf("trace: reading record %d: %w", i, err)
-		}
-		var a Access
-		a.Addr = line.Addr(binary.LittleEndian.Uint64(rec[0:]))
-		a.Gap = binary.LittleEndian.Uint32(rec[8:])
-		a.Write = rec[12] != 0
-		copy(a.Data[:], rec[13:])
-		out = append(out, a)
-	}
-	return out, nil
-}
-
-// Instructions returns the total instruction count represented by the
-// trace: each access contributes its gap plus itself.
-func Instructions(accesses []Access) uint64 {
-	var n uint64
-	for i := range accesses {
-		n += uint64(accesses[i].Gap) + 1
-	}
-	return n
 }

@@ -1,9 +1,7 @@
 package trace
 
 import (
-	"bytes"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/line"
 	"repro/internal/xrand"
@@ -23,55 +21,6 @@ func randomAccesses(seed uint64, n int) []Access {
 		}
 	}
 	return out
-}
-
-func TestWriteReadRoundTrip(t *testing.T) {
-	accesses := randomAccesses(1, 500)
-	var buf bytes.Buffer
-	if err := Write(&buf, accesses); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(accesses) {
-		t.Fatalf("length %d, want %d", len(got), len(accesses))
-	}
-	for i := range got {
-		if got[i] != accesses[i] {
-			t.Fatalf("access %d mismatch", i)
-		}
-	}
-}
-
-func TestEmptyTrace(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Write(&buf, nil); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
-	if err != nil || len(got) != 0 {
-		t.Fatalf("got %d accesses, err %v", len(got), err)
-	}
-}
-
-func TestReadRejectsBadMagic(t *testing.T) {
-	if _, err := Read(bytes.NewReader(make([]byte, 12))); err == nil {
-		t.Fatal("bad magic accepted")
-	}
-}
-
-func TestReadRejectsTruncated(t *testing.T) {
-	accesses := randomAccesses(2, 10)
-	var buf bytes.Buffer
-	if err := Write(&buf, accesses); err != nil {
-		t.Fatal(err)
-	}
-	trunc := buf.Bytes()[:buf.Len()-5]
-	if _, err := Read(bytes.NewReader(trunc)); err == nil {
-		t.Fatal("truncated trace accepted")
-	}
 }
 
 func TestSliceSource(t *testing.T) {
@@ -101,34 +50,5 @@ func TestCollect(t *testing.T) {
 	}
 	if got := Collect(NewSliceSource(accesses), 0); len(got) != 30 {
 		t.Fatalf("Collect(0) = %d", len(got))
-	}
-}
-
-func TestInstructions(t *testing.T) {
-	accesses := []Access{{Gap: 5}, {Gap: 0}, {Gap: 10}}
-	if n := Instructions(accesses); n != 18 { // gaps + 3 access instructions
-		t.Fatalf("Instructions = %d", n)
-	}
-}
-
-func TestRoundTripProperty(t *testing.T) {
-	if err := quick.Check(func(seed uint64, n uint8) bool {
-		accesses := randomAccesses(seed, int(n))
-		var buf bytes.Buffer
-		if err := Write(&buf, accesses); err != nil {
-			return false
-		}
-		got, err := Read(&buf)
-		if err != nil || len(got) != len(accesses) {
-			return false
-		}
-		for i := range got {
-			if got[i] != accesses[i] {
-				return false
-			}
-		}
-		return true
-	}, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
 	}
 }

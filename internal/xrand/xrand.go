@@ -150,14 +150,6 @@ func (r *Rand) Perm(n int) []int {
 	return p
 }
 
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // Geometric returns a sample from a geometric distribution with success
 // probability p (number of failures before the first success).
 func (r *Rand) Geometric(p float64) int {

@@ -162,19 +162,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestShuffle(t *testing.T) {
-	r := New(5)
-	vals := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	r.Shuffle(len(vals), func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
-	sum := 0
-	for _, v := range vals {
-		sum += v
-	}
-	if sum != 28 {
-		t.Fatalf("shuffle lost elements: %v", vals)
-	}
-}
-
 func TestBoolProbability(t *testing.T) {
 	r := New(9)
 	hits := 0
